@@ -1,9 +1,14 @@
 """Matrix algebra over O_d, projective canonicalization, isometry
 classification, and the Heisenberg boundary action.
 
-Matrices are small (2x2 or 3x3) with QuadRat entries; all catalog matrices
-are in fact integral. Everything here is exact: no floating point enters
-any decision.
+``Mat`` is the reference type: a small (2x2 or 3x3) matrix with QuadRat
+entries. All catalog matrices are in fact integral with a unit
+determinant, and so is every word in them. The hot loops (the orbit
+``ball`` and the word search) therefore run on an integer kernel instead:
+a 3x3 matrix over O_d as a flat tuple of 18 Python ints, with its product,
+canonical projective key, coefficient height and image of the Heisenberg
+origin. QuadRat appears there only in the boundary points it returns.
+Everything here is exact: no floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactring import QuadInt, QuadRat, RingMismatchError, units
+from .exactring import _TAU_ISQRTD, _TAU_SQ, QuadInt, QuadRat, RingMismatchError, units
 
 
 class NormalizationError(ValueError):
@@ -378,3 +383,116 @@ def boundary_action(m: Mat | ProjIsom, p: BoundaryPoint) -> BoundaryPoint:
     assert it_half.real_part() == 0, "image left the boundary"
     t_coeff = 2 * it_half.isqrtd_coeff()
     return BoundaryPoint.finite(z, t_coeff)
+
+
+# -- integer kernel --------------------------------------------------------
+#
+# An integral 3x3 matrix over O_d as a flat tuple of 18 ints: entry (i, j)
+# is a + b*tau_d with a at index 6i + 2j and b right after it. Tuple order
+# is the order of Mat.key() on integral matrices, so keys sort the same way.
+
+IntMat = tuple[int, ...]
+
+# the units of O_d as (a, b) pairs, the same set as exactring.units(d)
+_UNITS = {1: ((1, 0), (-1, 0), (0, 1), (0, -1)),
+          3: ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)),
+          7: ((1, 0), (-1, 0))}
+
+
+def int_mat(m: Mat) -> IntMat:
+    """The integer tuple of a 3x3 matrix; ValueError unless it is integral."""
+    if m.n != 3 or not m.is_integral():
+        raise ValueError("the integer kernel takes integral 3x3 matrices only")
+    return tuple(v for row in m.rows for e in row for v in (e.num.a, e.num.b))
+
+
+def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
+    """The product x*y, using tau^2 = c0 + c1*tau."""
+    c0, c1 = _TAU_SQ[d]
+    out: list[int] = []
+    for i in (0, 6, 12):
+        xa0, xb0, xa1, xb1, xa2, xb2 = x[i:i + 6]
+        for j in (0, 2, 4):
+            ya0, yb0, ya1, yb1, ya2, yb2 = (
+                y[j], y[j + 1], y[j + 6], y[j + 7], y[j + 12], y[j + 13])
+            bb = xb0 * yb0 + xb1 * yb1 + xb2 * yb2
+            out += (xa0 * ya0 + xa1 * ya1 + xa2 * ya2 + c0 * bb,
+                    xa0 * yb0 + xb0 * ya0 + xa1 * yb1 + xb1 * ya1
+                    + xa2 * yb2 + xb2 * ya2 + c1 * bb)
+    return tuple(out)
+
+
+def int_key(d: int, x: IntMat) -> IntMat:
+    """The least unit multiple of x in tuple order, so two matrices have
+    equal keys iff they are equal in PU(2,1); canonical_rep's choice."""
+    c0, c1 = _TAU_SQ[d]
+    k = 0
+    while not (x[k] or x[k + 1]):
+        k += 2
+        if k == 18:
+            raise ValueError("zero matrix has no projective class")
+    # entries before k are 0 under every unit, and distinct units move the
+    # nonzero entry k to distinct values, so entry k alone picks the unit
+    a, b = x[k], x[k + 1]
+    _, ua, ub = min(((a * ua + b * ub * c0, a * ub + b * (ua + ub * c1)), ua, ub)
+                    for ua, ub in _UNITS[d])
+    if ua == 1 and ub == 0:
+        return x
+    q, s = ub * c0, ua + ub * c1
+    out: list[int] = []
+    for a, b in zip(x[::2], x[1::2]):
+        out += (a * ua + b * q, a * ub + b * s)
+    return tuple(out)
+
+
+def int_height(x: IntMat) -> int:
+    """Bit length of the largest coefficient: Mat.max_coeff_bits of a
+    nonzero integral matrix, whose denominators 1 have bit length 1."""
+    return max(map(abs, x)).bit_length()
+
+
+def int_origin_image(d: int, x: IntMat) -> BoundaryPoint:
+    """boundary_action(x, BoundaryPoint.origin(d)), from the third column
+    (p, q, r) of x: the origin lifts to (0, 0, 1), so z = q/r."""
+    c0, c1 = _TAU_SQ[d]
+    pa, pb, qa, qb, ra, rb = x[4], x[5], x[10], x[11], x[16], x[17]
+    if ra == 0 and rb == 0:
+        return BoundaryPoint.infinity(d)
+    # conj(a + b*tau) = (a + c1*b) - b*tau and N(a + b*tau) = a^2 + c1*ab - c0*b^2
+    ca, cb = ra + c1 * rb, -rb
+    norm_r = ra * ra + c1 * ra * rb - c0 * rb * rb
+    norm_q = qa * qa + c1 * qa * qb - c0 * qb * qb
+    # z = q*conj(r)/N(r) and p/r = s/N(r) with s = p*conj(r)
+    za, zb = qa * ca + c0 * qb * cb, qa * cb + qb * ca + c1 * qb * cb
+    sa, sb = pa * ca + c0 * pb * cb, pa * cb + pb * ca + c1 * pb * cb
+    # it/2 = p/r + |z|^2/2 = (2s + N(q)) / (2 N(r)) must be purely imaginary;
+    # the real part of 2s is 2*sa + c1*sb since 2*Re(tau) = c1
+    if 2 * sa + c1 * sb + norm_q != 0:
+        raise ValueError("image left the boundary")
+    t_coeff = Fraction(2 * sb, norm_r) * _TAU_ISQRTD[d]
+    return BoundaryPoint.finite(QuadRat(QuadInt(d, za, zb), norm_r), t_coeff)
+
+
+def ball(gens: list[Mat], radius: int) -> list[IntMat]:
+    """The projectively distinct elements of word length <= radius over
+    gens and their inverses, in breadth-first order from the identity."""
+    d = gens[0].d
+    moves = []
+    for g in gens:
+        moves += (int_mat(g), int_mat(g.inverse()))
+    ident = int_mat(Mat.identity(d))
+    seen = {int_key(d, ident)}
+    elements = [ident]
+    frontier = [ident]
+    for _ in range(radius):
+        new = []
+        for m in frontier:
+            for g in moves:
+                nm = int_mul(d, m, g)
+                key = int_key(d, nm)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(nm)
+        elements += new
+        frontier = new
+    return elements

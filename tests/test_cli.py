@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from picardhyb import certify, cli
 from picardhyb.cli import main
 
 
@@ -36,6 +37,22 @@ def test_verify_scope_filter(tmp_path, capsys):
                 "--out", str(out)]) == 0
     text = out.read_text()
     assert "lemma-3.6" in text and "lemma-3.3" not in text
+
+
+def test_verify_reports_every_failure(monkeypatch, capsys):
+    first = certify.Report("fake one")
+    first.add("check-a", "first failing check", False)
+    first.add("check-ok", "passing check", True)
+    second = certify.Report("fake two")
+    second.add("check-b", "second failing check", False)
+    monkeypatch.setattr(cli, "_reports_for", lambda d, max_cosets: [first, second])
+    assert run(["verify", "--d", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] check-a" in captured.out and "[FAIL] check-b" in captured.out
+    assert captured.err.splitlines() == [
+        "FAILED: fake one: check-a: first failing check",
+        "FAILED: fake two: check-b: second failing check",
+    ]
 
 
 def test_verify_unknown_scope(capsys):

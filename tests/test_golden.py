@@ -4,7 +4,8 @@ character of the output.
 
 The two d=1 searches differ only in the height bound: at 3 bits the search
 prunes (``pruned_by_height`` true), at 4 bits it does not, which pins the
-coefficient-height semantics.
+coefficient-height semantics. The digests were recorded with the earlier
+Mat/QuadRat implementation of the orbit ball and the word search.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ GOLDEN = [
      "2b41737771045db8c28446fe6f11f180dc53859a8b0966beadd136675300895e"),
     ("orbit --d 3 --max-depth 3 --variant primed", 0,
      "36087e7e929c2e20d614c3498e34bcd46172132694fb386ec47cfe16bdb0ba17"),
+    ("orbit --d 3 --max-depth 5", 0,
+     "08bcd689eb82ae5f2b5bf1999a1111129c8db9bbae44d9d4b74b8025953fd315"),
     ("orbit --d 7 --max-depth 3", 0,
      "c8426b543dca5d1457c05141ec3982fc24cb7ccf0e0633440e68c2efdff5d123"),
     ("search --d 1 --target E1 --max-depth 10 --max-coeff-bits 3", 0,
