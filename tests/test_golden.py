@@ -1,11 +1,13 @@
-"""Golden stdout of the orbit and search verbs: exit code and sha256 of the
-exact bytes written, so a change of arithmetic kernel cannot move a single
-character of the output.
+"""Golden stdout of all six verbs: exit code and sha256 of the exact bytes
+written, so a change of arithmetic kernel or word evaluator cannot move a
+single character of the output.
 
 The two d=1 searches differ only in the height bound: at 3 bits the search
 prunes (``pruned_by_height`` true), at 4 bits it does not, which pins the
-coefficient-height semantics. The digests were recorded with the earlier
-Mat/QuadRat implementation of the orbit ball and the word search.
+coefficient-height semantics. The orbit and search digests were recorded
+with the earlier Mat/QuadRat implementation of the orbit ball and the word
+search; the verify, dump, classify and abelianize digests with the separate
+per-module word evaluators that preceded ``fpgroups.eval_word``.
 """
 
 import hashlib
@@ -29,6 +31,24 @@ GOLDEN = [
      "ac64fb8b1dcd66f8394aaee5a8fb3f84fbd34872036f184d63c06eea493050b8"),
     ("search --d 3 --target E1 --gens hybrid --max-depth 6", 0,
      "b1494e0fcf1c909cc1b511f03a18983d965651d3ca7b19a9937410b7337134c4"),
+    ("verify --d 1", 0,
+     "ca651c2ee6b4957a08a95a89ed5d9a79c02e5027dcbb7334b4c3b8a79a9e5766"),
+    ("verify --d 3", 0,
+     "02c181551fff8acbe73498a7ba1fb3cd015ba916286a8abe20933e531c2dd680"),
+    ("verify --d 7", 0,
+     "986cd1daa3643a8ab2f0f58ee806891cefa59e90a83b29ac6b200d780a53778a"),
+    ("verify --d 1 --format json", 0,
+     "a2bca6142639e86aee7445c90d980d8fac955b97f0ba75c15ea312433f65a7be"),
+    ("dump --d 1", 0,
+     "54a66d7bfd45ecb206c415bae7a0354d4b841b8d7d884688c0084a922567a73d"),
+    ("dump --d 3", 0,
+     "ec7718e050f25ea421315bd610a58b0f2d6bbb08df6618ce2a0a6b51c78ddfea"),
+    ("dump --d 7", 0,
+     "f10957a25f81b3a682c347029d667a0599a6c74dce049efcfe0b2cfb76f05b7f"),
+    ("classify --d 7 --element A1", 0,
+     "d1e42f791b16244904794bbfa5f502e75bf1a9f15dbd01fa34420726b5d8244c"),
+    ("abelianize --presentation picard-3", 0,
+     "ff5ee7b0717bcc0e7d6c2a95d6b1aa94573881fff8d395cf523ca190f9f850ab"),
 ]
 
 
