@@ -3,7 +3,7 @@ modular groups PU(2,1,O_d), d in {1, 3, 7}: word identities, normality,
 quotient indices (2, 1, and infinity with certificate), abelianizations,
 and isometry classification."""
 
-from .exactring import QuadInt, QuadRat, RingMismatchError, qi_approx, units
+from .exactring import QuadInt, QuadRat, RingMismatchError, units
 from .cxhyp import (
     BoundaryPoint, IsometryClass, Mat, ProjIsom, boundary_action,
     canonical_rep, classify, heis_translation, is_unitary, proj_eq,

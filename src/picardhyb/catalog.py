@@ -16,24 +16,18 @@ Two corrected readings are stored with flags (surfaced in reports):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactring import QuadInt, QuadRat
+from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
     Mat, ProjIsom, canonical_rep, disk_form, herm_form_h2, is_unitary, proj_eq,
 )
-from .fpgroups import Presentation, Word, parse_word
-
-SUPPORTED_D = (1, 3, 7)
+from .fpgroups import Presentation, Word, eval_word, parse_word
 
 
 class CatalogError(AssertionError):
     """A build-time cross-check of the stored data failed."""
-
-
-def _q(d: int, a: int = 0, b: int = 0) -> QuadRat:
-    return QuadRat(QuadInt(d, a, b), 1)
 
 
 def _mat(d, entries) -> Mat:
@@ -140,13 +134,7 @@ def verify_word_identity(d: int, lhs: str, rhs: str | Mat) -> bool:
 
 
 def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
-    names = list(env)
-    w = parse_word(text, names)
-    result = Mat.identity(d, 3)
-    for g in w:
-        m = env[names[abs(g) - 1]]
-        result = result * (m if g > 0 else m.inverse())
-    return result
+    return eval_word(parse_word(text, list(env)), list(env.values()), Mat.identity(d))
 
 
 # -- per-d construction ----------------------------------------------------
@@ -417,12 +405,6 @@ def _check_displays(displayed: dict[str, Mat], constructed: dict[str, Mat]) -> N
                 f"displayed matrix {k} differs from its embed/cayley construction")
 
 
-def _is_unit_multiple_of_identity(m: Mat) -> bool:
-    from .exactring import units
-    ident = Mat.identity(m.d, m.n)
-    return any((m - ident.scale(QuadRat.of(u))).is_zero() for u in units(m.d))
-
-
 def _validate(cat: Catalog) -> Catalog:
     h2 = herm_form_h2(cat.d)
     f2 = disk_form(cat.d)
@@ -432,14 +414,10 @@ def _validate(cat: Catalog) -> Catalog:
     for name, m in {**cat.picard, **cat.hybrid, **cat.hybrid_primed}.items():
         if not is_unitary(m, h2):
             raise CatalogError(f"3x3 matrix {name} does not preserve the Siegel form")
-    env = dict(cat.picard)
-    names = cat.presentation.names()
+    gens = [cat.picard[n] for n in cat.presentation.names()]
+    ident = Mat.identity(cat.d)
     for rel in cat.presentation.relators:
-        m = Mat.identity(cat.d, 3)
-        for g in rel:
-            gen = env[names[abs(g) - 1]]
-            m = m * (gen if g > 0 else gen.inverse())
-        if not _is_unit_multiple_of_identity(m):
+        if not proj_eq(eval_word(rel, gens, ident), ident):
             raise CatalogError(
                 f"relator does not evaluate to a unit multiple of Id over O_{cat.d}")
     return cat

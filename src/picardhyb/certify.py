@@ -16,9 +16,9 @@ from .exactring import QuadInt
 from .catalog import get_catalog
 from .cxhyp import Mat, proj_eq, projective_order
 from .fpgroups import (
-    AbelianInvariants, CosetTable, Presentation, abelian_structure,
-    abelianization, derived_subgroup_table, parse_word, quotient_by_normal_gens,
-    reidemeister_schreier, todd_coxeter,
+    AbelianInvariants, CosetTable, Presentation, Word, abelian_structure,
+    abelianization, derived_subgroup_table, eval_word, free_reduce, invert_word,
+    parse_word, quotient_by_normal_gens, reidemeister_schreier, todd_coxeter,
 )
 
 
@@ -87,12 +87,10 @@ class EuclideanMotion:
     def identity() -> "EuclideanMotion":
         return EuclideanMotion(QuadInt.one(3), QuadInt.zero(3))
 
-    def compose(self, other: "EuclideanMotion") -> "EuclideanMotion":
+    def __mul__(self, other: "EuclideanMotion") -> "EuclideanMotion":
         # (a1,b1) o (a2,b2): z -> a1(a2 z + b2) + b1
         return EuclideanMotion(self.alpha * other.alpha,
                                self.alpha * other.beta + self.beta)
-
-    __mul__ = compose
 
     def inverse(self) -> "EuclideanMotion":
         # alpha^-1 = conj(alpha) since norm(alpha) = 1
@@ -119,14 +117,6 @@ class EuclideanMotion:
 
     def __str__(self) -> str:
         return f"z -> ({self.alpha})*z + ({self.beta})"
-
-
-def evaluate_motion_word(word, images: dict[int, EuclideanMotion]) -> EuclideanMotion:
-    m = EuclideanMotion.identity()
-    for g in word:
-        img = images[abs(g)]
-        m = m * (img if g > 0 else img.inverse())
-    return m
 
 
 # -- the (2,3,6) infiniteness certificate ---------------------------------
@@ -156,19 +146,16 @@ class InfinitenessCertificate:
     def validate(self) -> None:
         """Re-derive every relator image independently of the stored ones."""
         names = self.presentation.names()
-        idx_images = {}
-        for i, n in enumerate(names, start=1):
-            idx_images[i] = (EuclideanMotion.identity() if n in self.kill_list
-                             else self.images[n])
+        one = EuclideanMotion.identity()
+        gens = [one if n in self.kill_list else self.images[n] for n in names]
         for k, rel in enumerate(self.presentation.relators):
-            img = evaluate_motion_word(rel, idx_images)
+            img = eval_word(rel, gens, one)
             if not img.is_identity():
                 raise CertificationError(
                     f"relator #{k} does not map to the identity motion ({img})")
             if img.alpha != self.relator_images[k].alpha or img.beta != self.relator_images[k].beta:
                 raise CertificationError("stored relator image disagrees with re-derivation")
-        w = parse_word(self.witness_word, names)
-        img = evaluate_motion_word(w, idx_images)
+        img = eval_word(parse_word(self.witness_word, names), gens, one)
         if not img.is_nontrivial_translation():
             raise CertificationError(f"witness image {img} is not a nonzero translation")
         if img != self.witness_image:
@@ -185,11 +172,11 @@ def triangle_236_certificate() -> InfinitenessCertificate:
         "a": EuclideanMotion(zeta6, QuadInt.zero(3)),
         "b": EuclideanMotion(QuadInt(3, -1, 0), QuadInt(3, 1, 0)),
     }
-    idx_images = {1: images["a"], 2: images["b"], 3: EuclideanMotion.identity()}
-    relator_images = tuple(
-        evaluate_motion_word(rel, idx_images) for rel in G_ABC.relators)
+    one = EuclideanMotion.identity()
+    gens = [images["a"], images["b"], one]
+    relator_images = tuple(eval_word(rel, gens, one) for rel in G_ABC.relators)
     witness = "a^3 b"
-    witness_image = evaluate_motion_word(parse_word(witness, G_ABC.names()), idx_images)
+    witness_image = eval_word(parse_word(witness, G_ABC.names()), gens, one)
     cert = InfinitenessCertificate(
         presentation=G_ABC,
         kill_list=("c",),
@@ -202,6 +189,13 @@ def triangle_236_certificate() -> InfinitenessCertificate:
     return cert
 
 
+def _substitute(w: Word, images: list[Word]) -> Word:
+    """w with letter +k replaced by the word images[k - 1] and -k by its
+    inverse (not freely reduced)."""
+    return tuple(x for g in w
+                 for x in (images[g - 1] if g > 0 else invert_word(images[-g - 1])))
+
+
 def verify_tietze_substitution() -> Report:
     """The paper's generator change a = P Q^-1, b = Q, c = R is checked in
     two finite steps: the substitutions are mutually inverse on free
@@ -212,26 +206,19 @@ def verify_tietze_substitution() -> Report:
 
     abc_names = ("a", "b", "c")
     pqr_names = cat.presentation.names()
-    for name in pqr_names:
-        w = parse_word(SUBST_PQR_TO_ABC[name], abc_names)
-        back = []
-        for g in w:
-            sub = parse_word(SUBST_ABC_TO_PQR[abc_names[abs(g) - 1]], pqr_names)
-            back.extend(sub if g > 0 else tuple(-x for x in reversed(sub)))
-        from .fpgroups import free_reduce
-        ok = free_reduce(back) == parse_word(name, pqr_names)
+    to_abc = [parse_word(SUBST_PQR_TO_ABC[n], abc_names) for n in pqr_names]
+    to_pqr = [parse_word(SUBST_ABC_TO_PQR[n], pqr_names) for n in abc_names]
+    for i, name in enumerate(pqr_names):
+        ok = free_reduce(_substitute(to_abc[i], to_pqr)) == parse_word(name, pqr_names)
         report.add("substitution-inverse", f"{name} round-trips through (a,b,c)", ok)
 
     cert = triangle_236_certificate()
-    idx_abc = {1: cert.images["a"], 2: cert.images["b"], 3: EuclideanMotion.identity()}
+    one = EuclideanMotion.identity()
+    gens = [cert.images["a"], cert.images["b"], one]
     quotient = cat.quotient_presentation()
     for k, rel in enumerate(quotient.relators):
         # push the relator through P -> ab, Q -> b, R -> c, then to motions
-        mapped: list[int] = []
-        for g in rel:
-            sub = parse_word(SUBST_PQR_TO_ABC[pqr_names[abs(g) - 1]], abc_names)
-            mapped.extend(sub if g > 0 else tuple(-x for x in reversed(sub)))
-        img = evaluate_motion_word(mapped, idx_abc)
+        img = eval_word(_substitute(rel, to_abc), gens, one)
         report.add("relator-dies", f"quotient relator #{k} maps to the identity motion",
                    img.is_identity(), witness=str(img) if not img.is_identity() else "")
     return report.raise_on_failure()
@@ -358,7 +345,7 @@ def primed_d3_closure() -> Report:
 
 
 # word over (I0, Q, T) for the order-4 element R1 = iota_1(R) of H'(1),
-# found by bounded bidirectional search and verified projectively by
+# found by bounded meet-in-the-middle search and verified projectively by
 # verify_primed_d1_word
 PRIMED_D1_WORD = "T^-1 I0 T^-1 Q I0 Q"
 
@@ -462,7 +449,7 @@ def hybrid_abelianization_bounds() -> Report:
     struct = abelian_structure(cat.presentation)
     report.add("lemma-3.8", f"Gamma(3)^ab = {struct.invariants}",
                struct.invariants == AbelianInvariants(0, (6,)))
-    for text in ("P^2 (R Q^2) P^-2", "Q^2", "R Q^2 R"):
+    for text in PRIMED_D3_WORDS:
         img = struct.image(cat.picard_word(text))
         report.add("lemma-3.8", f"H'(3) generator {text} dies in Gamma(3)^ab",
                    all(x == 0 for x in img))

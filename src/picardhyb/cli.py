@@ -79,7 +79,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    gens = cat_mod.hybrid_generators(args.d, args.variant)
+    try:
+        gens = cat_mod.hybrid_generators(args.d, args.variant)
+    except ValueError as exc:    # no primed variant for this d
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     points = {}
     n_infinity = 0
     # the projectively deduplicated word ball of radius L
@@ -98,22 +102,13 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _gen_set(d: int, which: str):
-    cat = cat_mod.get_catalog(d)
-    if which == "picard":
-        return list(cat.picard.items())
-    if which == "hybrid":
-        return list(cat.hybrid.items())
-    raise SystemExit(f"unknown generator set {which!r}")
-
-
 def cmd_search(args) -> int:
     cat = cat_mod.get_catalog(args.d)
     env = cat.env()
     if args.target not in env:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
-    named = _gen_set(args.d, args.gens)
+    named = list((cat.picard if args.gens == "picard" else cat.hybrid).items())
     cfg = SearchConfig(max_depth=args.max_depth, max_coeff_bits=args.max_coeff_bits)
     result = find_word(env[args.target], [m for _n, m in named], cfg)
     payload = {
@@ -185,6 +180,17 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _at_least(lo: int):
+    """argparse type: an int no smaller than lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="picardhyb",
@@ -196,29 +202,27 @@ def build_parser() -> argparse.ArgumentParser:
         if need_d:
             p.add_argument("--d", type=int, choices=(1, 3, 7), required=True)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled property checks (unused by exact runs)")
 
     p = sub.add_parser("verify", help="re-verify the paper's claims")
     add_common(p)
     p.add_argument("--scope", default="all",
                    help="'all' or a check id such as lemma-3.6")
     p.add_argument("--format", choices=("json", "md"), default="md")
-    p.add_argument("--max-cosets", type=int, default=10**6)
+    p.add_argument("--max-cosets", type=_at_least(1), default=10**6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="export a boundary orbit as CSV")
     add_common(p)
     p.add_argument("--variant", choices=("plain", "primed"), default="plain")
-    p.add_argument("--max-depth", type=int, default=2, metavar="L")
+    p.add_argument("--max-depth", type=_at_least(0), default=2, metavar="L")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("search", help="find a word for a catalog element")
     add_common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--gens", choices=("picard", "hybrid"), default="picard")
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--max-coeff-bits", type=int, default=512)
+    p.add_argument("--max-depth", type=_at_least(0), default=10)
+    p.add_argument("--max-coeff-bits", type=_at_least(1), default=512)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("classify", help="isometry type of a catalog element")

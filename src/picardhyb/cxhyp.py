@@ -81,17 +81,11 @@ class Mat:
                 for j in range(n))
             for i in range(n)))
 
-    def __add__(self, other: "Mat") -> "Mat":
-        return self._zip(other, lambda x, y: x + y)
-
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._zip(other, lambda x, y: x - y)
-
-    def _zip(self, other, op) -> "Mat":
         if other.d != self.d or other.n != self.n:
             raise ValueError("incompatible matrices")
         return Mat(self.d, tuple(
-            tuple(op(a, b) for a, b in zip(ra, rb))
+            tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat":
@@ -137,17 +131,6 @@ class Mat:
             raise ZeroDivisionError("singular matrix")
         inv_det = QuadRat.one(self.d) / det
         return self.adjugate().scale(inv_det)
-
-    def __pow__(self, k: int) -> "Mat":
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = Mat.identity(self.d, self.n)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
@@ -198,15 +181,8 @@ class ProjIsom:
 
     rep: Mat
 
-    @property
-    def d(self) -> int:
-        return self.rep.d
-
     def key(self) -> tuple:
         return self.rep.key()
-
-    def __str__(self) -> str:
-        return str(self.rep)
 
 
 def canonical_rep(m: Mat) -> ProjIsom:

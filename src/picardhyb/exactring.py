@@ -295,12 +295,6 @@ class QuadRat:
     def isqrtd_coeff(self) -> Fraction:
         return self.num.isqrtd_coeff() / self.den
 
-    def as_fraction(self) -> Fraction:
-        """The value as a rational; raises if not real."""
-        if self.isqrtd_coeff() != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.real_part()
-
     def key(self) -> tuple[int, int, int]:
         """(numerator-a, numerator-b, denominator), the canonical sort key."""
         return (self.num.a, self.num.b, self.den)
@@ -312,11 +306,6 @@ class QuadRat:
         if self.den == 1:
             return render(self.num)
         return f"({render(self.num)})/{self.den}"
-
-
-def qi_approx(x: QuadInt | QuadRat) -> complex:
-    """Floating approximation, good to >= 12 significant digits below 2**53."""
-    return x.approx()
 
 
 def render(x: QuadInt) -> str:

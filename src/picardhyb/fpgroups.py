@@ -34,6 +34,17 @@ def invert_word(w: Word) -> Word:
     return tuple(-g for g in reversed(w))
 
 
+def eval_word(w: Word, gens, one):
+    """The product of the letters of w from left to right, starting from
+    one: letter +k is gens[k - 1] and -k its inverse. Any element type
+    with ``*`` and ``.inverse()`` will do (matrices, Euclidean motions)."""
+    result = one
+    for g in w:
+        x = gens[abs(g) - 1]
+        result = result * (x if g > 0 else x.inverse())
+    return result
+
+
 @dataclass(frozen=True)
 class Presentation:
     ngens: int

@@ -1,5 +1,5 @@
-"""Bounded bidirectional search expressing a target projective isometry as
-a word in given generator matrices.
+"""Bounded meet-in-the-middle search expressing a target projective
+isometry as a word in given generator matrices.
 
 States are deduplicated by the canonical projective representative's exact
 entry key, so two words meet iff they evaluate to the same element of
@@ -14,14 +14,13 @@ from .cxhyp import IntMat, Mat, ProjIsom, int_height, int_key, int_mat, int_mul,
 # not called here: bound as a module attribute because the benchmark's
 # smoke check expects its tracer to patch it under this name
 from .cxhyp import canonical_rep  # noqa: F401
-from .fpgroups import Word, free_reduce
+from .fpgroups import Word, eval_word, free_reduce
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 10
     max_coeff_bits: int = 512
-    bidirectional: bool = True
 
     def __post_init__(self):
         if self.max_depth < 0 or self.max_coeff_bits <= 0:
@@ -37,15 +36,6 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.word is not None
-
-
-def evaluate(word: Word, gens: list[Mat]) -> Mat:
-    d = gens[0].d
-    m = Mat.identity(d, 3)
-    for g in word:
-        gen = gens[abs(g) - 1]
-        m = m * (gen if g > 0 else gen.inverse())
-    return m
 
 
 def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = SearchConfig()) -> SearchResult:
@@ -113,7 +103,7 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
         meet = _best_meet(fwd, bwd)
         if meet is not None:
             return _verified(meet, gens, tmat, fwd_depth + bwd_depth, pruned)
-        if not cfg.bidirectional or (fwd_depth <= bwd_depth and frontier_fwd) or not frontier_bwd:
+        if (fwd_depth <= bwd_depth and frontier_fwd) or not frontier_bwd:
             frontier_fwd = expand(frontier_fwd, forward=True)
             fwd_depth += 1
             for k, v in frontier_fwd.items():
@@ -147,7 +137,8 @@ def _best_meet(fwd: dict, bwd: dict) -> Word | None:
 
 
 def _verified(word: Word, gens, tmat: Mat, depth: int, pruned: bool) -> SearchResult:
-    assert proj_eq(evaluate(word, gens), tmat), "search returned an unsound word"
+    assert proj_eq(eval_word(word, gens, Mat.identity(tmat.d)), tmat), \
+        "search returned an unsound word"
     return SearchResult(word, depth, pruned)
 
 

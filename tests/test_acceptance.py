@@ -14,10 +14,10 @@ from picardhyb.certify import (
     lemma31_index_bound, verify_normality, verify_word_identities,
 )
 from picardhyb.fpgroups import (
-    AbelianInvariants, Presentation, abelianization, parse_word,
+    AbelianInvariants, Presentation, abelianization, eval_word, parse_word,
     reidemeister_schreier, smith_normal_form, todd_coxeter,
 )
-from picardhyb.search import SearchConfig, evaluate, find_word
+from picardhyb.search import SearchConfig, find_word
 
 
 def _report(criterion, description, elapsed, limit):
@@ -139,7 +139,7 @@ def test_criterion_8_search():
     assert u1.found and u1.word == (2, 2)
     e1 = find_word(env["E1"], gens, SearchConfig(max_depth=12))
     assert e1.found and len(e1.word) <= 12
-    assert proj_eq(evaluate(e1.word, gens), env["E1"])
+    assert proj_eq(eval_word(e1.word, gens, Mat.identity(3)), env["E1"])
     _report(8, "search recovers U1 = Q^2 and a verified word for E1",
             time.monotonic() - t0, 120)
 

@@ -72,11 +72,11 @@ def test_euclidean_motion_group_laws():
             for _ in range(8)]
     pool.append(EuclideanMotion.identity())
     for a in pool:
-        assert a.compose(a.inverse()).is_identity()
+        assert (a * a.inverse()).is_identity()
         for b in pool:
             for c in pool:
-                lhs = a.compose(b).compose(c)
-                rhs = a.compose(b.compose(c))
+                lhs = (a * b) * c
+                rhs = a * (b * c)
                 assert lhs.alpha == rhs.alpha and lhs.beta == rhs.beta
 
 

@@ -1,8 +1,14 @@
 """End-to-end command line behavior with deterministic outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import picardhyb
 
 from picardhyb import certify, cli
 from picardhyb.cli import main
@@ -126,6 +132,23 @@ def test_dump_cmd(tmp_path):
     assert "# catalog d=1" in text
     assert "E1 =" in text and "## presentation relators" in text
     assert "corrected readings" in text
+
+
+@pytest.mark.parametrize("argv", [
+    "orbit --d 7 --variant primed",
+    "orbit --d 3 --max-depth -1",
+    "search --d 1 --target E1 --max-depth -1",
+    "search --d 1 --target E1 --max-coeff-bits 0",
+    "verify --d 1 --max-cosets 0",
+])
+def test_bad_input_exits_2_without_traceback(argv):
+    src = str(Path(picardhyb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "picardhyb.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_requires_subcommand():

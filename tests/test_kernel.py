@@ -1,18 +1,20 @@
-"""Differential tests of the integer-tuple kernel against the Mat/QuadRat
-reference: random words over the Picard generators and their inverses,
-for d in {1, 3, 7}, must give the same product, coefficient height,
-projective key and image of the Heisenberg origin both ways."""
+"""Differential tests of the integer-tuple kernel and of the word
+evaluator against the Mat/QuadRat reference: random words over the Picard
+generators and their inverses, for d in {1, 3, 7}, must give the same
+product, coefficient height, projective key and image of the Heisenberg
+origin both ways."""
 
 from functools import cache, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.catalog import get_catalog, hybrid_generators
 from picardhyb.cxhyp import (
     BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
     int_key, int_mat, int_mul, int_origin_image,
 )
+from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import QuadInt, QuadRat, units
 
 MAX_WORD = 8
@@ -52,6 +54,20 @@ def test_product_and_height_match_mat(case):
     assert x1 == int_mat(m1)
     assert int_mul(d, int_mat(m1), int_mat(m2)) == int_mat(m1 * m2)
     assert int_height(x1) == m1.max_coeff_bits()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_words())
+@example((1, [[]]))
+@example((3, [[]]))
+@example((7, [[]]))
+def test_eval_word_matches_reference(case):
+    d, (w,) = case
+    gens = list(get_catalog(d).picard.values())
+    n = len(gens)
+    # _moves lists the generators, then their inverses in the same order
+    word = tuple(k + 1 if k < n else -(k - n + 1) for k in w)
+    assert eval_word(word, gens, Mat.identity(d)) == _eval(d, w)
 
 
 @settings(max_examples=60, deadline=None)

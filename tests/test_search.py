@@ -3,8 +3,8 @@ small cyclic example, and honest exhaustion reporting."""
 
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import Mat, proj_eq
-from picardhyb.search import SearchConfig, conjugate_membership, evaluate, find_word
-from picardhyb.fpgroups import format_word
+from picardhyb.search import SearchConfig, conjugate_membership, find_word
+from picardhyb.fpgroups import eval_word, format_word
 
 
 def test_find_u1_as_q_squared():
@@ -14,7 +14,7 @@ def test_find_u1_as_q_squared():
     res = find_word(env["U1"], gens, SearchConfig(max_depth=3))
     assert res.found
     assert res.word == (2, 2)  # Q^2
-    assert proj_eq(evaluate(res.word, gens), env["U1"])
+    assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["U1"])
 
 
 def test_find_e1_within_depth_12():
@@ -23,7 +23,7 @@ def test_find_e1_within_depth_12():
     gens = [env[n] for n in ("P", "Q", "R")]
     res = find_word(env["E1"], gens, SearchConfig(max_depth=12))
     assert res.found and len(res.word) <= 12
-    assert proj_eq(evaluate(res.word, gens), env["E1"])
+    assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["E1"])
 
 
 def test_search_result_is_shortest_on_cyclic_example():
