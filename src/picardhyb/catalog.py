@@ -17,11 +17,12 @@ Two corrected readings are stored with flags (surfaced in reports):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
-    Mat, ProjIsom, canonical_rep, disk_form, herm_form_h2, is_unitary, proj_eq,
+    INT_ID, IntMat, Mat, ProjIsom, canonical_rep, disk_form, herm_form_h2,
+    int_inv, int_key, int_mat, int_mul, is_unitary, proj_eq,
 )
 from .fpgroups import Presentation, Word, eval_word, parse_word
 
@@ -57,10 +58,16 @@ def cayley_transform(d: int) -> Mat:
     return _mat(d, ((1, 1, 0), (0, 1, -1), (1, 1, -1)))
 
 
+@lru_cache(maxsize=None)
+def _cayley_pair(d: int) -> tuple[Mat, Mat]:
+    j = cayley_transform(d)
+    return j, j.inverse()
+
+
 def cayley(m: Mat) -> Mat:
     """Conjugate from the ball model to the Siegel model: J^-1 M J."""
-    j = cayley_transform(m.d)
-    return j.inverse() * m * j
+    j, j_inv = _cayley_pair(m.d)
+    return j_inv * m * j
 
 
 # -- catalog data ----------------------------------------------------------
@@ -103,6 +110,18 @@ class Catalog:
     def eval_word(self, text: str, env: dict[str, Mat] | None = None) -> Mat:
         return _eval(self.d, text, self.env() if env is None else env)
 
+    @cached_property
+    def int_env(self) -> dict[str, IntMat]:
+        """env() on the integer kernel of cxhyp."""
+        return {n: int_mat(m) for n, m in self.env().items()}
+
+    def word_key(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
+        """The int_key of the word text over the given names of env() (all
+        of them by default): equal keys mean equal elements of PU(2,1)."""
+        table = self.int_env
+        names = tuple(table) if names is None else names
+        return _int_word_key(self.d, parse_word(text, names), [table[n] for n in names])
+
     def picard_word(self, text: str) -> Word:
         return parse_word(text, self.presentation.names())
 
@@ -127,14 +146,19 @@ def hybrid_generators(d: int, variant: str = "plain") -> dict[str, ProjIsom]:
 
 
 def verify_word_identity(d: int, lhs: str, rhs: str | Mat) -> bool:
-    """Evaluate lhs through the matrix realization and compare projectively."""
+    """Evaluate lhs on the integer kernel and compare it projectively with
+    the catalog element named rhs, or with the integral matrix rhs."""
     cat = get_catalog(d)
-    target = cat.env()[rhs] if isinstance(rhs, str) else rhs
-    return proj_eq(cat.eval_word(lhs), target)
+    target = cat.int_env[rhs] if isinstance(rhs, str) else int_mat(rhs)
+    return cat.word_key(lhs) == int_key(d, target)
 
 
 def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
     return eval_word(parse_word(text, list(env)), list(env.values()), Mat.identity(d))
+
+
+def _int_word_key(d: int, w: Word, gens: list[IntMat]) -> IntMat:
+    return int_key(d, eval_word(w, gens, INT_ID, partial(int_mul, d), partial(int_inv, d)))
 
 
 # -- per-d construction ----------------------------------------------------
@@ -202,7 +226,8 @@ def _catalog_d3() -> Catalog:
 
     # primed generator E1' = P^2 (R Q^2) P^-2, a square root of E1
     e1p = _eval(d, "P^2 (R Q^2) P^-2", picard)
-    if not proj_eq(e1p * e1p, hybrid["E1"]):
+    x = int_mat(e1p)
+    if int_key(d, int_mul(d, x, x)) != int_key(d, int_mat(hybrid["E1"])):
         raise CatalogError("(E1')^2 is not E1 projectively")
 
     return Catalog(
@@ -414,10 +439,10 @@ def _validate(cat: Catalog) -> Catalog:
     for name, m in {**cat.picard, **cat.hybrid, **cat.hybrid_primed}.items():
         if not is_unitary(m, h2):
             raise CatalogError(f"3x3 matrix {name} does not preserve the Siegel form")
-    gens = [cat.picard[n] for n in cat.presentation.names()]
-    ident = Mat.identity(cat.d)
+    gens = [cat.int_env[n] for n in cat.presentation.names()]
+    ident = int_key(cat.d, INT_ID)
     for rel in cat.presentation.relators:
-        if not proj_eq(eval_word(rel, gens, ident), ident):
+        if _int_word_key(cat.d, rel, gens) != ident:
             raise CatalogError(
                 f"relator does not evaluate to a unit multiple of Id over O_{cat.d}")
     return cat

@@ -25,10 +25,13 @@ def _reports_for(d: int, max_cosets: int) -> list[certify.Report]:
     reports = [certify.verify_word_identities(d), certify.verify_normality(d)]
     idx = certify.index_report(d, max_cosets=max_cosets)
     r = certify.Report(f"index d={d}")
+    theorem = f"theorem-{'4.5' if d == 1 else '5.5'}"
     if idx.outcome == "finite":
-        r.add(f"theorem-{'4.5' if d == 1 else '5.5'}",
-              f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}", True,
+        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}", True,
               witness=f"complete coset table, {idx.table.index} cosets")
+    elif idx.outcome == "overflowed":
+        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) is undecided: coset "
+              f"enumeration overflowed the cap of {max_cosets} cosets", False)
     else:
         r.add("theorem-3.4", "H(3) has infinite index (Euclidean certificate)",
               True, witness=str(idx.certificate.witness_image))

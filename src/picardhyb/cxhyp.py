@@ -4,10 +4,11 @@ classification, and the Heisenberg boundary action.
 ``Mat`` is the reference type: a small (2x2 or 3x3) matrix with QuadRat
 entries. All catalog matrices are in fact integral with a unit
 determinant, and so is every word in them. The hot loops (the orbit
-``ball`` and the word search) therefore run on an integer kernel instead:
-a 3x3 matrix over O_d as a flat tuple of 18 Python ints, with its product,
-canonical projective key, coefficient height and image of the Heisenberg
-origin. QuadRat appears there only in the boundary points it returns.
+``ball``, the word search, and the word checks of the catalog and of
+certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
+as a flat tuple of 18 Python ints, with its product, inverse, canonical
+projective key, coefficient height and image of the Heisenberg origin.
+QuadRat appears there only in the boundary points it returns.
 Everything here is exact: no floating point enters any decision.
 """
 
@@ -369,6 +370,8 @@ def boundary_action(m: Mat | ProjIsom, p: BoundaryPoint) -> BoundaryPoint:
 
 IntMat = tuple[int, ...]
 
+INT_ID: IntMat = (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+
 # the units of O_d as (a, b) pairs, the same set as exactring.units(d)
 _UNITS = {1: ((1, 0), (-1, 0), (0, 1), (0, -1)),
           3: ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)),
@@ -395,6 +398,39 @@ def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
             out += (xa0 * ya0 + xa1 * ya1 + xa2 * ya2 + c0 * bb,
                     xa0 * yb0 + xb0 * ya0 + xa1 * yb1 + xb1 * ya1
                     + xa2 * yb2 + xb2 * ya2 + c1 * bb)
+    return tuple(out)
+
+
+def int_inv(d: int, x: IntMat) -> IntMat:
+    """The inverse of x: its adjugate times conj(det x), because a unit
+    det x has inverse conj(det x); ValueError unless N(det x) = 1."""
+    c0, c1 = _TAU_SQ[d]
+
+    def mul(p, q):
+        return (p[0] * q[0] + c0 * p[1] * q[1],
+                p[0] * q[1] + p[1] * q[0] + c1 * p[1] * q[1])
+
+    e = [(x[k], x[k + 1]) for k in range(0, 18, 2)]
+    # cof[3i + j] is the signed cofactor of entry (i, j), by cyclic indices
+    cof = []
+    for i in range(3):
+        i1, i2 = 3 * ((i + 1) % 3), 3 * ((i + 2) % 3)
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            p, q = mul(e[i1 + j1], e[i2 + j2]), mul(e[i1 + j2], e[i2 + j1])
+            cof.append((p[0] - q[0], p[1] - q[1]))
+    da = db = 0
+    for j in range(3):
+        a, b = mul(e[j], cof[j])
+        da, db = da + a, db + b
+    # N(a + b*tau) = a^2 + c1*ab - c0*b^2 and conj(a + b*tau) = (a + c1*b) - b*tau
+    if da * da + c1 * da * db - c0 * db * db != 1:
+        raise ValueError("the determinant is not a unit of O_d")
+    conj_det = (da + c1 * db, -db)
+    out: list[int] = []
+    for i in range(3):
+        for j in range(3):
+            out += mul(cof[3 * j + i], conj_det)
     return tuple(out)
 
 
@@ -455,11 +491,11 @@ def ball(gens: list[Mat], radius: int) -> list[IntMat]:
     d = gens[0].d
     moves = []
     for g in gens:
-        moves += (int_mat(g), int_mat(g.inverse()))
-    ident = int_mat(Mat.identity(d))
-    seen = {int_key(d, ident)}
-    elements = [ident]
-    frontier = [ident]
+        x = int_mat(g)
+        moves += (x, int_inv(d, x))
+    seen = {int_key(d, INT_ID)}
+    elements = [INT_ID]
+    frontier = [INT_ID]
     for _ in range(radius):
         new = []
         for m in frontier:

@@ -8,6 +8,7 @@ k-th generator, -k its inverse.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -34,14 +35,20 @@ def invert_word(w: Word) -> Word:
     return tuple(-g for g in reversed(w))
 
 
-def eval_word(w: Word, gens, one):
+def _inverse(x):
+    return x.inverse()
+
+
+def eval_word(w: Word, gens, one, mul=operator.mul, inv=_inverse):
     """The product of the letters of w from left to right, starting from
-    one: letter +k is gens[k - 1] and -k its inverse. Any element type
-    with ``*`` and ``.inverse()`` will do (matrices, Euclidean motions)."""
+    one: letter +k is gens[k - 1] and -k its inverse. By default any
+    element type with ``*`` and ``.inverse()`` will do (matrices, Euclidean
+    motions); ``mul`` and ``inv`` replace them for the integer kernel of
+    cxhyp, which passes ``partial(int_mul, d)`` and ``partial(int_inv, d)``."""
     result = one
     for g in w:
         x = gens[abs(g) - 1]
-        result = result * (x if g > 0 else x.inverse())
+        result = mul(result, x if g > 0 else inv(x))
     return result
 
 
@@ -250,8 +257,7 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
                     table[mu][c] = nu
                     table[nu][c ^ 1] = mu
 
-    def scan_and_fill(alpha: int, w: Word) -> None:
-        cols = [_col(g) for g in w]
+    def scan_and_fill(alpha: int, cols: list[int]) -> None:
         f, i = alpha, 0
         b, j = alpha, len(cols) - 1
         while True:
@@ -275,14 +281,16 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
             f = define(f, cols[i])
             i += 1
 
+    # each relator as its column list, built once per enumeration
+    relator_cols = [[_col(g) for g in r] for r in p.relators]
     try:
         for w in subgens:
-            scan_and_fill(rep(0), free_reduce(w))
+            scan_and_fill(rep(0), [_col(g) for g in free_reduce(w)])
         alpha = 0
         while alpha < len(table):
             if rep(alpha) == alpha:
-                for r in p.relators:
-                    scan_and_fill(alpha, r)
+                for cols in relator_cols:
+                    scan_and_fill(alpha, cols)
                     if rep(alpha) != alpha:
                         break
                 if rep(alpha) == alpha:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cxhyp import IntMat, Mat, ProjIsom, int_height, int_key, int_mat, int_mul, proj_eq
+from .cxhyp import (
+    INT_ID, IntMat, Mat, ProjIsom, int_height, int_inv, int_key, int_mat, int_mul,
+    proj_eq,
+)
 # not called here: bound as a module attribute because the benchmark's
 # smoke check expects its tracer to patch it under this name
 from .cxhyp import canonical_rep  # noqa: F401
@@ -42,9 +45,9 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
     """Minimal-length word over gens (and inverses) projectively equal to
     the target, within the depth and coefficient-height bounds.
 
-    The target and the generators must be integral 3x3 matrices whose
-    inverses are integral too (ValueError otherwise); the states are
-    expanded in the integer kernel of cxhyp."""
+    The target and the generators must be integral 3x3 matrices, the
+    generators with a unit determinant (ValueError otherwise); the states
+    are expanded in the integer kernel of cxhyp."""
     if not gens:
         raise ValueError("generator list is empty")
     tmat = target.rep if isinstance(target, ProjIsom) else target
@@ -58,11 +61,12 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
     fwd_moves: list[tuple[int, IntMat]] = []
     bwd_moves: list[tuple[int, IntMat]] = []
     for i, g in enumerate(gens, start=1):
-        gm, gi = int_mat(g), int_mat(g.inverse())
+        gm = int_mat(g)
+        gi = int_inv(d, gm)
         fwd_moves += ((i, gm), (-i, gi))
         bwd_moves += ((i, gi), (-i, gm))
 
-    ident = int_mat(Mat.identity(d, 3))
+    ident = INT_ID
     tint = int_mat(tmat)
     target_key = int_key(d, tint)
     if int_key(d, ident) == target_key:

@@ -10,7 +10,7 @@ import pytest
 
 import picardhyb
 
-from picardhyb import certify, cli
+from picardhyb import catalog, certify, cli
 from picardhyb.cli import main
 
 
@@ -59,6 +59,43 @@ def test_verify_reports_every_failure(monkeypatch, capsys):
         "FAILED: fake one: check-a: first failing check",
         "FAILED: fake two: check-b: second failing check",
     ]
+
+
+@pytest.mark.parametrize("d", ["1", "7"])
+def test_verify_coset_cap_is_a_failed_row(d, capsys):
+    assert run(["verify", "--d", d, "--max-cosets", "1"]) == 1
+    captured = capsys.readouterr()
+    theorem = {"1": "theorem-4.5", "7": "theorem-5.5"}[d]
+    assert f"- [FAIL] {theorem}: " in captured.out
+    assert "overflowed the cap of 1 cosets" in captured.out
+    # the checks the cap does not touch are still reported
+    assert "[PASS] lemma-" in captured.out and "## normality" in captured.out
+    failed = captured.err.splitlines()
+    assert failed and all(line.startswith("FAILED: ") for line in failed)
+    assert any(theorem in line for line in failed)
+    if d == "1":
+        assert any("primed hybrid d=1: corollary-4.6" in line for line in failed)
+
+
+def test_verify_evaluates_each_word_once(monkeypatch, capsys):
+    cached = (certify.verify_word_identities, certify.verify_normality,
+              certify.lemma31_index_bound, certify.lemma36_relations)
+    for fn in cached:
+        fn.cache_clear()
+    seen = []
+    word_key = catalog.Catalog.word_key
+
+    def counting(self, text, names=None):
+        seen.append((self.d, text, names))
+        return word_key(self, text, names)
+
+    monkeypatch.setattr(catalog.Catalog, "word_key", counting)
+    for d in ("1", "3", "7"):
+        assert run(["verify", "--d", d]) == 0
+    capsys.readouterr()
+    assert seen and len(seen) == len(set(seen))
+    info = certify.lemma31_index_bound.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_verify_unknown_scope(capsys):

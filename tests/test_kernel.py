@@ -1,8 +1,9 @@
 """Differential tests of the integer-tuple kernel and of the word
 evaluator against the Mat/QuadRat reference: random words over the Picard
 generators and their inverses, for d in {1, 3, 7}, must give the same
-product, coefficient height, projective key and image of the Heisenberg
-origin both ways."""
+product, inverse, coefficient height, projective key and image of the
+Heisenberg origin both ways, and Catalog.word_key must agree with the
+canonical representative of Catalog.eval_word."""
 
 from functools import cache, reduce
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from picardhyb.catalog import get_catalog, hybrid_generators
 from picardhyb.cxhyp import (
     BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
-    int_key, int_mat, int_mul, int_origin_image,
+    int_inv, int_key, int_mat, int_mul, int_origin_image,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import QuadInt, QuadRat, units
@@ -54,6 +55,44 @@ def test_product_and_height_match_mat(case):
     assert x1 == int_mat(m1)
     assert int_mul(d, int_mat(m1), int_mat(m2)) == int_mat(m1 * m2)
     assert int_height(x1) == m1.max_coeff_bits()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_words())
+def test_inverse_matches_mat(case):
+    d, (w,) = case
+    m = _eval(d, w)
+    assert int_inv(d, int_mat(m)) == int_mat(m.inverse())
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_inverse_rejects_non_unit_determinant(d):
+    with pytest.raises(ValueError):
+        int_inv(d, int_mat(Mat.identity(d).scale(2)))
+    singular = Mat.from_entries(d, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    with pytest.raises(ValueError):
+        int_inv(d, int_mat(singular))
+
+
+@st.composite
+def ring_and_env_text(draw):
+    """A ring and the text of a random word over all env() names."""
+    d = draw(st.sampled_from((1, 3, 7)))
+    names = list(get_catalog(d).env())
+    letters = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(("", "^-1"))),
+                            max_size=MAX_WORD))
+    return d, " ".join(n + e for n, e in letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_env_text())
+@example((1, ""))
+@example((3, ""))
+@example((7, ""))
+def test_word_key_matches_canonical_rep(case):
+    d, text = case
+    cat = get_catalog(d)
+    assert cat.word_key(text) == int_mat(canonical_rep(cat.eval_word(text)).rep)
 
 
 @settings(max_examples=60, deadline=None)
