@@ -357,7 +357,8 @@ def boundary_action(m: Mat | ProjIsom, p: BoundaryPoint) -> BoundaryPoint:
     first = w[0] / w[2]
     # first = (-|z|^2 + it)/2, so it/2 = first + |z|^2/2 must be imaginary
     it_half = first + QuadRat.of_fraction(m.d, z.norm() / 2)
-    assert it_half.real_part() == 0, "image left the boundary"
+    if it_half.real_part() != 0:
+        raise ValueError("image left the boundary")
     t_coeff = 2 * it_half.isqrtd_coeff()
     return BoundaryPoint.finite(z, t_coeff)
 

@@ -88,12 +88,15 @@ def quotient_by_normal_gens(p: Presentation, extra) -> Presentation:
 #
 # A word is written as juxtaposed factors, each a generator name optionally
 # followed by ^exponent, or a parenthesized word with an exponent, e.g.
-# "P^2 (R Q^2)^2 P^-2". Round-trips through format_word/parse_word.
+# "P^2 (R Q^2)^2 P^-2"; the empty word is written "1". Round-trips through
+# format_word/parse_word.
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_']*)|(\()|(\))|(\^-?\d+)|(\*|·))")
 
 
 def parse_word(text: str, names) -> Word:
+    if text.strip() == "1":
+        return ()
     index = {n: i + 1 for i, n in enumerate(names)}
     pos = 0
 

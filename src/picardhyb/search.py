@@ -141,8 +141,8 @@ def _best_meet(fwd: dict, bwd: dict) -> Word | None:
 
 
 def _verified(word: Word, gens, tmat: Mat, depth: int, pruned: bool) -> SearchResult:
-    assert proj_eq(eval_word(word, gens, Mat.identity(tmat.d)), tmat), \
-        "search returned an unsound word"
+    if not proj_eq(eval_word(word, gens, Mat.identity(tmat.d)), tmat):
+        raise RuntimeError("search returned an unsound word")
     return SearchResult(word, depth, pruned)
 
 

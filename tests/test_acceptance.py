@@ -91,7 +91,7 @@ def test_criterion_5_infiniteness_certificate():
     res = index_report(3)
     assert res.outcome == "infinite"
     cert = res.certificate
-    cert.validate()
+    assert cert.validate()
     assert cert.witness_image.is_nontrivial_translation()
     assert str(cert.witness_image) == "z -> (1)*z + (-1)"
     assert lemma31_index_bound().passed

@@ -2,11 +2,13 @@
 certificate and the abelianization chain."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from picardhyb import certify
 from picardhyb.certify import (
-    CertificationError, EuclideanMotion, PRIMED_D1_WORD, Report,
+    EuclideanMotion, PRIMED_D1_WORD, Report,
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
     lemma31_index_bound, lemma36_relations, partial_hybrid_presentation,
     primed_d1_equality, primed_d3_closure, triangle_236_certificate,
@@ -42,17 +44,24 @@ def test_index_d3_is_infinite_with_certificate():
     res = index_report(3)
     assert res.outcome == "infinite"
     assert res.certificate is not None
-    res.certificate.validate()
+    assert res.certificate.validate()
 
 
 def test_triangle_certificate():
     cert = triangle_236_certificate()
-    cert.validate()
+    assert cert.validate()
     motion = cert.witness_image
     assert motion.is_nontrivial_translation()
     # witness is the unit translation z -> z - 1
     assert motion.alpha == QuadInt.one(3)
     assert motion.beta == QuadInt.of_int(3, -1)
+
+
+def test_triangle_certificate_rejects_a_wrong_witness():
+    cert = triangle_236_certificate()
+    # a^6 maps to the identity, not to a translation
+    assert not replace(cert, witness_word="a^6").validate()
+    assert not replace(cert, witness_image=EuclideanMotion.identity()).validate()
 
 
 def test_tietze_substitution():
@@ -101,6 +110,13 @@ def test_hybrid_abelianization_bounds():
     assert "Z x Z" in text and "Z/6" in text
 
 
+def test_lemma39_row_checks_the_commutator_table(monkeypatch):
+    # P is not a commutator: its image in Gamma(3)^ab = Z/6 has order 3
+    monkeypatch.setattr(certify, "COMMUTATOR_WORDS", certify.COMMUTATOR_WORDS + ("P",))
+    failed = {c.check_id for c in hybrid_abelianization_bounds().checks if not c.passed}
+    assert failed == {"lemma-3.9", "corollary-3.12"}
+
+
 def test_partial_hybrid_presentations_finite():
     for primed in (False, True):
         ab = abelianization(partial_hybrid_presentation(primed))
@@ -122,11 +138,9 @@ def test_primed_d3_closure():
     assert primed_d3_closure().passed
 
 
-def test_report_failure_raises():
+def test_report_failure_is_a_failed_row():
     r = Report("toy")
     r.add("x", "deliberately failing check", False)
-    with pytest.raises(CertificationError):
-        r.raise_on_failure()
     assert not r.passed
     assert "FAIL" in r.as_markdown()
     assert r.as_dict()["checks"][0]["passed"] is False

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import picardhyb
 
-from picardhyb import catalog, certify, cli
+from picardhyb import catalog, certify, cli, fpgroups
 from picardhyb.cli import main
 
 
@@ -77,11 +79,25 @@ def test_verify_coset_cap_is_a_failed_row(d, capsys):
         assert any("primed hybrid d=1: corollary-4.6" in line for line in failed)
 
 
+# the certify functions verify calls, each at most once per run
+REPORT_FUNCTIONS = (
+    "verify_word_identities", "verify_normality", "index_report",
+    "verify_tietze_substitution", "lemma31_index_bound", "lemma36_relations",
+    "hybrid_abelianization_bounds", "primed_d3_closure", "primed_d1_equality",
+)
+
+
 def test_verify_evaluates_each_word_once(monkeypatch, capsys):
-    cached = (certify.verify_word_identities, certify.verify_normality,
-              certify.lemma31_index_bound, certify.lemma36_relations)
-    for fn in cached:
-        fn.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in REPORT_FUNCTIONS:
+        monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
     seen = []
     word_key = catalog.Catalog.word_key
 
@@ -90,12 +106,66 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
         return word_key(self, text, names)
 
     monkeypatch.setattr(catalog.Catalog, "word_key", counting)
+    called = set()
     for d in ("1", "3", "7"):
+        calls.clear()
         assert run(["verify", "--d", d]) == 0
+        assert calls and set(calls.values()) == {1}, (d, calls)
+        called |= set(calls)
     capsys.readouterr()
+    assert called == set(REPORT_FUNCTIONS)
     assert seen and len(seen) == len(set(seen))
-    info = certify.lemma31_index_bound.cache_info()
-    assert info.misses == 1 and info.hits >= 1
+
+
+def test_verify_failed_premise_fails_its_claims(monkeypatch, capsys):
+    real = catalog.get_catalog(3)
+    idents = real.conjugation_identities
+    assert idents[-1].lhs == "R^-1 E1 R"
+    # E1 has order 3, so R^-1 E1 R = E1^-1 is not E1
+    corrupted = replace(real, conjugation_identities=idents[:-1] + (
+        replace(idents[-1], rhs="E1"),))
+    monkeypatch.setattr(certify, "get_catalog",
+                        lambda d: corrupted if d == 3 else catalog.get_catalog(d))
+    assert run(["verify", "--d", "3"]) == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    for title in ("word identities d=3", "normality d=3", "index d=3",
+                  "index bound [H(3):H~(3)] | 4", "relations among E1, U1, U2",
+                  "abelianization bounds d=3", "primed hybrid d=3",
+                  "corrected readings d=3"):
+        assert f"## {title}\n" in out
+    assert "- [FAIL] lemma-3.3: R^-1 E1 R = E1\n" in out
+    for claim in ("theorem-3.4", "proposition-6.2", "proposition-6.3"):
+        assert f"- [FAIL] {claim}: " in out and f"- [PASS] {claim}: " not in out
+    # rows that do not rest on normality still pass
+    assert "- [PASS] corollary-3.12: " in out and "- [PASS] lemma-3.6: " in out
+    failed = captured.err.splitlines()
+    assert all(line.startswith("FAILED: ") for line in failed)
+    assert {line.split(": ")[2] for line in failed} == {
+        "lemma-3.3", "theorem-3.4", "proposition-6.2", "proposition-6.3"}
+    assert "certification failure" not in captured.out + captured.err
+
+
+def test_verify_wrong_index_is_a_failed_row(monkeypatch, capsys):
+    index_two = fpgroups.todd_coxeter(catalog.get_catalog(1).quotient_presentation())
+    assert index_two.index == 2
+    monkeypatch.setattr(certify, "todd_coxeter", lambda *args, **kwargs: index_two)
+    assert run(["verify", "--d", "7"]) == 1
+    captured = capsys.readouterr()
+    assert ("- [FAIL] theorem-5.5: quotient PU(2,1,O_7)/H(7) has order 2, "
+            "expected 1 (complete coset table, 2 cosets)\n") in captured.out
+    assert "## normality d=7" in captured.out
+    assert captured.err.splitlines() == [
+        "FAILED: index d=7: theorem-5.5: quotient PU(2,1,O_7)/H(7) has order 2, expected 1"]
+
+
+def test_every_premise_is_a_row():
+    # a mistyped premise would fail its claim in every run, and a mistyped
+    # claim would never be held to its premises
+    rows = {d: {c.check_id for r in cli._reports_for(d, 10**6) for c in r.checks}
+            for d in (1, 3, 7)}
+    for claim, premises in cli.RESTS_ON.items():
+        assert any(claim in ids and set(premises) <= ids for ids in rows.values()), claim
 
 
 def test_verify_unknown_scope(capsys):

@@ -4,6 +4,7 @@ postconditions, abelianization and Reidemeister-Schreier."""
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.fpgroups import (
     AbelianInvariants, Presentation, abelian_image, abelianization,
@@ -41,6 +42,15 @@ def test_parse_format_round_trip():
         parse_word("P X", names)
     with pytest.raises(ValueError):
         parse_word("(P Q", names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=12).map(tuple))
+@example(())
+@example((1, -1))
+def test_format_then_parse_is_free_reduction(w):
+    names = ("P", "Q", "R")
+    assert parse_word(format_word(w, names), names) == free_reduce(w)
 
 
 # -- Todd-Coxeter against a permutation brute force ------------------------

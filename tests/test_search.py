@@ -1,6 +1,12 @@
 """Bidirectional word search: recovery of known words, minimality on a
 small cyclic example, and honest exhaustion reporting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import picardhyb
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import Mat, proj_eq
 from picardhyb.search import SearchConfig, conjugate_membership, find_word
@@ -67,3 +73,25 @@ def test_conjugate_membership():
         env["R"], env["U1"], [env["U1"], env["U2"]],
         SearchConfig(max_depth=2))
     assert res.found and res.word == (2,)
+
+
+def test_unsound_word_raises_under_optimize():
+    # python -O strips assert statements: the re-check must not be one
+    script = (
+        "from picardhyb import search\n"
+        "from picardhyb.catalog import get_catalog\n"
+        "search.eval_word = lambda w, gens, one, *args: one\n"
+        "env = get_catalog(3).env()\n"
+        "try:\n"
+        "    search.find_word(env['U1'], [env[n] for n in ('P', 'Q', 'R')],\n"
+        "                     search.SearchConfig(max_depth=3))\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('returned')\n")
+    src = str(Path(picardhyb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: search returned an unsound word\n"
