@@ -6,15 +6,15 @@ and isometry classification."""
 from .exactring import QuadInt, QuadRat, RingMismatchError, units
 from .cxhyp import (
     BoundaryPoint, IsometryClass, Mat, ProjIsom, boundary_action,
-    canonical_rep, classify, heis_translation, is_unitary, proj_eq,
+    canonical_rep, classify, heis_translation, proj_eq,
 )
-from .catalog import Catalog, get_catalog, hybrid_generators, verify_word_identity
+from .catalog import Catalog, get_catalog
 from .fpgroups import (
-    AbelianInvariants, CosetTable, Presentation, abelian_image, abelianization,
-    free_reduce, quotient_by_normal_gens, reidemeister_schreier,
-    smith_normal_form, todd_coxeter,
+    AbelianInvariants, CosetTable, Presentation, abelianization, free_reduce,
+    quotient_by_normal_gens, reidemeister_schreier, smith_normal_form,
+    todd_coxeter,
 )
-from .search import SearchConfig, SearchResult, conjugate_membership, find_word
+from .search import SearchConfig, SearchResult, find_word
 from .certify import (
     EuclideanMotion, InfinitenessCertificate, IndexResult,
     hybrid_abelianization_bounds, index_report, lemma31_index_bound,

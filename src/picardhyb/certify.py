@@ -24,9 +24,10 @@ from .cxhyp import INT_ID, Mat, int_key, projective_order
 # smoke check expects its tracer to patch it under this name
 from .cxhyp import proj_eq  # noqa: F401
 from .fpgroups import (
-    AbelianInvariants, CosetTable, Presentation, Word, abelian_structure,
-    abelianization, derived_subgroup_table, eval_word, free_reduce, invert_word,
-    parse_word, quotient_by_normal_gens, reidemeister_schreier, todd_coxeter,
+    DEFAULT_MAX_COSETS, AbelianInvariants, CosetTable, Presentation, Word,
+    abelian_structure, abelianization, derived_subgroup_table, eval_word,
+    free_reduce, invert_word, parse_word, quotient_by_normal_gens,
+    reidemeister_schreier, todd_coxeter,
 )
 
 
@@ -97,18 +98,6 @@ class EuclideanMotion:
 
     def is_identity(self) -> bool:
         return self.alpha == QuadInt.one(3) and self.beta.is_zero()
-
-    def order(self) -> int | None:
-        """Exact order; None means infinite."""
-        if self.alpha == QuadInt.one(3):
-            return None if not self.beta.is_zero() else 1
-        # alpha is a root of unity of order <= 6; the motion is a rotation
-        power = self
-        for k in range(1, 7):
-            if power.is_identity():
-                return k
-            power = power * self
-        return None  # alpha != 1 always has finite order; unreachable
 
     def is_nontrivial_translation(self) -> bool:
         return self.alpha == QuadInt.one(3) and not self.beta.is_zero()
@@ -280,7 +269,7 @@ class IndexResult:
 D3_OVERFLOW_CAP = 20000
 
 
-def index_report(d: int, max_cosets: int = 10**6) -> IndexResult:
+def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
     """The coset table of PU(2,1,O_d)/H(d) for d = 1, 7; for d = 3 the
     (2,3,6) certificate, "infinite" iff it validates and the generator
     change it uses is verified."""
@@ -338,7 +327,7 @@ def verify_primed_d1_word() -> bool:
             == int_key(1, cat.int_env["R1"]))
 
 
-def primed_d1_equality(max_cosets: int = 10**6) -> Report:
+def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
     """Corrected reading of the d=1 primed hybrid: the order-4 elements
     R1 = iota_1(R), R2 = iota_2(R) satisfy exact scalar identities placing
     them inside H(1), and conversely E1, E2 are words in R1, R2, so

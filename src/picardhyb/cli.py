@@ -18,7 +18,7 @@ from .cxhyp import ball, classify, int_origin_image
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
-from .fpgroups import abelianization, format_word
+from .fpgroups import DEFAULT_MAX_COSETS, abelianization, format_word
 from .search import SearchConfig, find_word
 
 
@@ -116,15 +116,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        gens = cat_mod.hybrid_generators(args.d, args.variant)
-    except ValueError as exc:    # no primed variant for this d
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cat = cat_mod.get_catalog(args.d)
+    gens = dict(cat.hybrid)
+    if args.variant == "primed":
+        if not cat.hybrid_primed:
+            print(f"error: no primed hybrid variant for d={args.d}", file=sys.stderr)
+            return 2
+        gens.update(cat.hybrid_primed)
     points = {}
     n_infinity = 0
     # the projectively deduplicated word ball of radius L
-    for m in ball([p.rep for p in gens.values()], args.max_depth):
+    for m in ball(list(gens.values()), args.max_depth):
         p = int_origin_image(args.d, m)
         if p.at_infinity:
             n_infinity += 1
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all",
                    help="'all' or a check id such as lemma-3.6")
     p.add_argument("--format", choices=("json", "md"), default="md")
-    p.add_argument("--max-cosets", type=_at_least(1), default=10**6)
+    p.add_argument("--max-cosets", type=_at_least(1), default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="export a boundary orbit as CSV")

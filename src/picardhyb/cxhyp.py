@@ -18,7 +18,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactring import _TAU_ISQRTD, _TAU_SQ, QuadInt, QuadRat, RingMismatchError, units
+from .exactring import (
+    _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
+)
 
 
 class NormalizationError(ValueError):
@@ -63,10 +65,6 @@ class Mat:
         return Mat(d, tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, ij) -> QuadRat:
-        i, j = ij
-        return self.rows[i][j]
-
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
@@ -89,17 +87,9 @@ class Mat:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def __neg__(self) -> "Mat":
-        return self.scale(QuadRat.of_fraction(self.d, -1))
-
     def scale(self, c) -> "Mat":
         c = QuadRat.of(c) if not isinstance(c, int) else QuadRat.of_fraction(self.d, c)
         return Mat(self.d, tuple(tuple(c * e for e in row) for row in self.rows))
-
-    def conj_transpose(self) -> "Mat":
-        n = self.n
-        return Mat(self.d, tuple(
-            tuple(self.rows[j][i].conj() for j in range(n)) for i in range(n)))
 
     def trace(self) -> QuadRat:
         return sum((self.rows[i][i] for i in range(self.n)), QuadRat.zero(self.d))
@@ -150,28 +140,6 @@ class Mat:
     def __str__(self) -> str:
         return "[" + "; ".join(
             ", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-
-# -- Hermitian forms -------------------------------------------------------
-
-def herm_form_h1(d: int) -> Mat:
-    """Diag(1, 1, -1), the ball-model form."""
-    return Mat.from_entries(d, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-
-
-def herm_form_h2(d: int) -> Mat:
-    """Antidiagonal Siegel-model form."""
-    return Mat.from_entries(d, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
-
-
-def disk_form(d: int) -> Mat:
-    """Diag(1, -1), the 2x2 disk-model form."""
-    return Mat.from_entries(d, ((1, 0), (0, -1)))
-
-
-def is_unitary(m: Mat, h: Mat) -> bool:
-    """Exact check of M* H M = H."""
-    return (m.conj_transpose() * h * m - h).is_zero()
 
 
 # -- projective classes ----------------------------------------------------
@@ -341,10 +309,8 @@ def heis_translation(z: QuadRat | QuadInt, s: QuadRat | QuadInt) -> Mat:
         (zero, zero, one)))
 
 
-def boundary_action(m: Mat | ProjIsom, p: BoundaryPoint) -> BoundaryPoint:
+def boundary_action(m: Mat, p: BoundaryPoint) -> BoundaryPoint:
     """Apply the projective action of m to a boundary point."""
-    if isinstance(m, ProjIsom):
-        m = m.rep
     if m.d != p.d:
         raise RingMismatchError("matrix and point live over different rings")
     v = p.lift()
@@ -372,11 +338,6 @@ def boundary_action(m: Mat | ProjIsom, p: BoundaryPoint) -> BoundaryPoint:
 IntMat = tuple[int, ...]
 
 INT_ID: IntMat = (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0)
-
-# the units of O_d as (a, b) pairs, the same set as exactring.units(d)
-_UNITS = {1: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-          3: ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)),
-          7: ((1, 0), (-1, 0))}
 
 
 def int_mat(m: Mat) -> IntMat:
@@ -448,7 +409,7 @@ def int_key(d: int, x: IntMat) -> IntMat:
     # nonzero entry k to distinct values, so entry k alone picks the unit
     a, b = x[k], x[k + 1]
     _, ua, ub = min(((a * ua + b * ub * c0, a * ub + b * (ua + ub * c1)), ua, ub)
-                    for ua, ub in _UNITS[d])
+                    for ua, ub in UNITS[d])
     if ua == 1 and ub == 0:
         return x
     q, s = ub * c0, ua + ub * c1
@@ -456,6 +417,25 @@ def int_key(d: int, x: IntMat) -> IntMat:
     for a, b in zip(x[::2], x[1::2]):
         out += (a * ua + b * q, a * ub + b * s)
     return tuple(out)
+
+
+def int_is_unitary(d: int, x: IntMat) -> bool:
+    """Whether x preserves the antidiagonal Siegel form H: x* H x == H,
+    where entry (i, j) of x* H x is the sum over k of conj(x_ki) x_(2-k)j.
+    Both sides are Hermitian, so the entries with i <= j decide."""
+    c0, c1 = _TAU_SQ[d]
+    for i in range(3):
+        for j in range(i, 3):
+            sa = sb = 0
+            for k in range(3):
+                a, b = x[6 * k + 2 * i], x[6 * k + 2 * i + 1]
+                p, q = a + c1 * b, -b           # conj(a + b*tau)
+                ya, yb = x[12 - 6 * k + 2 * j], x[13 - 6 * k + 2 * j]
+                sa += p * ya + c0 * q * yb
+                sb += p * yb + q * ya + c1 * q * yb
+            if sa != (i + j == 2) or sb:
+                return False
+    return True
 
 
 def int_height(x: IntMat) -> int:

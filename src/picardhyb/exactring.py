@@ -18,12 +18,13 @@ from fractions import Fraction
 
 SUPPORTED_D = (1, 3, 7)
 
-# tau^2 = c0 + c1*tau
+# tau^2 = c0 + c1*tau; tau + conj(tau) = c1, so conj(tau) = c1 - tau and
+# Re(tau) = c1/2
 _TAU_SQ = {1: (-1, 0), 3: (-1, -1), 7: (-2, 1)}
-# conj(tau) = c0 + c1*tau
-_TAU_CONJ = {1: (0, -1), 3: (-1, -1), 7: (1, -1)}
-# Re(tau) as an exact rational
-_TAU_RE = {1: Fraction(0), 3: Fraction(-1, 2), 7: Fraction(1, 2)}
+# the units of O_d as (a, b) pairs: 4 for d=1, 6 for d=3, 2 for d=7
+UNITS = {1: ((1, 0), (-1, 0), (0, 1), (0, -1)),
+         3: ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)),
+         7: ((1, 0), (-1, 0))}
 # tau = re + (imag coefficient) * i*sqrt(d)
 _TAU_ISQRTD = {1: Fraction(1), 3: Fraction(1, 2), 7: Fraction(1, 2)}
 _TAU_SYMBOL = {1: "i", 3: "w", 7: "t7"}
@@ -123,21 +124,9 @@ class QuadInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QuadInt":
-        if n < 0:
-            raise ValueError("negative powers are not defined in O_d")
-        result = QuadInt.one(self.d)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conj(self) -> "QuadInt":
-        c0, c1 = _TAU_CONJ[self.d]
-        return QuadInt(self.d, self.a + self.b * c0, self.b * c1)
+        c1 = _TAU_SQ[self.d][1]
+        return QuadInt(self.d, self.a + self.b * c1, -self.b)
 
     def norm(self) -> int:
         """x * conj(x), always a nonnegative rational integer."""
@@ -154,7 +143,7 @@ class QuadInt:
     # -- real / imaginary decomposition -----------------------------------
 
     def real_part(self) -> Fraction:
-        return Fraction(self.a) + self.b * _TAU_RE[self.d]
+        return Fraction(2 * self.a + self.b * _TAU_SQ[self.d][1], 2)
 
     def isqrtd_coeff(self) -> Fraction:
         """Rational c with self = real_part + c * i*sqrt(d)."""
@@ -170,18 +159,9 @@ class QuadInt:
 
 
 def units(d: int) -> list[QuadInt]:
-    """All units of O_d: 4 for d=1, 6 for d=3, 2 for d=7."""
+    """All units of O_d, in the order of UNITS."""
     _check_d(d)
-    one = QuadInt.one(d)
-    us = [one, -one]
-    if d == 1:
-        i = QuadInt.tau(1)
-        us += [i, -i]
-    elif d == 3:
-        w = QuadInt.tau(3)
-        w2 = w * w
-        us += [w, -w, w2, -w2]
-    return us
+    return [QuadInt(d, a, b) for a, b in UNITS[d]]
 
 
 @dataclass(frozen=True)
@@ -320,29 +300,26 @@ def render(x: QuadInt) -> str:
     return f"{x.a}{sign}{tpart}"
 
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?\*?(i|w|t7)?$")
+_SYM = "i|w|t7"
+_TERM = rf"(?:[0-9]+(?: *\* *(?:{_SYM}))?|{_SYM})"
+# sign-separated terms N, SYM and N*SYM; spaces only around signs and '*'
+_ELEMENT_RE = re.compile(rf"(?: *[+-] *)?{_TERM}(?: *[+-] *{_TERM})*")
+_TERM_RE = re.compile(rf"([+-]?) *(?:([0-9]+)(?: *\* *({_SYM}))?|({_SYM}))")
 
 
 def parse(d: int, text: str) -> QuadInt:
-    """Inverse of render: accepts forms like '3', '-w', '1+2*w', '2*t7-1'."""
+    """Inverse of render: accepts forms like '3', '-w', '1+2*w', '2*t7 - 1'."""
     _check_d(d)
-    sym = _TAU_SYMBOL[d]
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty element string")
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    if not _ELEMENT_RE.fullmatch(text):
+        raise ValueError(f"cannot parse {text!r} as an element of O_{d}")
     a = b = 0
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"cannot parse {term!r} as an element of O_{d}")
-        sign, digits, tau = m.groups()
-        if tau is not None and tau != sym:
+    for sign, digits, tau_after, tau_alone in _TERM_RE.findall(text):
+        tau = tau_after or tau_alone
+        if tau and tau != _TAU_SYMBOL[d]:
             raise ValueError(f"symbol {tau!r} does not belong to O_{d}")
-        coef = int((sign or "") + (digits if digits is not None else "1"))
-        if tau is None:
-            a += coef
-        else:
+        coef = int(sign + (digits or "1"))
+        if tau:
             b += coef
+        else:
+            a += coef
     return QuadInt(d, a, b)

@@ -524,11 +524,6 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     return abelian_structure(p).invariants
 
 
-def abelian_image(w: Word, p: Presentation) -> tuple[int, ...]:
-    """Image of w in the abelianization; all-zero iff w dies there."""
-    return abelian_structure(p).image(free_reduce(w))
-
-
 # -- Reidemeister-Schreier -------------------------------------------------
 
 def reidemeister_schreier(p: Presentation, table: CosetTable) -> Presentation:

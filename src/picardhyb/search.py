@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cxhyp import (
-    INT_ID, IntMat, Mat, ProjIsom, int_height, int_inv, int_key, int_mat, int_mul,
+    INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul,
     proj_eq,
 )
 # not called here: bound as a module attribute because the benchmark's
@@ -41,7 +41,7 @@ class SearchResult:
         return self.word is not None
 
 
-def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = SearchConfig()) -> SearchResult:
+def find_word(target: Mat, gens: list[Mat], cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Minimal-length word over gens (and inverses) projectively equal to
     the target, within the depth and coefficient-height bounds.
 
@@ -50,10 +50,9 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
     are expanded in the integer kernel of cxhyp."""
     if not gens:
         raise ValueError("generator list is empty")
-    tmat = target.rep if isinstance(target, ProjIsom) else target
-    if any(g.d != tmat.d for g in gens):
+    if any(g.d != target.d for g in gens):
         raise ValueError("generators and target live over different rings")
-    d = tmat.d
+    d = target.d
 
     # forward words grow by appending letter g, i.e. right-multiplying by
     # move g; backward words grow by prepending g, i.e. right-multiplying
@@ -67,7 +66,7 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
         bwd_moves += ((i, gi), (-i, gm))
 
     ident = INT_ID
-    tint = int_mat(tmat)
+    tint = int_mat(target)
     target_key = int_key(d, tint)
     if int_key(d, ident) == target_key:
         return SearchResult((), 0, False)
@@ -106,7 +105,7 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
     while fwd_depth + bwd_depth < cfg.max_depth:
         meet = _best_meet(fwd, bwd)
         if meet is not None:
-            return _verified(meet, gens, tmat, fwd_depth + bwd_depth, pruned)
+            return _verified(meet, gens, target, fwd_depth + bwd_depth, pruned)
         if (fwd_depth <= bwd_depth and frontier_fwd) or not frontier_bwd:
             frontier_fwd = expand(frontier_fwd, forward=True)
             fwd_depth += 1
@@ -122,7 +121,7 @@ def find_word(target: Mat | ProjIsom, gens: list[Mat], cfg: SearchConfig = Searc
 
     meet = _best_meet(fwd, bwd)
     if meet is not None:
-        return _verified(meet, gens, tmat, fwd_depth + bwd_depth, pruned)
+        return _verified(meet, gens, target, fwd_depth + bwd_depth, pruned)
     return SearchResult(None, fwd_depth + bwd_depth, pruned)
 
 
@@ -140,12 +139,8 @@ def _best_meet(fwd: dict, bwd: dict) -> Word | None:
     return best
 
 
-def _verified(word: Word, gens, tmat: Mat, depth: int, pruned: bool) -> SearchResult:
-    if not proj_eq(eval_word(word, gens, Mat.identity(tmat.d)), tmat):
+def _verified(word: Word, gens, target: Mat, depth: int, pruned: bool) -> SearchResult:
+    if not proj_eq(eval_word(word, gens, Mat.identity(target.d)), target):
         raise RuntimeError("search returned an unsound word")
     return SearchResult(word, depth, pruned)
 
-
-def conjugate_membership(g: Mat, h: Mat, subgens: list[Mat], cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Word w over subgens with eval(w) projectively equal to g^-1 h g."""
-    return find_word(g.inverse() * h * g, subgens, cfg)

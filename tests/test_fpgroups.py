@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.fpgroups import (
-    AbelianInvariants, Presentation, abelian_image, abelianization,
+    AbelianInvariants, Presentation, abelian_structure, abelianization,
     derived_subgroup_table, format_word, free_reduce, invert_word,
     parse_word, quotient_by_normal_gens, reidemeister_schreier,
     smith_normal_form, todd_coxeter,
@@ -177,6 +177,19 @@ def test_snf_random_matrices():
                 assert y == 0
 
 
+def test_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(20261018)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        d, _l, _r = smith_normal_form(a)
+        ours = [abs(d[i][i]) for i in range(min(m, n)) if d[i][i]]
+        theirs = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+        assert ours == [abs(int(x)) for x in theirs if x], a
+
+
 # -- abelianization --------------------------------------------------------
 
 def test_abelianization_known_groups():
@@ -193,8 +206,9 @@ def test_abelian_image():
     p = pres(("a", "b"), ("a^2", "b^3", "(a b)^2"))  # S3, ab = Z/2
     w_in = parse_word("b", ("a", "b"))
     w_out = parse_word("a b", ("a", "b"))
-    assert all(x == 0 for x in abelian_image(w_in, p))
-    assert any(x != 0 for x in abelian_image(w_out, p))
+    struct = abelian_structure(p)
+    assert all(x == 0 for x in struct.image(w_in))
+    assert any(x != 0 for x in struct.image(w_out))
 
 
 def test_quotient_by_normal_gens():

@@ -3,17 +3,18 @@ evaluator against the Mat/QuadRat reference: random words over the Picard
 generators and their inverses, for d in {1, 3, 7}, must give the same
 product, inverse, coefficient height, projective key and image of the
 Heisenberg origin both ways, and Catalog.word_key must agree with the
-canonical representative of Catalog.eval_word."""
+canonical representative of Catalog.eval_word. The kernel's Siegel-form
+check must agree with x* H x computed from the rows of the matrix."""
 
 from functools import cache, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from picardhyb.catalog import get_catalog, hybrid_generators
+from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
     BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
-    int_inv, int_key, int_mat, int_mul, int_origin_image,
+    int_inv, int_is_unitary, int_key, int_mat, int_mul, int_origin_image,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import QuadInt, QuadRat, units
@@ -72,6 +73,31 @@ def test_inverse_rejects_non_unit_determinant(d):
     singular = Mat.from_entries(d, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
     with pytest.raises(ValueError):
         int_inv(d, int_mat(singular))
+
+
+def _preserves_siegel_form(m: Mat) -> bool:
+    """x* H x == H for the antidiagonal form H, from the rows of m."""
+    r = m.rows
+    for i in range(3):
+        for j in range(3):
+            entry = sum((r[k][i].conj() * r[2 - k][j] for k in range(3)), QuadRat.zero(m.d))
+            if entry != QuadRat.of_fraction(m.d, int(i + j == 2)):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_and_words(), st.integers(0, 17), st.integers(-3, 3).filter(bool))
+def test_unitary_check_matches_rows(case, index, delta):
+    d, (w,) = case
+    m = _eval(d, w)
+    x = int_mat(m)
+    assert int_is_unitary(d, x) and _preserves_siegel_form(m)
+    # the same word with one coefficient changed
+    y = x[:index] + (x[index] + delta,) + x[index + 1:]
+    entries = [[QuadInt(d, *y[6 * i + 2 * j:6 * i + 2 * j + 2]) for j in range(3)]
+               for i in range(3)]
+    assert int_is_unitary(d, y) == _preserves_siegel_form(Mat.from_entries(d, entries))
 
 
 @st.composite
@@ -147,7 +173,7 @@ def test_conversion_rejects_non_integral():
 
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_ball_matches_mat_reference(d):
-    mats = [p.rep for p in hybrid_generators(d).values()]
+    mats = list(get_catalog(d).hybrid.values())
     moves = [m for g in mats for m in (g, g.inverse())]
     ident = Mat.identity(d)
     seen = {canonical_rep(ident).key()}

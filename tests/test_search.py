@@ -9,7 +9,7 @@ from pathlib import Path
 import picardhyb
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import Mat, proj_eq
-from picardhyb.search import SearchConfig, conjugate_membership, find_word
+from picardhyb.search import SearchConfig, find_word
 from picardhyb.fpgroups import eval_word, format_word
 
 
@@ -63,16 +63,6 @@ def test_primed_d1_words_recovered():
     res = find_word(cat.hybrid_primed["R1"], gens, SearchConfig(max_depth=6))
     assert res.found
     assert format_word(res.word, names) == "E2^-1 E1^-2"
-
-
-def test_conjugate_membership():
-    cat = get_catalog(3)
-    env = cat.env()
-    # R^-1 U1 R = U2: the conjugate lands back in the hybrid generators
-    res = conjugate_membership(
-        env["R"], env["U1"], [env["U1"], env["U2"]],
-        SearchConfig(max_depth=2))
-    assert res.found and res.word == (2,)
 
 
 def test_unsound_word_raises_under_optimize():
