@@ -7,7 +7,9 @@ prunes (``pruned_by_height`` true), at 4 bits it does not, which pins the
 coefficient-height semantics. The orbit and search digests were recorded
 with the earlier Mat/QuadRat implementation of the orbit ball and the word
 search; the verify, dump, classify and abelianize digests with the separate
-per-module word evaluators that preceded ``fpgroups.eval_word``.
+per-module word evaluators that preceded ``fpgroups.eval_word``. The d=7
+depth-5 and d=1 primed orbits were recorded with the integer kernel's
+plain ball, before it skipped the products it knows are repeats.
 """
 
 import hashlib
@@ -25,6 +27,10 @@ GOLDEN = [
      "08bcd689eb82ae5f2b5bf1999a1111129c8db9bbae44d9d4b74b8025953fd315"),
     ("orbit --d 7 --max-depth 3", 0,
      "c8426b543dca5d1457c05141ec3982fc24cb7ccf0e0633440e68c2efdff5d123"),
+    ("orbit --d 7 --max-depth 5", 0,
+     "b3aac6429cd8e0935a96641448ef96e12792781f11a663fa1af2eb0c1c152f56"),
+    ("orbit --d 1 --max-depth 4 --variant primed", 0,
+     "39ff411684a6f5f1a74c28be205351e54f0e52f0bb4c1b72304790c6418dfa77"),
     ("search --d 1 --target E1 --max-depth 10 --max-coeff-bits 3", 0,
      "c3906e688e1fbe7510cd062c94dac8ee02e45c0dc6b6d60c818dd51bcc21f591"),
     ("search --d 1 --target E1 --max-depth 10 --max-coeff-bits 4", 0,
