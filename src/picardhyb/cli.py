@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import catalog as cat_mod
 from . import certify
-from .cxhyp import ball, classify, int_origin_image
+from .cxhyp import BoundaryPoint, ball, classify, int_origin_key
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
@@ -123,18 +123,18 @@ def cmd_orbit(args) -> int:
             print(f"error: no primed hybrid variant for d={args.d}", file=sys.stderr)
             return 2
         gens.update(cat.hybrid_primed)
-    points = {}
+    keys = set()
     n_infinity = 0
     # the projectively deduplicated word ball of radius L
     for m in ball(list(gens.values()), args.max_depth):
-        p = int_origin_image(args.d, m)
-        if p.at_infinity:
+        key = int_origin_key(args.d, m)
+        if key is None:
             n_infinity += 1
-            continue
-        points.setdefault(p.key(), p)
+        else:
+            keys.add(key)
     rows = ["re_z,im_z,t"]
-    for _key, p in sorted(points.items()):
-        z, t = p.approx()
+    for key in sorted(keys):
+        z, t = BoundaryPoint.from_key(args.d, key).approx()
         rows.append(f"{z.real:.15g},{z.imag:.15g},{t:.15g}")
     rows.append(f"# points_at_infinity={n_infinity}")
     _write(args.out, "\n".join(rows) + "\n")

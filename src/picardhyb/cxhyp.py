@@ -7,8 +7,18 @@ determinant, and so is every word in them. The hot loops (the orbit
 ``ball``, the word search, and the word checks of the catalog and of
 certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
 as a flat tuple of 18 Python ints, with its product, inverse, canonical
-projective key, coefficient height and image of the Heisenberg origin.
-QuadRat appears there only in the boundary points it returns.
+projective key, coefficient height and the key of the image of the
+Heisenberg origin, all in integers.
+
+``ball`` skips two kinds of product, and neither can change its output.
+It keeps one move per projective class, because a move projectively equal
+to an earlier one (the inverse of a projective involution such as I1 and
+I2 for d=3, or B1 and B2 for d=7) gives the class the earlier move gave
+the same element. And it skips the move that undoes an element's last
+move, because that product is the element's parent. Either product is
+already in the set of seen keys, so the elements and their order stay
+those of the plain breadth-first search over all moves.
+
 Everything here is exact: no floating point enters any decision.
 """
 
@@ -17,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactring import (
     _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
@@ -268,6 +279,12 @@ class BoundaryPoint:
     def origin(d: int) -> "BoundaryPoint":
         return BoundaryPoint.finite(QuadRat.zero(d))
 
+    @staticmethod
+    def from_key(d: int, key: tuple[int, ...]) -> "BoundaryPoint":
+        """The finite point whose key() is key."""
+        za, zb, den, tn, td = key
+        return BoundaryPoint(d, False, QuadRat(QuadInt(d, za, zb), den), Fraction(tn, td))
+
     def key(self) -> tuple:
         if self.at_infinity:
             return ("inf",)
@@ -348,19 +365,41 @@ def int_mat(m: Mat) -> IntMat:
 
 
 def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
-    """The product x*y, using tau^2 = c0 + c1*tau."""
+    """The product x*y, using tau^2 = c0 + c1*tau. Entry k of x is
+    ak + bk*tau and entry k of y is pk + qk*tau, row-major; sk is the sum
+    of the tau*tau terms of entry k of the product."""
     c0, c1 = _TAU_SQ[d]
-    out: list[int] = []
-    for i in (0, 6, 12):
-        xa0, xb0, xa1, xb1, xa2, xb2 = x[i:i + 6]
-        for j in (0, 2, 4):
-            ya0, yb0, ya1, yb1, ya2, yb2 = (
-                y[j], y[j + 1], y[j + 6], y[j + 7], y[j + 12], y[j + 13])
-            bb = xb0 * yb0 + xb1 * yb1 + xb2 * yb2
-            out += (xa0 * ya0 + xa1 * ya1 + xa2 * ya2 + c0 * bb,
-                    xa0 * yb0 + xb0 * ya0 + xa1 * yb1 + xb1 * ya1
-                    + xa2 * yb2 + xb2 * ya2 + c1 * bb)
-    return tuple(out)
+    (a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8) = x
+    (p0, q0, p1, q1, p2, q2, p3, q3, p4, q4, p5, q5, p6, q6, p7, q7, p8, q8) = y
+    s0 = b0 * q0 + b1 * q3 + b2 * q6
+    s1 = b0 * q1 + b1 * q4 + b2 * q7
+    s2 = b0 * q2 + b1 * q5 + b2 * q8
+    s3 = b3 * q0 + b4 * q3 + b5 * q6
+    s4 = b3 * q1 + b4 * q4 + b5 * q7
+    s5 = b3 * q2 + b4 * q5 + b5 * q8
+    s6 = b6 * q0 + b7 * q3 + b8 * q6
+    s7 = b6 * q1 + b7 * q4 + b8 * q7
+    s8 = b6 * q2 + b7 * q5 + b8 * q8
+    return (
+        a0 * p0 + a1 * p3 + a2 * p6 + c0 * s0,
+        a0 * q0 + b0 * p0 + a1 * q3 + b1 * p3 + a2 * q6 + b2 * p6 + c1 * s0,
+        a0 * p1 + a1 * p4 + a2 * p7 + c0 * s1,
+        a0 * q1 + b0 * p1 + a1 * q4 + b1 * p4 + a2 * q7 + b2 * p7 + c1 * s1,
+        a0 * p2 + a1 * p5 + a2 * p8 + c0 * s2,
+        a0 * q2 + b0 * p2 + a1 * q5 + b1 * p5 + a2 * q8 + b2 * p8 + c1 * s2,
+        a3 * p0 + a4 * p3 + a5 * p6 + c0 * s3,
+        a3 * q0 + b3 * p0 + a4 * q3 + b4 * p3 + a5 * q6 + b5 * p6 + c1 * s3,
+        a3 * p1 + a4 * p4 + a5 * p7 + c0 * s4,
+        a3 * q1 + b3 * p1 + a4 * q4 + b4 * p4 + a5 * q7 + b5 * p7 + c1 * s4,
+        a3 * p2 + a4 * p5 + a5 * p8 + c0 * s5,
+        a3 * q2 + b3 * p2 + a4 * q5 + b4 * p5 + a5 * q8 + b5 * p8 + c1 * s5,
+        a6 * p0 + a7 * p3 + a8 * p6 + c0 * s6,
+        a6 * q0 + b6 * p0 + a7 * q3 + b7 * p3 + a8 * q6 + b8 * p6 + c1 * s6,
+        a6 * p1 + a7 * p4 + a8 * p7 + c0 * s7,
+        a6 * q1 + b6 * p1 + a7 * q4 + b7 * p4 + a8 * q7 + b8 * p7 + c1 * s7,
+        a6 * p2 + a7 * p5 + a8 * p8 + c0 * s8,
+        a6 * q2 + b6 * p2 + a7 * q5 + b7 * p5 + a8 * q8 + b8 * p8 + c1 * s8,
+    )
 
 
 def int_inv(d: int, x: IntMat) -> IntMat:
@@ -444,13 +483,15 @@ def int_height(x: IntMat) -> int:
     return max(map(abs, x)).bit_length()
 
 
-def int_origin_image(d: int, x: IntMat) -> BoundaryPoint:
-    """boundary_action(x, BoundaryPoint.origin(d)), from the third column
-    (p, q, r) of x: the origin lifts to (0, 0, 1), so z = q/r."""
+def int_origin_key(d: int, x: IntMat) -> tuple[int, ...] | None:
+    """The key() of boundary_action(x, BoundaryPoint.origin(d)), from the
+    third column (p, q, r) of x, or None when that image is Infinity: the
+    origin lifts to (0, 0, 1), so z = q/r. ValueError if the image leaves
+    the boundary."""
     c0, c1 = _TAU_SQ[d]
     pa, pb, qa, qb, ra, rb = x[4], x[5], x[10], x[11], x[16], x[17]
     if ra == 0 and rb == 0:
-        return BoundaryPoint.infinity(d)
+        return None
     # conj(a + b*tau) = (a + c1*b) - b*tau and N(a + b*tau) = a^2 + c1*ab - c0*b^2
     ca, cb = ra + c1 * rb, -rb
     norm_r = ra * ra + c1 * ra * rb - c0 * rb * rb
@@ -462,30 +503,53 @@ def int_origin_image(d: int, x: IntMat) -> BoundaryPoint:
     # the real part of 2s is 2*sa + c1*sb since 2*Re(tau) = c1
     if 2 * sa + c1 * sb + norm_q != 0:
         raise ValueError("image left the boundary")
-    t_coeff = Fraction(2 * sb, norm_r) * _TAU_ISQRTD[d]
-    return BoundaryPoint.finite(QuadRat(QuadInt(d, za, zb), norm_r), t_coeff)
+    # reduce z and t_coeff = (2 sb / N(r)) * _TAU_ISQRTD[d] as QuadRat and
+    # Fraction do; N(r) > 0
+    g = gcd(za, zb, norm_r)
+    isqrtd = _TAU_ISQRTD[d]
+    tn, td = 2 * sb * isqrtd.numerator, norm_r * isqrtd.denominator
+    h = gcd(tn, td)
+    return za // g, zb // g, norm_r // g, tn // h, td // h
+
+
+def int_origin_image(d: int, x: IntMat) -> BoundaryPoint:
+    """boundary_action(x, BoundaryPoint.origin(d)); see int_origin_key."""
+    key = int_origin_key(d, x)
+    return BoundaryPoint.infinity(d) if key is None else BoundaryPoint.from_key(d, key)
 
 
 def ball(gens: list[Mat], radius: int) -> list[IntMat]:
     """The projectively distinct elements of word length <= radius over
-    gens and their inverses, in breadth-first order from the identity."""
+    gens and their inverses, in breadth-first order from the identity.
+    Products known to be repeats are skipped (see the module docstring)."""
+    if not gens:
+        raise ValueError("generator list is empty")
     d = gens[0].d
-    moves = []
+    moves: list[IntMat] = []
+    index: dict[IntMat, int] = {}    # move key -> position in moves
     for g in gens:
         x = int_mat(g)
-        moves += (x, int_inv(d, x))
+        for m in (x, int_inv(d, x)):
+            key = int_key(d, m)
+            if key not in index:
+                index[key] = len(moves)
+                moves.append(m)
+    undo = [index[int_key(d, int_inv(d, m))] for m in moves]
     seen = {int_key(d, INT_ID)}
     elements = [INT_ID]
-    frontier = [INT_ID]
+    # (element, position of the move that undoes its last move)
+    frontier = [(INT_ID, -1)]
     for _ in range(radius):
         new = []
-        for m in frontier:
-            for g in moves:
+        for m, skip in frontier:
+            for k, g in enumerate(moves):
+                if k == skip:
+                    continue
                 nm = int_mul(d, m, g)
                 key = int_key(d, nm)
                 if key not in seen:
                     seen.add(key)
-                    new.append(nm)
-        elements += new
+                    new.append((nm, undo[k]))
+        elements += [m for m, _k in new]
         frontier = new
     return elements

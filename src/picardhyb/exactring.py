@@ -155,7 +155,10 @@ class QuadInt:
         return render(self)
 
     def approx(self) -> complex:
-        return complex(self.real_part()) + 1j * float(self.isqrtd_coeff()) * math.sqrt(self.d)
+        # int true division rounds correctly, as float(Fraction) does
+        c = _TAU_ISQRTD[self.d]
+        re = (2 * self.a + self.b * _TAU_SQ[self.d][1]) / 2
+        return complex(re) + 1j * (self.b * c.numerator / c.denominator) * math.sqrt(self.d)
 
 
 def units(d: int) -> list[QuadInt]:

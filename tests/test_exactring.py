@@ -1,5 +1,6 @@
 """Ring axioms and text round-trips for the quadratic integer rings."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -183,3 +184,21 @@ def test_parse_accepts_only_terms(d, text):
     x = parse(d, text)
     assert (x.a, x.b) == expected
     assert parse(d, render(x)) == x
+
+
+def _float_bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(DS),
+       st.one_of(coeffs, st.integers(-2**1000, 2**1000)),
+       st.one_of(coeffs, st.integers(-2**1000, 2**1000)))
+@example(1, 0, -1)
+@example(3, 2**1000 + 1, -(2**999) - 3)
+@example(3, 2**53 + 1, -2)    # a + b*c1/2 in floats would round twice
+def test_approx_matches_the_fraction_formula(d, a, b):
+    x = QuadInt(d, a, b)
+    # the formula through Fraction that approx used to evaluate
+    old = complex(x.real_part()) + 1j * float(x.isqrtd_coeff()) * math.sqrt(d)
+    assert _float_bits(x.approx()) == _float_bits(old)

@@ -4,7 +4,9 @@ generators and their inverses, for d in {1, 3, 7}, must give the same
 product, inverse, coefficient height, projective key and image of the
 Heisenberg origin both ways, and Catalog.word_key must agree with the
 canonical representative of Catalog.eval_word. The kernel's Siegel-form
-check must agree with x* H x computed from the rows of the matrix."""
+check must agree with x* H x computed from the rows of the matrix.
+``ball`` must list exactly the elements of a plain breadth-first search
+that forms every product, while forming fewer products itself."""
 
 from functools import cache, reduce
 
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.catalog import get_catalog
+from picardhyb import cxhyp
 from picardhyb.cxhyp import (
-    BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
+    INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul, int_origin_image,
+    int_origin_key,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import QuadInt, QuadRat, units
@@ -155,11 +159,37 @@ def test_origin_image_matches_boundary_action(case):
     assert int_origin_image(d, int_mat(m)) == boundary_action(m, BoundaryPoint.origin(d))
 
 
+@settings(max_examples=60, deadline=None)
+@given(ring_and_words())
+@example((1, [[0]]))    # I0: the origin goes to Infinity
+def test_origin_key_matches_boundary_action(case):
+    d, (w,) = case
+    m = _eval(d, w)
+    p = boundary_action(m, BoundaryPoint.origin(d))
+    key = int_origin_key(d, int_mat(m))
+    assert (key is None) == p.at_infinity
+    assert p.at_infinity or key == p.key()
+
+
 def test_origin_image_reaches_infinity():
     # I0 swaps the origin and the point at infinity
     m = get_catalog(1).picard["I0"]
+    assert int_origin_key(1, int_mat(m)) is None
     assert int_origin_image(1, int_mat(m)).at_infinity
     assert boundary_action(m, BoundaryPoint.origin(1)).at_infinity
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_origin_image_off_the_boundary_raises(d):
+    # the identity with entry (0, 2) set to 1 sends the origin's lift
+    # (0, 0, 1) to (1, 0, 1), which is not a null vector of the form
+    x = INT_ID[:4] + (1,) + INT_ID[5:]
+    m = Mat.from_entries(d, [[QuadInt(d, *x[6 * i + 2 * j:6 * i + 2 * j + 2])
+                              for j in range(3)] for i in range(3)])
+    for image in (lambda: int_origin_key(d, x), lambda: int_origin_image(d, x),
+                  lambda: boundary_action(m, BoundaryPoint.origin(d))):
+        with pytest.raises(ValueError, match="image left the boundary"):
+            image()
 
 
 def test_conversion_rejects_non_integral():
@@ -189,3 +219,65 @@ def test_ball_matches_mat_reference(d):
         reference = reference + new
         frontier = new
     assert ball(mats, 2) == [int_mat(m) for m in reference]
+
+
+def _hybrids():
+    """(d, variant, generators) for every hybrid the orbit verb can use."""
+    for d in (1, 3, 7):
+        cat = get_catalog(d)
+        yield d, "plain", list(cat.hybrid.values())
+        if cat.hybrid_primed:
+            yield d, "primed", list({**cat.hybrid, **cat.hybrid_primed}.values())
+
+
+def _plain_bfs(gens: list[Mat], radius: int) -> list[tuple]:
+    """Breadth-first ball over all 2k moves: every product is formed and
+    looked up in one set of every key seen."""
+    d = gens[0].d
+    moves = [y for g in gens for y in (int_mat(g), int_inv(d, int_mat(g)))]
+    seen = {int_key(d, INT_ID)}
+    elements = frontier = [INT_ID]
+    for _ in range(radius):
+        new = []
+        for x in frontier:
+            for y in moves:
+                xy = int_mul(d, x, y)
+                key = int_key(d, xy)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(xy)
+        elements = elements + new
+        frontier = new
+    return elements
+
+
+@pytest.mark.parametrize("d,variant,gens", list(_hybrids()),
+                         ids=[f"{d}-{v}" for d, v, _g in _hybrids()])
+def test_ball_matches_plain_bfs(d, variant, gens):
+    for radius in range(5):
+        assert ball(gens, radius) == _plain_bfs(gens, radius)
+
+
+# products formed by ball at radius 4 over each plain hybrid; _plain_bfs
+# forms 2,568, 3,432 and 7,872 (d = 1, 3, 7)
+MAX_PRODUCTS_AT_RADIUS_4 = {1: 2248, 3: 2003, 7: 5905}
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_ball_skips_known_repeats(d, monkeypatch):
+    count = 0
+
+    def counting_mul(*args):
+        nonlocal count
+        count += 1
+        return int_mul(*args)
+
+    gens = list(get_catalog(d).hybrid.values())
+    monkeypatch.setattr(cxhyp, "int_mul", counting_mul)
+    ball(gens, 4)
+    assert count <= MAX_PRODUCTS_AT_RADIUS_4[d]
+
+
+def test_ball_rejects_no_generators():
+    with pytest.raises(ValueError, match="generator list is empty"):
+        ball([], 2)
