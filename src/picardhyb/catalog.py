@@ -16,12 +16,13 @@ Two corrected readings are stored with flags (surfaced in reports):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
-    INT_ID, IntMat, Mat, int_inv, int_is_unitary, int_key, int_mat, int_mul, proj_eq,
+    INT_ID, IntMat, Mat, int_inv, int_is_unitary, int_key, int_mat, int_mul,
+    mat_from_int, proj_eq,
 )
 # not called here: bound as a module attribute because the benchmark's
 # smoke check expects its tracer to patch it under this name
@@ -60,46 +61,64 @@ def cayley_transform(d: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _cayley_pair(d: int) -> tuple[Mat, Mat]:
-    j = cayley_transform(d)
-    return j, j.inverse()
+def _cayley_pair(d: int) -> tuple[IntMat, IntMat]:
+    j = int_mat(cayley_transform(d))
+    return j, int_inv(d, j)
 
 
 def cayley(m: Mat) -> Mat:
-    """Conjugate from the ball model to the Siegel model: J^-1 M J."""
-    j, j_inv = _cayley_pair(m.d)
-    return j_inv * m * j
+    """Conjugate from the ball model to the Siegel model: J^-1 M J, on the
+    integer kernel; ValueError unless m is an integral 3x3 matrix."""
+    d = m.d
+    j, j_inv = _cayley_pair(d)
+    return mat_from_int(d, int_mul(d, int_mul(d, j_inv, int_mat(m)), j))
 
 
 # -- catalog data ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordIdentity:
+class WordIdentity(NamedTuple):
     lemma: str
     target: str          # hybrid generator name
     word: str            # word text over the Picard generators
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class ConjugationIdentity:
+class ConjugationIdentity(NamedTuple):
     lemma: str
     lhs: str             # word text over the combined namespace
     rhs: str
 
 
-@dataclass(frozen=True)
 class Catalog:
-    d: int
-    fuchsian: dict[str, Mat]                  # 2x2 disk-model generators
-    picard: dict[str, Mat]                    # 3x3 Siegel-model generators
-    presentation: Presentation                # of PU(2,1,O_d)
-    hybrid: dict[str, Mat]                    # plain hybrid generators
-    hybrid_primed: dict[str, Mat]             # primed variant (d=1,3)
-    word_identities: tuple[WordIdentity, ...]
-    conjugation_identities: tuple[ConjugationIdentity, ...]
-    quotient_extra_relators: tuple[str, ...]  # words killed for the quotient
-    flags: tuple[str, ...] = ()               # corrected-typo notes
+    def __init__(
+        self,
+        d: int,
+        fuchsian: dict[str, Mat],                  # 2x2 disk-model generators
+        picard: dict[str, Mat],                    # 3x3 Siegel-model generators
+        presentation: Presentation,                # of PU(2,1,O_d)
+        hybrid: dict[str, Mat],                    # plain hybrid generators
+        hybrid_primed: dict[str, Mat],             # primed variant (d=1,3)
+        word_identities: tuple[WordIdentity, ...],
+        conjugation_identities: tuple[ConjugationIdentity, ...],
+        quotient_extra_relators: tuple[str, ...],  # words killed for the quotient
+        flags: tuple[str, ...] = (),               # corrected-typo notes
+    ):
+        self.d = d
+        self.fuchsian = fuchsian
+        self.picard = picard
+        self.presentation = presentation
+        self.hybrid = hybrid
+        self.hybrid_primed = hybrid_primed
+        self.word_identities = word_identities
+        self.conjugation_identities = conjugation_identities
+        self.quotient_extra_relators = quotient_extra_relators
+        self.flags = flags
+
+    def _replace(self, **changes) -> "Catalog":
+        """A copy with the given fields changed, as NamedTuple._replace
+        makes; its int_env is built afresh."""
+        fields = {k: v for k, v in vars(self).items() if k != "int_env"}
+        return Catalog(**{**fields, **changes})
 
     def env(self) -> dict[str, Mat]:
         """Combined name -> matrix namespace (Picard plus hybrid)."""
@@ -136,8 +155,14 @@ def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
     return eval_word(parse_word(text, list(env)), list(env.values()), Mat.identity(d))
 
 
+def _int_eval(d: int, w: Word, gens: list[IntMat]) -> IntMat:
+    # each generator that w inverts is inverted once
+    inverse = {gens[-g - 1]: int_inv(d, gens[-g - 1]) for g in set(w) if g < 0}
+    return eval_word(w, gens, INT_ID, partial(int_mul, d), inverse.__getitem__)
+
+
 def _int_word_key(d: int, w: Word, gens: list[IntMat]) -> IntMat:
-    return int_key(d, eval_word(w, gens, INT_ID, partial(int_mul, d), partial(int_inv, d)))
+    return int_key(d, _int_eval(d, w, gens))
 
 
 # -- per-d construction ----------------------------------------------------
@@ -204,10 +229,11 @@ def _catalog_d3() -> Catalog:
         ))
 
     # primed generator E1' = P^2 (R Q^2) P^-2, a square root of E1
-    e1p = _eval(d, "P^2 (R Q^2) P^-2", picard)
-    x = int_mat(e1p)
+    x = _int_eval(d, parse_word("P^2 (R Q^2) P^-2", tuple(picard)),
+                  [int_mat(m) for m in picard.values()])
     if int_key(d, int_mul(d, x, x)) != int_key(d, int_mat(hybrid["E1"])):
         raise CatalogError("(E1')^2 is not E1 projectively")
+    e1p = mat_from_int(d, x)
 
     return Catalog(
         d=d,
@@ -414,8 +440,7 @@ def _validate(cat: Catalog) -> Catalog:
     # form diag(1, 1, -1) iff its Cayley conjugate preserves the Siegel form;
     # the kernel takes integral matrices only, and every stored one is
     for name, m in cat.fuchsian.items():
-        x = cayley(embed(1, m))
-        if not (x.is_integral() and int_is_unitary(cat.d, int_mat(x))):
+        if not (m.is_integral() and int_is_unitary(cat.d, int_mat(cayley(embed(1, m))))):
             raise CatalogError(f"2x2 generator {name} does not preserve the disk form")
     for name, m in cat.env().items():
         if not (m.is_integral() and int_is_unitary(cat.d, int_mat(m))):

@@ -15,7 +15,7 @@ cli.RESTS_ON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exactring import QuadInt
 from .catalog import get_catalog
@@ -31,18 +31,17 @@ from .fpgroups import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     description: str
     passed: bool
     witness: str = ""
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, title: str, checks: list[CheckResult] | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, description: str, passed: bool, witness: str = "") -> None:
         self.checks.append(CheckResult(check_id, description, passed, witness))
@@ -55,7 +54,7 @@ class Report:
         return {
             "title": self.title,
             "passed": self.passed,
-            "checks": [c.__dict__ for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
     def as_markdown(self) -> str:
@@ -69,18 +68,22 @@ class Report:
 
 # -- Euclidean motions over O_3 -------------------------------------------
 
-@dataclass(frozen=True)
-class EuclideanMotion:
-    """z -> alpha z + beta with alpha a unit of O_3 and beta in O_3."""
-
+class _EuclideanMotionFields(NamedTuple):
     alpha: QuadInt
     beta: QuadInt
 
-    def __post_init__(self):
-        if self.alpha.d != 3 or self.beta.d != 3:
+
+class EuclideanMotion(_EuclideanMotionFields):
+    """z -> alpha z + beta with alpha a unit of O_3 and beta in O_3."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: QuadInt, beta: QuadInt):
+        if alpha.d != 3 or beta.d != 3:
             raise ValueError("Euclidean motions live over O_3")
-        if not self.alpha.is_unit():
-            raise ValueError(f"alpha = {self.alpha} is not a unit of O_3")
+        if not alpha.is_unit():
+            raise ValueError(f"alpha = {alpha} is not a unit of O_3")
+        return tuple.__new__(cls, (alpha, beta))
 
     @staticmethod
     def identity() -> "EuclideanMotion":
@@ -121,8 +124,7 @@ SUBST_ABC_TO_PQR = {"a": "P Q^-1", "b": "Q", "c": "R"}
 SUBST_PQR_TO_ABC = {"P": "a b", "Q": "b", "R": "c"}
 
 
-@dataclass(frozen=True)
-class InfinitenessCertificate:
+class InfinitenessCertificate(NamedTuple):
     presentation: Presentation            # G on generators a, b, c
     kill_list: tuple[str, ...]            # generators sent to the identity
     images: dict[str, EuclideanMotion]    # surviving generator images
@@ -256,8 +258,7 @@ def lemma31_index_bound() -> Report:
 
 # -- indices ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(NamedTuple):
     d: int
     outcome: str                # "finite" | "infinite" | "undecided" | "overflowed"
     index: int | None = None

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import catalog as cat_mod
 from . import certify
@@ -86,7 +85,7 @@ def _apply_premises(reports: list[certify.Report]) -> None:
         return all(own.get(p, False) and premises_hold(p) for p in RESTS_ON.get(check_id, ()))
 
     for rep in reports:
-        rep.checks = [replace(c, passed=c.passed and premises_hold(c.check_id))
+        rep.checks = [c._replace(passed=c.passed and premises_hold(c.check_id))
                       for c in rep.checks]
 
 
@@ -98,9 +97,7 @@ def cmd_verify(args) -> int:
     for rep in reports:
         checks = [c for c in rep.checks if scope == "all" or c.check_id == scope]
         if checks:
-            r = certify.Report(rep.title)
-            r.checks = checks
-            selected.append(r)
+            selected.append(certify.Report(rep.title, checks))
     if not selected:
         print(f"no checks match scope {scope!r}", file=sys.stderr)
         return 2
@@ -212,11 +209,16 @@ def cmd_dump(args) -> int:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path:
+    """Write text to path, or to stdout; exit 2 if path cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _at_least(lo: int):

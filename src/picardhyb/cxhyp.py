@@ -25,9 +25,10 @@ Everything here is exact: no floating point enters any decision.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .exactring import (
     _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
@@ -38,8 +39,7 @@ class NormalizationError(ValueError):
     """No unit rescaling reaches determinant 1."""
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(NamedTuple):
     """Square matrix (2x2 or 3x3) over the fraction field of O_d."""
 
     d: int
@@ -155,8 +155,7 @@ class Mat:
 
 # -- projective classes ----------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjIsom:
+class ProjIsom(NamedTuple):
     """A matrix canonicalized modulo the unit group of O_d."""
 
     rep: Mat
@@ -253,8 +252,7 @@ def projective_order(m: Mat, limit: int = 24) -> int | None:
 
 # -- Heisenberg boundary ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """Point of the boundary in Heisenberg coordinates, or Infinity.
 
     The finite variant stores z exactly in Q(i sqrt d) and t as the exact
@@ -364,6 +362,12 @@ def int_mat(m: Mat) -> IntMat:
     return tuple(v for row in m.rows for e in row for v in (e.num.a, e.num.b))
 
 
+def mat_from_int(d: int, x: IntMat) -> Mat:
+    """The Mat of an integer tuple: the inverse of int_mat."""
+    e = [QuadRat(QuadInt(d, x[k], x[k + 1]), 1) for k in range(0, 18, 2)]
+    return Mat(d, (tuple(e[0:3]), tuple(e[3:6]), tuple(e[6:9])))
+
+
 def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
     """The product x*y, using tau^2 = c0 + c1*tau. Entry k of x is
     ak + bk*tau and entry k of y is pk + qk*tau, row-major; sk is the sum
@@ -445,12 +449,19 @@ def int_key(d: int, x: IntMat) -> IntMat:
         if k == 18:
             raise ValueError("zero matrix has no projective class")
     # entries before k are 0 under every unit, and distinct units move the
-    # nonzero entry k to distinct values, so entry k alone picks the unit
+    # nonzero entry k to distinct values, so entry k alone picks the unit:
+    # the u minimizing the pair of coefficients of u * (a + b*tau)
     a, b = x[k], x[k + 1]
-    _, ua, ub = min(((a * ua + b * ub * c0, a * ub + b * (ua + ub * c1)), ua, ub)
-                    for ua, ub in UNITS[d])
-    if ua == 1 and ub == 0:
-        return x
+    if d == 7:      # the units are 1 and -1
+        ua, ub = (1, 0) if a < 0 or (a == 0 and b < 0) else (-1, 0)
+    else:
+        ma, mb, ua, ub = a, b, 1, 0
+        for va, vb in UNITS[d]:
+            ca = a * va + b * vb * c0
+            if ca < ma or (ca == ma and a * vb + b * (va + vb * c1) < mb):
+                ma, mb, ua, ub = ca, a * vb + b * (va + vb * c1), va, vb
+    if ub == 0:
+        return x if ua == 1 else tuple(map(operator.neg, x))
     q, s = ub * c0, ua + ub * c1
     out: list[int] = []
     for a, b in zip(x[::2], x[1::2]):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 SUPPORTED_D = (1, 3, 7)
 
@@ -39,16 +39,22 @@ def _check_d(d: int) -> None:
         raise ValueError(f"unsupported ring selector d={d!r}; must be one of {SUPPORTED_D}")
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """a + b*tau_d with arbitrary-precision integer a, b."""
-
+# A NamedTuple may not define __new__ in its own body, so a class that
+# checks or normalizes its fields subclasses a plain NamedTuple of them.
+class _QuadIntFields(NamedTuple):
     d: int
     a: int
     b: int
 
-    def __post_init__(self):
-        _check_d(self.d)
+
+class QuadInt(_QuadIntFields):
+    """a + b*tau_d with arbitrary-precision integer a, b."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, a: int, b: int):
+        _check_d(d)
+        return tuple.__new__(cls, (d, a, b))
 
     # -- constructors ------------------------------------------------------
 
@@ -167,25 +173,26 @@ def units(d: int) -> list[QuadInt]:
     return [QuadInt(d, a, b) for a, b in UNITS[d]]
 
 
-@dataclass(frozen=True)
-class QuadRat:
-    """num/den with num in O_d and positive integer denominator, reduced."""
-
+class _QuadRatFields(NamedTuple):
     num: QuadInt
     den: int
 
-    def __post_init__(self):
-        if self.den == 0:
+
+class QuadRat(_QuadRatFields):
+    """num/den with num in O_d and positive integer denominator, reduced."""
+
+    __slots__ = ()
+
+    def __new__(cls, num: QuadInt, den: int):
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
-        num, den = self.num, self.den
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(math.gcd(abs(num.a), abs(num.b)), den)
+        g = math.gcd(num.a, num.b, den)
         if g > 1:
             num = QuadInt(num.d, num.a // g, num.b // g)
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        return tuple.__new__(cls, (num, den))
 
     @property
     def d(self) -> int:

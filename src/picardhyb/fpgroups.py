@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -52,22 +52,28 @@ def eval_word(w: Word, gens, one, mul=operator.mul, inv=_inverse):
     return result
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     ngens: int
     relators: tuple[Word, ...]
-    gen_names: tuple[str, ...] | None = None
-    name: str | None = None
+    gen_names: tuple[str, ...] | None
+    name: str | None
 
-    def __post_init__(self):
-        relators = tuple(free_reduce(r) for r in self.relators)
+
+class Presentation(_PresentationFields):
+    """Generators and relators; the relators are stored freely reduced."""
+
+    __slots__ = ()
+
+    def __new__(cls, ngens: int, relators, gen_names: tuple[str, ...] | None = None,
+                name: str | None = None):
+        relators = tuple(free_reduce(r) for r in relators)
         if any(not r for r in relators):
             raise ValueError("relators must be nonempty after free reduction")
-        if any(abs(g) > self.ngens for r in relators for g in r):
+        if any(abs(g) > ngens for r in relators for g in r):
             raise ValueError("relator uses an out-of-range generator")
-        object.__setattr__(self, "relators", relators)
-        if self.gen_names is not None and len(self.gen_names) != self.ngens:
+        if gen_names is not None and len(gen_names) != ngens:
             raise ValueError("gen_names length mismatch")
+        return tuple.__new__(cls, (ngens, relators, gen_names, name))
 
     def names(self) -> tuple[str, ...]:
         if self.gen_names is not None:
@@ -167,7 +173,6 @@ class _Overflow(Exception):
     pass
 
 
-@dataclass
 class CosetTable:
     """Standardized coset table; row 0 is the subgroup coset.
 
@@ -175,9 +180,10 @@ class CosetTable:
     generator / inverse: col(+k) = 2(k-1), col(-k) = 2(k-1)+1.
     """
 
-    ngens: int
-    table: list[list[int]] = field(default_factory=list)
-    status: str = "complete"
+    def __init__(self, ngens: int, table: list[list[int]], status: str):
+        self.ngens = ngens
+        self.table = table
+        self.status = status
 
     @property
     def index(self) -> int:
@@ -412,8 +418,7 @@ def smith_normal_form(a):
     return d, lmat, rmat
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Free rank plus torsion divisors d1 | d2 | ... (all >= 2)."""
 
     rank: int
@@ -447,8 +452,7 @@ def exponent_matrix(p: Presentation):
     return rows
 
 
-@dataclass(frozen=True)
-class AbelianStructure:
+class AbelianStructure(NamedTuple):
     """SNF data for Z^ngens / rowspace(exponent matrix)."""
 
     ngens: int

@@ -8,7 +8,7 @@ PU(2,1). Every returned word is re-verified by evaluation before return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cxhyp import (
     INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul,
@@ -20,18 +20,21 @@ from .cxhyp import canonical_rep  # noqa: F401
 from .fpgroups import Word, eval_word, free_reduce
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_depth: int = 10
-    max_coeff_bits: int = 512
+class _SearchConfigFields(NamedTuple):
+    max_depth: int
+    max_coeff_bits: int
 
-    def __post_init__(self):
-        if self.max_depth < 0 or self.max_coeff_bits <= 0:
+
+class SearchConfig(_SearchConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, max_depth: int = 10, max_coeff_bits: int = 512):
+        if max_depth < 0 or max_coeff_bits <= 0:
             raise ValueError("search bounds must be positive")
+        return tuple.__new__(cls, (max_depth, max_coeff_bits))
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     word: Word | None
     depth_searched: int
     pruned_by_height: bool

@@ -1,7 +1,6 @@
 """Catalog integrity: displayed matrices, relators, word identities and
 conjugation identities for all three rings."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -110,6 +109,36 @@ def test_d7_cross_checks():
     assert not (lhs - rhs).is_zero()
 
 
+# how the catalog builds each Cayley-conjugated generator: name -> (slot,
+# 2x2 disk generator), "-Id" being the negated 2x2 identity
+CONSTRUCTIONS = {
+    1: {"E1": (1, "E"), "U1": (1, "U"), "E2": (2, "E"), "U2": (2, "U"),
+        "R1": (1, "R"), "R2": (2, "R")},
+    3: {"E1": (1, "E"), "U1": (1, "U"), "E2": (2, "E"), "U2": (2, "U"),
+        "I1": (1, "-Id"), "I2": (2, "-Id")},
+    7: {"U1": (1, "U"), "U2": (2, "U"), "A1": (1, "A"), "A2": (2, "A"),
+        "B1": (1, "B"), "B2": (2, "B")},
+}
+
+
+@pytest.mark.parametrize("d", (1, 3, 7))
+def test_kernel_build_matches_mat(d):
+    # the catalog conjugates and evaluates on the integer kernel; the Mat
+    # products J^-1 iota(m) J and Catalog.eval_word are the reference
+    cat = get_catalog(d)
+    j = cayley_transform(d)
+    j_inv = j.inverse()
+    disk = {**cat.fuchsian, "-Id": Mat.identity(d, 2).scale(-1)}
+    expected = {name: j_inv * embed(slot, disk[m]) * j
+                for name, (slot, m) in CONSTRUCTIONS[d].items()}
+    if d == 3:
+        expected["E1p"] = cat.eval_word("P^2 (R Q^2) P^-2", cat.picard)
+    assert {**cat.hybrid, **cat.hybrid_primed} == expected
+    for m in disk.values():
+        for slot in (1, 2):
+            assert cayley(embed(slot, m)) == j_inv * embed(slot, m) * j
+
+
 @pytest.mark.parametrize("d", (1, 3, 7))
 def test_flags_are_reported(d):
     flags = get_catalog(d).flags
@@ -138,10 +167,10 @@ def test_validate_rejects_a_corrupted_generator(d, corrupt):
     cat = get_catalog(d)
     assert _validate(cat) is cat
     name3 = next(iter(cat.picard))
-    bad3 = replace(cat, picard={**cat.picard, name3: corrupt(cat.picard[name3])})
+    bad3 = cat._replace(picard={**cat.picard, name3: corrupt(cat.picard[name3])})
     with pytest.raises(CatalogError, match=f"3x3 matrix {name3} does not"):
         _validate(bad3)
     name2 = next(iter(cat.fuchsian))
-    bad2 = replace(cat, fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
+    bad2 = cat._replace(fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
     with pytest.raises(CatalogError, match=f"2x2 generator {name2} does not"):
         _validate(bad2)

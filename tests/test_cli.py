@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -122,8 +121,8 @@ def test_verify_failed_premise_fails_its_claims(monkeypatch, capsys):
     idents = real.conjugation_identities
     assert idents[-1].lhs == "R^-1 E1 R"
     # E1 has order 3, so R^-1 E1 R = E1^-1 is not E1
-    corrupted = replace(real, conjugation_identities=idents[:-1] + (
-        replace(idents[-1], rhs="E1"),))
+    corrupted = real._replace(conjugation_identities=idents[:-1] + (
+        idents[-1]._replace(rhs="E1"),))
     monkeypatch.setattr(certify, "get_catalog",
                         lambda d: corrupted if d == 3 else catalog.get_catalog(d))
     assert run(["verify", "--d", "3"]) == 1
@@ -247,6 +246,9 @@ def test_dump_cmd(tmp_path):
     "search --d 1 --target E1 --max-depth -1",
     "search --d 1 --target E1 --max-coeff-bits 0",
     "verify --d 1 --max-cosets 0",
+    "dump --d 7 --out /nonexistent/x",
+    "verify --d 7 --out /nonexistent/x",
+    "orbit --d 3 --out .",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = str(Path(picardhyb.__file__).resolve().parents[1])
@@ -256,6 +258,32 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("dump --d 7 --out /nonexistent/x", "No such file or directory"),
+    ("orbit --d 3 --out .", "Is a directory"),
+])
+def test_unwritable_out_is_one_error_line(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    path = argv.split()[-1]
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+
+
+def test_import_needs_no_dataclasses_or_inspect():
+    # importing the CLI and building every catalog stays clear of the
+    # dataclasses and inspect modules, whose import dominated set-up time
+    src = str(Path(picardhyb.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import picardhyb.cli; "
+            "from picardhyb.catalog import get_catalog; "
+            "[get_catalog(d) for d in (1, 3, 7)]; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_requires_subcommand():

@@ -3,7 +3,8 @@ evaluator against the Mat/QuadRat reference: random words over the Picard
 generators and their inverses, for d in {1, 3, 7}, must give the same
 product, inverse, coefficient height, projective key and image of the
 Heisenberg origin both ways, and Catalog.word_key must agree with the
-canonical representative of Catalog.eval_word. The kernel's Siegel-form
+canonical representative of Catalog.eval_word. int_key must be the least
+unit multiple of any nonzero tuple. The kernel's Siegel-form
 check must agree with x* H x computed from the rows of the matrix.
 ``ball`` must list exactly the elements of a plain breadth-first search
 that forms every product, while forming fewer products itself."""
@@ -149,6 +150,42 @@ def test_key_equality_matches_canonical_rep(case, same, data):
     k1, k2 = int_key(d, int_mat(m1)), int_key(d, int_mat(m2))
     assert (k1 == k2) == (canonical_rep(m1).key() == canonical_rep(m2).key())
     assert k1 == tuple(v for a, b, _den in canonical_rep(m1).key() for v in (a, b))
+
+
+@st.composite
+def ring_and_tuple(draw):
+    """A ring and a nonzero 18-int tuple whose first nonzero entry is
+    preceded by 0 to 8 zero entries; small coefficients make the unit
+    multiples of that entry tie often in their first coefficient."""
+    d = draw(st.sampled_from((1, 3, 7)))
+    zeros = draw(st.integers(0, 8))
+    coeff = st.integers(-4, 4)
+    lead = draw(st.tuples(coeff, coeff).filter(any))
+    rest = draw(st.lists(coeff, min_size=16 - 2 * zeros, max_size=16 - 2 * zeros))
+    return d, (0,) * (2 * zeros) + lead + tuple(rest)
+
+
+def _least_unit_multiple(d: int, x: tuple) -> tuple:
+    """The least of all unit multiples of the whole tuple, in QuadInt."""
+    entries = [QuadInt(d, x[k], x[k + 1]) for k in range(0, 18, 2)]
+    return min(tuple(v for e in entries for v in ((e * u).a, (e * u).b))
+               for u in units(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_tuple())
+@example((7, (0,) * 17 + (1,)))
+@example((1, (0,) * 16 + (3, -3)))
+@example((3, (0,) * 4 + (-2, 2) + (1,) * 12))
+def test_key_is_least_unit_multiple(case):
+    d, x = case
+    assert int_key(d, x) == _least_unit_multiple(d, x)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_key_rejects_zero_matrix(d):
+    with pytest.raises(ValueError, match="zero matrix"):
+        int_key(d, (0,) * 18)
 
 
 @settings(max_examples=60, deadline=None)
