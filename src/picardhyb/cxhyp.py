@@ -8,7 +8,8 @@ determinant, and so is every word in them. The hot loops (the orbit
 certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
 as a flat tuple of 18 Python ints, with its product, inverse, canonical
 projective key, coefficient height and the key of the image of the
-Heisenberg origin, all in integers.
+Heisenberg origin, all in integers. ``classify`` and ``projective_order``
+take a ``Mat`` but convert it once and decide on the kernel too.
 
 ``ball`` skips two kinds of product, and neither can change its output.
 It keeps one move per projective class, because a move projectively equal
@@ -33,10 +34,6 @@ from typing import NamedTuple
 from .exactring import (
     _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
 )
-
-
-class NormalizationError(ValueError):
-    """No unit rescaling reaches determinant 1."""
 
 
 class Mat(NamedTuple):
@@ -91,19 +88,9 @@ class Mat(NamedTuple):
                 for j in range(n))
             for i in range(n)))
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        if other.d != self.d or other.n != self.n:
-            raise ValueError("incompatible matrices")
-        return Mat(self.d, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
     def scale(self, c) -> "Mat":
         c = QuadRat.of(c) if not isinstance(c, int) else QuadRat.of_fraction(self.d, c)
         return Mat(self.d, tuple(tuple(c * e for e in row) for row in self.rows))
-
-    def trace(self) -> QuadRat:
-        return sum((self.rows[i][i] for i in range(self.n)), QuadRat.zero(self.d))
 
     def det(self) -> QuadRat:
         r = self.rows
@@ -175,79 +162,6 @@ def canonical_rep(m: Mat) -> ProjIsom:
 def proj_eq(m: Mat, n: Mat) -> bool:
     """Equality in PU(2,1): n = u*m for some unit u."""
     return canonical_rep(m).key() == canonical_rep(n).key()
-
-
-# -- isometry classification ----------------------------------------------
-
-class IsometryClass(enum.Enum):
-    REGULAR_ELLIPTIC = "regular-elliptic"
-    LOXODROMIC = "loxodromic"
-    UNIPOTENT_2_STEP = "unipotent-2-step"
-    UNIPOTENT_3_STEP = "unipotent-3-step"
-    OTHER_BOUNDARY = "other-boundary"
-
-
-def goldman_f(tau: QuadRat) -> Fraction:
-    """|t|^4 - 8 Re(t^3) + 18 |t|^2 - 27, evaluated in exact rationals."""
-    n = tau.norm()
-    re_cube = (tau * tau * tau).real_part()
-    return n * n - 8 * re_cube + 18 * n - 27
-
-
-def su_normalize(m: Mat) -> Mat:
-    """Rescale by a unit to reach det = 1, or raise NormalizationError."""
-    det = m.det()
-    for u in units(m.d):
-        uq = QuadRat.of(u)
-        if (uq * uq * uq * det - QuadRat.one(m.d)).is_zero():
-            return m.scale(uq)
-    raise NormalizationError(
-        f"no unit rescaling of this O_{m.d} matrix reaches determinant 1 "
-        f"(det = {det})")
-
-
-def _cube_roots_of_unity(d: int) -> list[QuadRat]:
-    roots = [QuadRat.one(d)]
-    if d == 3:
-        w = QuadRat.of(QuadInt.tau(3))
-        roots += [w, w * w]
-    return roots
-
-
-def classify(m: Mat) -> IsometryClass:
-    """Trace-discriminant classification of an element of SU(2,1).
-
-    The input is unit-rescaled to determinant 1; non-unimodular input
-    raises NormalizationError.
-    """
-    m = su_normalize(m)
-    f = goldman_f(m.trace())
-    if f < 0:
-        return IsometryClass.REGULAR_ELLIPTIC
-    if f > 0:
-        return IsometryClass.LOXODROMIC
-    ident = Mat.identity(m.d, m.n)
-    for lam in _cube_roots_of_unity(m.d):
-        nil = m - ident.scale(lam)
-        if nil.is_zero():
-            return IsometryClass.OTHER_BOUNDARY
-        nil2 = nil * nil
-        if nil2.is_zero():
-            return IsometryClass.UNIPOTENT_2_STEP
-        if (nil2 * nil).is_zero():
-            return IsometryClass.UNIPOTENT_3_STEP
-    return IsometryClass.OTHER_BOUNDARY
-
-
-def projective_order(m: Mat, limit: int = 24) -> int | None:
-    """Smallest k >= 1 with m^k a unit multiple of Id, or None past limit."""
-    ident = Mat.identity(m.d, m.n)
-    power = m
-    for k in range(1, limit + 1):
-        if proj_eq(power, ident):
-            return k
-        power = power * m
-    return None
 
 
 # -- Heisenberg boundary ---------------------------------------------------
@@ -406,15 +320,16 @@ def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
     )
 
 
-def int_inv(d: int, x: IntMat) -> IntMat:
-    """The inverse of x: its adjugate times conj(det x), because a unit
-    det x has inverse conj(det x); ValueError unless N(det x) = 1."""
+def _qmul(c0: int, c1: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """The product of two (a, b) pairs a + b*tau, with tau^2 = c0 + c1*tau."""
+    return (p[0] * q[0] + c0 * p[1] * q[1],
+            p[0] * q[1] + p[1] * q[0] + c1 * p[1] * q[1])
+
+
+def _cofactors(d: int, x: IntMat) -> tuple[list[tuple[int, int]], tuple[int, int]]:
+    """The signed cofactors of x, row-major, and det x, as (a, b) pairs;
+    ValueError unless N(det x) = 1."""
     c0, c1 = _TAU_SQ[d]
-
-    def mul(p, q):
-        return (p[0] * q[0] + c0 * p[1] * q[1],
-                p[0] * q[1] + p[1] * q[0] + c1 * p[1] * q[1])
-
     e = [(x[k], x[k + 1]) for k in range(0, 18, 2)]
     # cof[3i + j] is the signed cofactor of entry (i, j), by cyclic indices
     cof = []
@@ -422,20 +337,29 @@ def int_inv(d: int, x: IntMat) -> IntMat:
         i1, i2 = 3 * ((i + 1) % 3), 3 * ((i + 2) % 3)
         for j in range(3):
             j1, j2 = (j + 1) % 3, (j + 2) % 3
-            p, q = mul(e[i1 + j1], e[i2 + j2]), mul(e[i1 + j2], e[i2 + j1])
+            p = _qmul(c0, c1, e[i1 + j1], e[i2 + j2])
+            q = _qmul(c0, c1, e[i1 + j2], e[i2 + j1])
             cof.append((p[0] - q[0], p[1] - q[1]))
     da = db = 0
     for j in range(3):
-        a, b = mul(e[j], cof[j])
+        a, b = _qmul(c0, c1, e[j], cof[j])
         da, db = da + a, db + b
-    # N(a + b*tau) = a^2 + c1*ab - c0*b^2 and conj(a + b*tau) = (a + c1*b) - b*tau
+    # N(a + b*tau) = a^2 + c1*ab - c0*b^2
     if da * da + c1 * da * db - c0 * db * db != 1:
         raise ValueError("the determinant is not a unit of O_d")
-    conj_det = (da + c1 * db, -db)
+    return cof, (da, db)
+
+
+def int_inv(d: int, x: IntMat) -> IntMat:
+    """The inverse of x: its adjugate times conj(det x), because a unit
+    det x has inverse conj(det x); ValueError unless N(det x) = 1."""
+    c0, c1 = _TAU_SQ[d]
+    cof, (da, db) = _cofactors(d, x)
+    conj_det = (da + c1 * db, -db)      # conj(a + b*tau) = (a + c1*b) - b*tau
     out: list[int] = []
     for i in range(3):
         for j in range(3):
-            out += mul(cof[3 * j + i], conj_det)
+            out += _qmul(c0, c1, cof[3 * j + i], conj_det)
     return tuple(out)
 
 
@@ -523,12 +447,6 @@ def int_origin_key(d: int, x: IntMat) -> tuple[int, ...] | None:
     return za // g, zb // g, norm_r // g, tn // h, td // h
 
 
-def int_origin_image(d: int, x: IntMat) -> BoundaryPoint:
-    """boundary_action(x, BoundaryPoint.origin(d)); see int_origin_key."""
-    key = int_origin_key(d, x)
-    return BoundaryPoint.infinity(d) if key is None else BoundaryPoint.from_key(d, key)
-
-
 def ball(gens: list[Mat], radius: int) -> list[IntMat]:
     """The projectively distinct elements of word length <= radius over
     gens and their inverses, in breadth-first order from the identity.
@@ -564,3 +482,69 @@ def ball(gens: list[Mat], radius: int) -> list[IntMat]:
         elements += [m for m, _k in new]
         frontier = new
     return elements
+
+
+# -- isometry classification ----------------------------------------------
+
+class IsometryClass(enum.Enum):
+    REGULAR_ELLIPTIC = "regular-elliptic"
+    LOXODROMIC = "loxodromic"
+    UNIPOTENT_2_STEP = "unipotent-2-step"
+    UNIPOTENT_3_STEP = "unipotent-3-step"
+    OTHER_BOUNDARY = "other-boundary"
+
+
+def goldman_f(d: int, tr: tuple[int, int], det: tuple[int, int]) -> int:
+    """Goldman's discriminant |t|^4 - 8 Re(t^3) + 18 |t|^2 - 27 of the
+    trace t of m/c, where c^3 = det m, from tr = tr m and the unit
+    det = det m as (a, b) pairs: |t|^2 = N(tr) and t^3 = tr^3 * conj(det)."""
+    c0, c1 = _TAU_SQ[d]
+    a, b = tr
+    n = a * a + c1 * a * b - c0 * b * b
+    a, b = _qmul(c0, c1, _qmul(c0, c1, _qmul(c0, c1, tr, tr), tr),
+                 (det[0] + c1 * det[1], -det[1]))
+    # 8 Re(a + b*tau) = 8a + 4*c1*b
+    return n * n - (8 * a + 4 * c1 * b) + 18 * n - 27
+
+
+def classify(m: Mat) -> IsometryClass:
+    """Trace-discriminant classification of m in PU(2,1) (Goldman,
+    Complex Hyperbolic Geometry, 1999, 6.2); ValueError unless m is
+    integral with a unit determinant.
+
+    On the zero locus of f, m is unipotent up to scale iff m - u*Id is
+    nilpotent for some u with u^3 = det m. Such a u is a root of
+    x^3 - det m equal to tr(m)/3, so it lies in O_d and is a unit; when
+    det m has no unit cube root (det P = w for d=3), m is other-boundary."""
+    d, x = m.d, int_mat(m)
+    c0, c1 = _TAU_SQ[d]
+    det = _cofactors(d, x)[1]
+    f = goldman_f(d, (x[0] + x[8] + x[16], x[1] + x[9] + x[17]), det)
+    if f < 0:
+        return IsometryClass.REGULAR_ELLIPTIC
+    if f > 0:
+        return IsometryClass.LOXODROMIC
+    for u in UNITS[d]:
+        if _qmul(c0, c1, _qmul(c0, c1, u, u), u) != det:
+            continue
+        nil = tuple(map(operator.sub, x, (*u, 0, 0, 0, 0, 0, 0) * 2 + u))   # m - u*Id
+        if not any(nil):
+            return IsometryClass.OTHER_BOUNDARY
+        nil2 = int_mul(d, nil, nil)
+        if not any(nil2):
+            return IsometryClass.UNIPOTENT_2_STEP
+        if not any(int_mul(d, nil2, nil)):
+            return IsometryClass.UNIPOTENT_3_STEP
+    return IsometryClass.OTHER_BOUNDARY
+
+
+def projective_order(m: Mat, limit: int = 24) -> int | None:
+    """Smallest k >= 1 with m^k a unit multiple of Id, or None past limit;
+    ValueError unless m is an integral 3x3 matrix."""
+    d, x = m.d, int_mat(m)
+    ident, power = int_key(d, INT_ID), x
+    for k in range(1, limit + 1):
+        if int_key(d, power) == ident:
+            return k
+        power = int_mul(d, power, x)
+    return None

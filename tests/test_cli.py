@@ -220,6 +220,12 @@ def test_classify_cmd(tmp_path):
     assert out.read_text().strip() == "U1: unipotent-2-step"
 
 
+def test_classify_cmd_determinant_w(capsys):
+    # det P = w has no unit cube root in O_3; P still classifies
+    assert run(["classify", "--d", "3", "--element", "P"]) == 0
+    assert capsys.readouterr().out == "P: other-boundary\n"
+
+
 def test_abelianize_cmd(tmp_path):
     out = tmp_path / "ab.txt"
     assert run(["abelianize", "--presentation", "picard-3",

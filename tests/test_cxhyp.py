@@ -8,9 +8,9 @@ import pytest
 
 from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
-    BoundaryPoint, IsometryClass, Mat, NormalizationError, boundary_action,
-    canonical_rep, classify, goldman_f, heis_translation, int_is_unitary,
-    int_mat, proj_eq, projective_order, su_normalize,
+    BoundaryPoint, IsometryClass, Mat, boundary_action, canonical_rep,
+    classify, goldman_f, heis_translation, int_is_unitary, int_mat, proj_eq,
+    projective_order,
 )
 from picardhyb.exactring import QuadInt, QuadRat, units
 
@@ -19,7 +19,7 @@ def test_mat_inverse_and_det():
     for d in (1, 3, 7):
         cat = get_catalog(d)
         for m in cat.picard.values():
-            assert (m * m.inverse() - Mat.identity(d, 3)).is_zero()
+            assert m * m.inverse() == Mat.identity(d, 3)
             assert m.det().norm() == 1  # unit determinant
 
 
@@ -68,18 +68,47 @@ def test_proj_eq_equivalence_laws():
 
 
 def test_goldman_examples():
+    # traces and determinants are (a, b) pairs a + b*tau_d
     # identity trace 3 sits on the zero locus; trace 0 is regular elliptic
-    assert goldman_f(QuadRat.of_fraction(3, 3)) == 0
-    assert goldman_f(QuadRat.of_fraction(3, 0)) == -27
-    # trace of A1 (d=7) is 1 + i*sqrt(7): f = 341 > 0
-    tau = QuadRat.of(QuadInt(7, 1, 0) + QuadInt.sqrt_minus_d(7))
-    assert goldman_f(tau) == 341
+    assert goldman_f(3, (3, 0), (1, 0)) == 0
+    assert goldman_f(3, (0, 0), (1, 0)) == -27
+    # 1 + i*sqrt(7) = 2*tau_7 at determinant 1: f = 341 > 0
+    assert goldman_f(7, (0, 2), (1, 0)) == 341
 
 
-def test_su_normalize_rejects_non_unit_rescalable():
-    m = Mat.identity(3, 3).scale(QuadRat.of_fraction(3, 2))
-    with pytest.raises(NormalizationError):
-        su_normalize(m)
+def test_classify_rejects_non_integral_or_non_unit_det():
+    with pytest.raises(ValueError, match="not a unit"):
+        classify(Mat.identity(3, 3).scale(QuadRat.of_fraction(3, 2)))
+    half = QuadRat.of_fraction(3, Fraction(1, 2))
+    for m in (Mat.identity(3, 3).scale(half),
+              Mat.from_entries(3, ((2, 0, 0), (0, half, 0), (0, 0, 1)))):  # det 1
+        with pytest.raises(ValueError, match="integral 3x3"):
+            classify(m)
+
+
+# the class of every catalog element; P (d=3, det w) has eigenvalues
+# 1, w, 1, so f = 0 and it is not unipotent up to scale
+CATALOG_CLASSES = {
+    1: {"I0": "other-boundary", "Q": "other-boundary", "T": "unipotent-2-step",
+        "E1": "regular-elliptic", "U1": "unipotent-2-step",
+        "E2": "regular-elliptic", "U2": "unipotent-2-step",
+        "R1": "other-boundary", "R2": "other-boundary"},
+    3: {"P": "other-boundary", "Q": "other-boundary", "R": "other-boundary",
+        "E1": "regular-elliptic", "U1": "unipotent-2-step",
+        "E2": "regular-elliptic", "U2": "unipotent-2-step",
+        "I1": "other-boundary", "I2": "other-boundary",
+        "E1p": "regular-elliptic"},
+    7: {"T1": "unipotent-3-step", "R": "other-boundary", "I": "other-boundary",
+        "U1": "unipotent-2-step", "U2": "unipotent-2-step",
+        "A1": "loxodromic", "A2": "loxodromic",
+        "B1": "other-boundary", "B2": "other-boundary"},
+}
+
+
+def test_classification_of_every_catalog_element():
+    for d, want in CATALOG_CLASSES.items():
+        env = get_catalog(d).env()
+        assert {n: classify(m).value for n, m in env.items()} == want
 
 
 def test_classification_catalog_inventory():
@@ -101,12 +130,18 @@ def test_classification_catalog_inventory():
 
 
 def test_classify_conjugation_invariant():
+    # every catalog element and the conjugating words themselves, each
+    # also scaled by every unit
     for d in (1, 3, 7):
-        env = get_catalog(d).env()
-        targets = [env["U1"], env["U2"]]
-        for g in _random_words(d, 10, 4, seed=20 + d):
-            for m in targets:
-                assert classify(g * m * g.inverse()) == classify(m)
+        words = _random_words(d, 10, 4, seed=20 + d)
+        if d == 3:      # some words have determinant +-w or +-w^2
+            assert any(g.det().num.b for g in words)
+        for m in list(get_catalog(d).env().values()) + words:
+            kind = classify(m)
+            for u in units(d):
+                assert classify(m.scale(QuadRat.of(u))) is kind
+            for g in words:
+                assert classify(g * m * g.inverse()) is kind
 
 
 def test_heis_translation_classification():
@@ -114,7 +149,13 @@ def test_heis_translation_classification():
         s = QuadRat.of(QuadInt.sqrt_minus_d(d))
         vertical = heis_translation(QuadRat.zero(d), s)
         assert classify(vertical) is IsometryClass.UNIPOTENT_2_STEP
-        horizontal = heis_translation(QuadRat.one(d), s)
+        # integral translations: -|z|^2/2 + s is -1 + i for d=1 and
+        # (-1 + i*sqrt(d))/2 in O_d for d = 3, 7
+        if d == 1:
+            z, s = QuadRat.of(QuadInt(1, 1, 1)), QuadRat.of(QuadInt.tau(1))
+        else:
+            z, s = QuadRat.one(d), QuadRat(QuadInt.sqrt_minus_d(d), 2)
+        horizontal = heis_translation(z, s)
         assert classify(horizontal) is IsometryClass.UNIPOTENT_3_STEP
 
 
