@@ -85,6 +85,10 @@ class EuclideanMotion(_EuclideanMotionFields):
             raise ValueError(f"alpha = {alpha} is not a unit of O_3")
         return tuple.__new__(cls, (alpha, beta))
 
+    def _replace(self, **changes) -> "EuclideanMotion":
+        # through __new__, as in exactring.QuadInt
+        return EuclideanMotion(**{**self._asdict(), **changes})
+
     @staticmethod
     def identity() -> "EuclideanMotion":
         return EuclideanMotion(QuadInt.one(3), QuadInt.zero(3))

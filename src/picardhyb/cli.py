@@ -13,7 +13,7 @@ import sys
 
 from . import catalog as cat_mod
 from . import certify
-from .cxhyp import BoundaryPoint, ball, classify, int_origin_key
+from .cxhyp import classify, key_approx, orbit_points
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
@@ -120,18 +120,12 @@ def cmd_orbit(args) -> int:
             print(f"error: no primed hybrid variant for d={args.d}", file=sys.stderr)
             return 2
         gens.update(cat.hybrid_primed)
-    keys = set()
-    n_infinity = 0
-    # the projectively deduplicated word ball of radius L
-    for m in ball(list(gens.values()), args.max_depth):
-        key = int_origin_key(args.d, m)
-        if key is None:
-            n_infinity += 1
-        else:
-            keys.add(key)
+    # the origin's images under the projectively deduplicated word ball
+    # of radius L
+    keys, n_infinity = orbit_points(list(gens.values()), args.max_depth)
     rows = ["re_z,im_z,t"]
     for key in sorted(keys):
-        z, t = BoundaryPoint.from_key(args.d, key).approx()
+        z, t = key_approx(args.d, key)
         rows.append(f"{z.real:.15g},{z.imag:.15g},{t:.15g}")
     rows.append(f"# points_at_infinity={n_infinity}")
     _write(args.out, "\n".join(rows) + "\n")

@@ -20,6 +20,17 @@ move, because that product is the element's parent. Either product is
 already in the set of seen keys, so the elements and their order stay
 those of the plain breadth-first search over all moves.
 
+``orbit_points`` runs the same breadth-first loop to radius L-1 only. The
+image of the Heisenberg origin under m depends only on the third column of
+m, because the origin lifts to (0, 0, 1). Every element of the sphere of
+radius L is m*g with m in the sphere of radius L-1 and g a move other than
+the one that undoes m's last move, so the last sphere's points are the
+origin images of the columns m*(third column of g), and no 3x3 product is
+needed. A column that repeats an earlier element only adds a point that is
+already in the set. The one count that needs distinct elements is that of
+the images at Infinity, so only those products are multiplied out in full
+and counted when their key is new.
+
 Everything here is exact: no floating point enters any decision.
 """
 
@@ -28,7 +39,7 @@ from __future__ import annotations
 import enum
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, sqrt
 from typing import NamedTuple
 
 from .exactring import (
@@ -166,6 +177,10 @@ def proj_eq(m: Mat, n: Mat) -> bool:
 
 # -- Heisenberg boundary ---------------------------------------------------
 
+# the coefficient _TAU_ISQRTD[d] as a (numerator, denominator) pair of ints
+_ISQRTD = {d: (c.numerator, c.denominator) for d, c in _TAU_ISQRTD.items()}
+
+
 class BoundaryPoint(NamedTuple):
     """Point of the boundary in Heisenberg coordinates, or Infinity.
 
@@ -217,6 +232,17 @@ class BoundaryPoint(NamedTuple):
         if self.at_infinity:
             raise ValueError("point at infinity has no Heisenberg coordinates")
         return self.z.approx(), float(self.t_coeff) * self.d ** 0.5
+
+
+def key_approx(d: int, key: tuple[int, ...]) -> tuple[complex, float]:
+    """BoundaryPoint.from_key(d, key).approx() without building the point:
+    the float operations of QuadInt.approx, QuadRat.approx and
+    BoundaryPoint.approx in the same order, so the floats are identical."""
+    za, zb, den, tn, td = key
+    cn, cd = _ISQRTD[d]
+    re = (2 * za + zb * _TAU_SQ[d][1]) / 2
+    z = complex(re) + 1j * (zb * cn / cd) * sqrt(d)
+    return z / den, tn / td * d ** 0.5
 
 
 def heis_translation(z: QuadRat | QuadInt, s: QuadRat | QuadInt) -> Mat:
@@ -320,6 +346,29 @@ def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
     )
 
 
+# the third column of an IntMat, as the 6 ints (pa, pb, qa, qb, ra, rb)
+_third_column = operator.itemgetter(4, 5, 10, 11, 16, 17)
+
+
+def int_mul_column(d: int, x: IntMat, y: tuple[int, ...]) -> tuple[int, ...]:
+    """The column x*y of a column y = (p0 + q0*tau, p1 + q1*tau, p2 + q2*tau):
+    int_mul's third column when y is the third column of a matrix."""
+    c0, c1 = _TAU_SQ[d]
+    (a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8) = x
+    p0, q0, p1, q1, p2, q2 = y
+    s0 = b0 * q0 + b1 * q1 + b2 * q2
+    s1 = b3 * q0 + b4 * q1 + b5 * q2
+    s2 = b6 * q0 + b7 * q1 + b8 * q2
+    return (
+        a0 * p0 + a1 * p1 + a2 * p2 + c0 * s0,
+        a0 * q0 + b0 * p0 + a1 * q1 + b1 * p1 + a2 * q2 + b2 * p2 + c1 * s0,
+        a3 * p0 + a4 * p1 + a5 * p2 + c0 * s1,
+        a3 * q0 + b3 * p0 + a4 * q1 + b4 * p1 + a5 * q2 + b5 * p2 + c1 * s1,
+        a6 * p0 + a7 * p1 + a8 * p2 + c0 * s2,
+        a6 * q0 + b6 * p0 + a7 * q1 + b7 * p1 + a8 * q2 + b8 * p2 + c1 * s2,
+    )
+
+
 def _qmul(c0: int, c1: int, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
     """The product of two (a, b) pairs a + b*tau, with tau^2 = c0 + c1*tau."""
     return (p[0] * q[0] + c0 * p[1] * q[1],
@@ -418,13 +467,13 @@ def int_height(x: IntMat) -> int:
     return max(map(abs, x)).bit_length()
 
 
-def int_origin_key(d: int, x: IntMat) -> tuple[int, ...] | None:
+def int_origin_key(d: int, x: tuple[int, ...]) -> tuple[int, ...] | None:
     """The key() of boundary_action(x, BoundaryPoint.origin(d)), from the
     third column (p, q, r) of x, or None when that image is Infinity: the
-    origin lifts to (0, 0, 1), so z = q/r. ValueError if the image leaves
-    the boundary."""
+    origin lifts to (0, 0, 1), so z = q/r. x is an IntMat or its third
+    column alone, 6 ints. ValueError if the image leaves the boundary."""
     c0, c1 = _TAU_SQ[d]
-    pa, pb, qa, qb, ra, rb = x[4], x[5], x[10], x[11], x[16], x[17]
+    pa, pb, qa, qb, ra, rb = x if len(x) == 6 else _third_column(x)
     if ra == 0 and rb == 0:
         return None
     # conj(a + b*tau) = (a + c1*b) - b*tau and N(a + b*tau) = a^2 + c1*ab - c0*b^2
@@ -441,16 +490,15 @@ def int_origin_key(d: int, x: IntMat) -> tuple[int, ...] | None:
     # reduce z and t_coeff = (2 sb / N(r)) * _TAU_ISQRTD[d] as QuadRat and
     # Fraction do; N(r) > 0
     g = gcd(za, zb, norm_r)
-    isqrtd = _TAU_ISQRTD[d]
-    tn, td = 2 * sb * isqrtd.numerator, norm_r * isqrtd.denominator
+    cn, cd = _ISQRTD[d]
+    tn, td = 2 * sb * cn, norm_r * cd
     h = gcd(tn, td)
     return za // g, zb // g, norm_r // g, tn // h, td // h
 
 
-def ball(gens: list[Mat], radius: int) -> list[IntMat]:
-    """The projectively distinct elements of word length <= radius over
-    gens and their inverses, in breadth-first order from the identity.
-    Products known to be repeats are skipped (see the module docstring)."""
+def _move_table(gens: list[Mat]) -> tuple[int, list[IntMat], list[int]]:
+    """The ring, one move per projective class among gens and their
+    inverses, and for each move the position of the move that undoes it."""
     if not gens:
         raise ValueError("generator list is empty")
     d = gens[0].d
@@ -463,11 +511,17 @@ def ball(gens: list[Mat], radius: int) -> list[IntMat]:
             if key not in index:
                 index[key] = len(moves)
                 moves.append(m)
-    undo = [index[int_key(d, int_inv(d, m))] for m in moves]
-    seen = {int_key(d, INT_ID)}
-    elements = [INT_ID]
-    # (element, position of the move that undoes its last move)
+    return d, moves, [index[int_key(d, int_inv(d, m))] for m in moves]
+
+
+def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
+             radius: int):
+    """The spheres of radius 0 to radius in breadth-first order, each a
+    list of (element, position of the move that undoes its last move).
+    Adds the key of every element to seen."""
+    seen.add(int_key(d, INT_ID))
     frontier = [(INT_ID, -1)]
+    yield frontier
     for _ in range(radius):
         new = []
         for m, skip in frontier:
@@ -479,9 +533,51 @@ def ball(gens: list[Mat], radius: int) -> list[IntMat]:
                 if key not in seen:
                     seen.add(key)
                     new.append((nm, undo[k]))
-        elements += [m for m, _k in new]
         frontier = new
-    return elements
+        yield frontier
+
+
+def ball(gens: list[Mat], radius: int) -> list[IntMat]:
+    """The projectively distinct elements of word length <= radius over
+    gens and their inverses, in breadth-first order from the identity.
+    Products known to be repeats are skipped (see the module docstring)."""
+    d, moves, undo = _move_table(gens)
+    return [m for sphere in _spheres(d, moves, undo, set(), radius) for m, _k in sphere]
+
+
+def orbit_points(gens: list[Mat], radius: int) -> tuple[set[tuple[int, ...]], int]:
+    """The int_origin_key of every element of ball(gens, radius) that keeps
+    the Heisenberg origin finite, and the number of elements that send it
+    to Infinity. The last sphere is formed as columns only (see the module
+    docstring)."""
+    d, moves, undo = _move_table(gens)
+    seen: set[IntMat] = set()
+    points = set()
+    n_infinity = 0
+    for frontier in _spheres(d, moves, undo, seen, max(radius - 1, 0)):
+        for m, _k in frontier:
+            key = int_origin_key(d, m)
+            if key is None:
+                n_infinity += 1
+            else:
+                points.add(key)
+    if radius == 0:
+        return points, n_infinity
+    # frontier is now the sphere of radius L-1
+    columns = [_third_column(g) for g in moves]
+    for m, skip in frontier:
+        for k, column in enumerate(columns):
+            if k == skip:
+                continue
+            key = int_origin_key(d, int_mul_column(d, m, column))
+            if key is not None:
+                points.add(key)
+                continue
+            key = int_key(d, int_mul(d, m, moves[k]))
+            if key not in seen:
+                seen.add(key)
+                n_infinity += 1
+    return points, n_infinity
 
 
 # -- isometry classification ----------------------------------------------

@@ -40,7 +40,9 @@ def _check_d(d: int) -> None:
 
 
 # A NamedTuple may not define __new__ in its own body, so a class that
-# checks or normalizes its fields subclasses a plain NamedTuple of them.
+# checks or normalizes its fields subclasses a plain NamedTuple of them. It
+# also overrides _replace, which would otherwise build the copy without
+# calling __new__ and so skip its checks.
 class _QuadIntFields(NamedTuple):
     d: int
     a: int
@@ -55,6 +57,9 @@ class QuadInt(_QuadIntFields):
     def __new__(cls, d: int, a: int, b: int):
         _check_d(d)
         return tuple.__new__(cls, (d, a, b))
+
+    def _replace(self, **changes) -> "QuadInt":
+        return QuadInt(**{**self._asdict(), **changes})
 
     # -- constructors ------------------------------------------------------
 
@@ -193,6 +198,9 @@ class QuadRat(_QuadRatFields):
             num = QuadInt(num.d, num.a // g, num.b // g)
             den //= g
         return tuple.__new__(cls, (num, den))
+
+    def _replace(self, **changes) -> "QuadRat":
+        return QuadRat(**{**self._asdict(), **changes})
 
     @property
     def d(self) -> int:

@@ -75,6 +75,10 @@ class Presentation(_PresentationFields):
             raise ValueError("gen_names length mismatch")
         return tuple.__new__(cls, (ngens, relators, gen_names, name))
 
+    def _replace(self, **changes) -> "Presentation":
+        # through __new__, as in exactring.QuadInt
+        return Presentation(**{**self._asdict(), **changes})
+
     def names(self) -> tuple[str, ...]:
         if self.gen_names is not None:
             return self.gen_names

@@ -33,6 +33,10 @@ class SearchConfig(_SearchConfigFields):
             raise ValueError("search bounds must be positive")
         return tuple.__new__(cls, (max_depth, max_coeff_bits))
 
+    def _replace(self, **changes) -> "SearchConfig":
+        # through __new__, as in exactring.QuadInt
+        return SearchConfig(**{**self._asdict(), **changes})
+
 
 class SearchResult(NamedTuple):
     word: Word | None

@@ -100,6 +100,15 @@ def test_euclidean_motion_orders():
     assert trans.is_nontrivial_translation() and not rot.is_nontrivial_translation()
 
 
+def test_euclidean_motion_replace_runs_the_constructor_checks():
+    two = QuadInt.of_int(3, 2)
+    with pytest.raises(ValueError) as made:
+        EuclideanMotion(two, QuadInt.zero(3))
+    with pytest.raises(ValueError) as replaced:
+        EuclideanMotion.identity()._replace(alpha=two)
+    assert str(replaced.value) == str(made.value) == "alpha = 2 is not a unit of O_3"
+
+
 def test_commutator_subgroup_table():
     table = commutator_subgroup_table()
     assert table.complete and table.index == 6

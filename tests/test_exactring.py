@@ -202,3 +202,23 @@ def test_approx_matches_the_fraction_formula(d, a, b):
     # the formula through Fraction that approx used to evaluate
     old = complex(x.real_part()) + 1j * float(x.isqrtd_coeff()) * math.sqrt(d)
     assert _float_bits(x.approx()) == _float_bits(old)
+
+
+def test_quadint_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError) as made:
+        QuadInt(2, 1, 2)
+    with pytest.raises(ValueError) as replaced:
+        QuadInt(3, 1, 2)._replace(d=2)
+    assert str(replaced.value) == str(made.value) == (
+        "unsupported ring selector d=2; must be one of (1, 3, 7)")
+
+
+def test_quadrat_replace_runs_the_constructor_checks():
+    x = QuadRat(QuadInt(3, 1, 2), 3)
+    with pytest.raises(ZeroDivisionError) as made:
+        QuadRat(x.num, 0)
+    with pytest.raises(ZeroDivisionError) as replaced:
+        x._replace(den=0)
+    assert str(replaced.value) == str(made.value) == "zero denominator"
+    # a negative denominator moves its sign into the numerator, as in the constructor
+    assert x._replace(den=-2) == QuadRat(x.num, -2) == QuadRat(-x.num, 2)

@@ -253,3 +253,14 @@ def test_presentation_validation():
         Presentation(1, ((2,),))
     with pytest.raises(ValueError):
         Presentation(1, ((1, -1),))
+
+
+def test_presentation_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError) as made:
+        Presentation(1, ((1, -1),))
+    with pytest.raises(ValueError) as replaced:
+        Presentation(1, ((1,),))._replace(relators=((1, -1),))
+    assert str(replaced.value) == str(made.value) == (
+        "relators must be nonempty after free reduction")
+    # the relators of a valid copy are freely reduced, as the constructor's are
+    assert Presentation(1, ((1,),))._replace(relators=((1, 1, -1),)).relators == ((1,),)

@@ -9,7 +9,9 @@ with the earlier Mat/QuadRat implementation of the orbit ball and the word
 search; the verify, dump, classify and abelianize digests with the separate
 per-module word evaluators that preceded ``fpgroups.eval_word``. The d=7
 depth-5 and d=1 primed orbits were recorded with the integer kernel's
-plain ball, before it skipped the products it knows are repeats.
+plain ball, before it skipped the products it knows are repeats. The
+depth-0 and depth-2 orbits were recorded while orbit still multiplied out
+the last sphere of its ball and formatted each row through BoundaryPoint.
 """
 
 import hashlib
@@ -31,6 +33,14 @@ GOLDEN = [
      "b3aac6429cd8e0935a96641448ef96e12792781f11a663fa1af2eb0c1c152f56"),
     ("orbit --d 1 --max-depth 4 --variant primed", 0,
      "39ff411684a6f5f1a74c28be205351e54f0e52f0bb4c1b72304790c6418dfa77"),
+    # edge cases of the last sphere: depth 0 has none, and both points at
+    # infinity of d=7 at depth 2 come from it
+    ("orbit --d 7 --max-depth 0", 0,
+     "411493f8bcafd877cad3b0d87fabfa106365645418f64e0a4b5a6acfcefe6cfc"),
+    ("orbit --d 7 --max-depth 2", 0,
+     "17fff481b9223c39a0f460788b96700179d4b8577cff8a55f1aa785834f42be3"),
+    ("orbit --d 1 --max-depth 2", 0,
+     "962d5102d8083cdb1ce16ad5928c28a34f2962033e111b614f75539fef41e698"),
     ("search --d 1 --target E1 --max-depth 10 --max-coeff-bits 3", 0,
      "c3906e688e1fbe7510cd062c94dac8ee02e45c0dc6b6d60c818dd51bcc21f591"),
     ("search --d 1 --target E1 --max-depth 10 --max-coeff-bits 4", 0,

@@ -7,7 +7,10 @@ canonical representative of Catalog.eval_word. int_key must be the least
 unit multiple of any nonzero tuple. The kernel's Siegel-form
 check must agree with x* H x computed from the rows of the matrix.
 ``ball`` must list exactly the elements of a plain breadth-first search
-that forms every product, while forming fewer products itself."""
+that forms every product, while forming fewer products itself.
+``orbit_points`` must give the origin images of ``ball`` while forming full
+products in its last sphere only for images at Infinity, and ``key_approx``
+must give the floats of ``BoundaryPoint.approx`` bit for bit."""
 
 from functools import cache, reduce
 
@@ -18,7 +21,8 @@ from picardhyb import cxhyp
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
     INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
-    int_inv, int_is_unitary, int_key, int_mat, int_mul, int_origin_key,
+    int_inv, int_is_unitary, int_key, int_mat, int_mul, int_mul_column,
+    int_origin_key, key_approx, orbit_points,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import QuadInt, QuadRat, units
@@ -60,6 +64,10 @@ def test_product_and_height_match_mat(case):
     assert x1 == int_mat(m1)
     assert int_mul(d, int_mat(m1), int_mat(m2)) == int_mat(m1 * m2)
     assert int_height(x1) == m1.max_coeff_bits()
+    x2 = int_mat(m2)
+    third_column = (4, 5, 10, 11, 16, 17)
+    assert int_mul_column(d, x1, tuple(x2[k] for k in third_column)) == tuple(
+        int_mul(d, x1, x2)[k] for k in third_column)
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,3 +326,57 @@ def test_ball_skips_known_repeats(d, monkeypatch):
 def test_ball_rejects_no_generators():
     with pytest.raises(ValueError, match="generator list is empty"):
         ball([], 2)
+
+
+def _reference_orbit(gens: list[Mat], radius: int) -> tuple[set, int]:
+    d = gens[0].d
+    keys = [int_origin_key(d, x) for x in ball(gens, radius)]
+    return set(keys) - {None}, keys.count(None)
+
+
+@pytest.mark.parametrize("gens", _hybrids())
+def test_orbit_points_match_ball(gens):
+    for radius in range(5):
+        assert orbit_points(gens, radius) == _reference_orbit(gens, radius)
+
+
+@pytest.mark.parametrize("gens", _hybrids())
+def test_orbit_points_multiply_out_only_images_at_infinity(gens, monkeypatch):
+    d, radius = gens[0].d, 4
+    new_at_infinity = _reference_orbit(gens, radius)[1] - _reference_orbit(gens, radius - 1)[1]
+    products = []
+
+    def recording_mul(*args):
+        products.append(int_mul(*args))
+        return products[-1]
+
+    monkeypatch.setattr(cxhyp, "int_mul", recording_mul)
+    ball(gens, radius - 1)
+    inner = len(products)
+    ball(gens, radius)
+    full = len(products) - inner
+    del products[:]
+    orbit_points(gens, radius)
+    last = products[inner:]
+    # the first radius - 1 spheres are formed as ball forms them; in the
+    # last one, a product is formed only when the origin goes to Infinity,
+    # and at least once for each element of the last sphere that sends it there
+    assert len(products) < full
+    assert all(int_origin_key(d, x) is None for x in last)
+    assert len(last) >= new_at_infinity
+
+
+def _float_bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("d,variant,radius", [(7, "plain", 4), (1, "primed", 3)])
+def test_key_approx_matches_boundary_point(d, variant, radius):
+    cat = get_catalog(d)
+    gens = {**cat.hybrid, **(cat.hybrid_primed if variant == "primed" else {})}
+    keys = orbit_points(list(gens.values()), radius)[0]
+    assert keys
+    for key in keys:
+        z, t = key_approx(d, key)
+        ref_z, ref_t = BoundaryPoint.from_key(d, key).approx()
+        assert _float_bits(z) == _float_bits(ref_z) and t.hex() == ref_t.hex()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import picardhyb
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import Mat, proj_eq
@@ -85,3 +87,12 @@ def test_unsound_word_raises_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised: search returned an unsound word\n"
+
+
+def test_search_config_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError) as made:
+        SearchConfig(max_depth=-1)
+    with pytest.raises(ValueError) as replaced:
+        SearchConfig()._replace(max_depth=-1)
+    assert str(replaced.value) == str(made.value) == "search bounds must be positive"
+    assert SearchConfig()._replace(max_depth=3) == SearchConfig(max_depth=3)
