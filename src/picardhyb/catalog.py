@@ -27,7 +27,7 @@ from .cxhyp import (
 # not called here: bound as a module attribute because the benchmark's
 # smoke check expects its tracer to patch it under this name
 from .cxhyp import canonical_rep  # noqa: F401
-from .fpgroups import Presentation, Word, eval_word, parse_word
+from .fpgroups import Presentation, Word, eval_word, parse_word, quotient_by_normal_gens
 
 
 class CatalogError(AssertionError):
@@ -135,18 +135,22 @@ class Catalog:
         """env() on the integer kernel of cxhyp."""
         return {n: int_mat(m) for n, m in self.env().items()}
 
-    def word_key(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
-        """The int_key of the word text over the given names of env() (all
-        of them by default): equal keys mean equal elements of PU(2,1)."""
+    def word_matrix(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
+        """The kernel matrix of the word text over the given names of env()
+        (all of them by default)."""
         table = self.int_env
         names = tuple(table) if names is None else names
-        return _int_word_key(self.d, parse_word(text, names), [table[n] for n in names])
+        return _int_eval(self.d, parse_word(text, names), [table[n] for n in names])
+
+    def word_key(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
+        """The int_key of word_matrix: equal keys mean equal elements of
+        PU(2,1)."""
+        return int_key(self.d, self.word_matrix(text, names))
 
     def picard_word(self, text: str) -> Word:
         return parse_word(text, self.presentation.names())
 
     def quotient_presentation(self) -> Presentation:
-        from .fpgroups import quotient_by_normal_gens
         extra = tuple(self.picard_word(t) for t in self.quotient_extra_relators)
         return quotient_by_normal_gens(self.presentation, extra)
 
@@ -159,10 +163,6 @@ def _int_eval(d: int, w: Word, gens: list[IntMat]) -> IntMat:
     # each generator that w inverts is inverted once
     inverse = {gens[-g - 1]: int_inv(d, gens[-g - 1]) for g in set(w) if g < 0}
     return eval_word(w, gens, INT_ID, partial(int_mul, d), inverse.__getitem__)
-
-
-def _int_word_key(d: int, w: Word, gens: list[IntMat]) -> IntMat:
-    return int_key(d, _int_eval(d, w, gens))
 
 
 # -- per-d construction ----------------------------------------------------
@@ -448,7 +448,7 @@ def _validate(cat: Catalog) -> Catalog:
     gens = [cat.int_env[n] for n in cat.presentation.names()]
     ident = int_key(cat.d, INT_ID)
     for rel in cat.presentation.relators:
-        if _int_word_key(cat.d, rel, gens) != ident:
+        if int_key(cat.d, _int_eval(cat.d, rel, gens)) != ident:
             raise CatalogError(
                 f"relator does not evaluate to a unit multiple of Id over O_{cat.d}")
     return cat

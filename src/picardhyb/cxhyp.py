@@ -99,6 +99,13 @@ class Mat(NamedTuple):
                 for j in range(n))
             for i in range(n)))
 
+    # tuple's concatenation and repetition would give a plain tuple
+    def __add__(self, other):
+        return NotImplemented
+
+    def __rmul__(self, other):
+        return NotImplemented
+
     def scale(self, c) -> "Mat":
         c = QuadRat.of(c) if not isinstance(c, int) else QuadRat.of_fraction(self.d, c)
         return Mat(self.d, tuple(tuple(c * e for e in row) for row in self.rows))

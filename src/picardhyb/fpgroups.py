@@ -86,12 +86,9 @@ class Presentation(_PresentationFields):
 
 
 def quotient_by_normal_gens(p: Presentation, extra) -> Presentation:
-    """Append the given words as relators (kill their normal closure)."""
-    extra = tuple(free_reduce(w) for w in extra)
-    if any(abs(g) > p.ngens for w in extra for g in w):
-        raise ValueError("extra relator uses an out-of-range generator")
-    return Presentation(p.ngens, p.relators + tuple(w for w in extra if w),
-                        p.gen_names, p.name)
+    """Append the given words as relators (kill their normal closure);
+    words that reduce to the empty word are dropped."""
+    return p._replace(relators=p.relators + tuple(w for w in map(free_reduce, extra) if w))
 
 
 # -- word text format ------------------------------------------------------
@@ -456,80 +453,29 @@ def exponent_matrix(p: Presentation):
     return rows
 
 
-class AbelianStructure(NamedTuple):
-    """SNF data for Z^ngens / rowspace(exponent matrix)."""
-
-    ngens: int
-    invariants: AbelianInvariants
-    divisors: tuple[int, ...]   # per transformed coordinate; 0 means free
-    rmat: tuple[tuple[int, ...], ...]
-
-    def image(self, w: Word) -> tuple[int, ...]:
-        v = [0] * self.ngens
-        for g in w:
-            v[abs(g) - 1] += 1 if g > 0 else -1
-        coords = [sum(v[i] * self.rmat[i][j] for i in range(self.ngens))
-                  for j in range(self.ngens)]
-        return tuple(c % dv if dv else c for c, dv in zip(coords, self.divisors))
+def abelianization(p: Presentation) -> AbelianInvariants:
+    """Z^ngens modulo the row space of the exponent matrix, read off the
+    diagonal of its Smith normal form."""
+    d, _l, _r = smith_normal_form(exponent_matrix(p) or [[0] * p.ngens])
+    diag = [d[i][i] for i in range(min(len(d), p.ngens))]
+    return AbelianInvariants(p.ngens - sum(1 for x in diag if x),
+                             tuple(x for x in diag if x >= 2))
 
 
 def derived_subgroup_table(p: Presentation) -> CosetTable:
     """Coset table of the commutator subgroup of ``p``.
 
-    Built from the regular action of the abelianization rather than by
-    enumeration: a word stabilizes the identity coset exactly when its
-    exponent vector dies in the abelianization, i.e. exactly when it lies
-    in the derived subgroup. Requires a finite abelianization.
+    Enumerated by Todd-Coxeter: the coset table of the trivial subgroup of
+    G/G', the quotient by the commutators [g_i, g_j] of the generators, is
+    the coset table of G' in G. A word stabilizes coset 0 exactly when it
+    lies in the derived subgroup. Requires a finite abelianization
+    (ValueError otherwise).
     """
-    struct = abelian_structure(p)
-    if not struct.invariants.is_finite:
+    if not abelianization(p).is_finite:
         raise ValueError("infinite abelianization: derived subgroup has infinite index")
-    gen_imgs = [struct.image((g,)) for g in range(1, p.ngens + 1)]
-    divisors = struct.divisors
-
-    def step(a, b, sign):
-        return tuple((x + sign * y) % dv
-                     for x, y, dv in zip(a, b, divisors))
-
-    zero = tuple(0 for _ in divisors)
-    number = {zero: 0}
-    order = [zero]
-    table: list[list[int]] = []
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        row = []
-        for k in range(p.ngens):
-            for sign in (1, -1):
-                b = step(a, gen_imgs[k], sign)
-                if b not in number:
-                    number[b] = len(order)
-                    order.append(b)
-                row.append(number[b])
-        table.append(row)
-    return CosetTable(p.ngens, table, "complete")
-
-
-def abelian_structure(p: Presentation) -> AbelianStructure:
-    a = exponent_matrix(p)
-    if not a:
-        a = [[0] * p.ngens]
-    d, _l, r = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(len(d), p.ngens))]
-    divisors = tuple(diag + [0] * (p.ngens - len(diag)))
-    rank = sum(1 for dv in divisors if dv == 0)
-    torsion = tuple(dv for dv in divisors if dv >= 2)
-    return AbelianStructure(
-        p.ngens,
-        AbelianInvariants(rank, torsion),
-        divisors,
-        tuple(tuple(row) for row in r),
-    )
-
-
-def abelianization(p: Presentation) -> AbelianInvariants:
-    return abelian_structure(p).invariants
+    n = p.ngens
+    return todd_coxeter(quotient_by_normal_gens(
+        p, ((i, j, -i, -j) for i in range(1, n + 1) for j in range(i + 1, n + 1))))
 
 
 # -- Reidemeister-Schreier -------------------------------------------------

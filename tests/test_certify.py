@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from picardhyb import certify
+from picardhyb import catalog, certify
 from picardhyb.certify import (
     EuclideanMotion, PRIMED_D1_WORD, Report,
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
@@ -70,6 +70,27 @@ def test_tietze_substitution():
 def test_lemma31_and_lemma36():
     assert lemma31_index_bound().passed
     assert lemma36_relations().passed
+
+
+@pytest.mark.parametrize("name, other, want", (
+    ("I1", "I2", [False, True, True]),
+    ("I2", "U2", [True, False, False]),
+))
+def test_lemma31_rows_fail_on_a_corrupted_catalog(monkeypatch, name, other, want):
+    real = catalog.get_catalog(3)
+    corrupted = real._replace(hybrid={**real.hybrid, name: real.hybrid[other]})
+    monkeypatch.setattr(certify, "get_catalog", lambda d: corrupted)
+    report = lemma31_index_bound()
+    assert [c.passed for c in report.checks] == want
+    assert report.as_markdown().count("[FAIL] lemma-3.1") == want.count(False)
+
+
+def test_primed_d3_rows_read_the_commutator_table(monkeypatch):
+    # P is not in the commutator subgroup: its image in Gamma(3)^ab = Z/6 has order 3
+    monkeypatch.setattr(certify, "PRIMED_D3_WORDS", certify.PRIMED_D3_WORDS + ("P",))
+    for report in (hybrid_abelianization_bounds(), primed_d3_closure()):
+        failed = [c.description for c in report.checks if not c.passed]
+        assert "H'(3) generator P dies in Gamma(3)^ab" in failed
 
 
 def test_euclidean_motion_group_laws():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from picardhyb.fpgroups import (
-    AbelianInvariants, Presentation, abelian_structure, abelianization,
+    AbelianInvariants, Presentation, abelianization,
     derived_subgroup_table, format_word, free_reduce, invert_word,
     parse_word, quotient_by_normal_gens, reidemeister_schreier,
     smith_normal_form, todd_coxeter,
@@ -59,8 +59,15 @@ def _perm_mul(p, q):
     return tuple(q[i] for i in p)
 
 
-def _brute_force_order(npoints, perm_gens):
-    """Order of the permutation group generated by perm_gens on npoints."""
+def _perm_inv(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def _perm_closure(npoints, perm_gens):
+    """The permutation group generated by perm_gens on npoints, as a set."""
     ident = tuple(range(npoints))
     seen = {ident}
     frontier = [ident]
@@ -73,7 +80,7 @@ def _brute_force_order(npoints, perm_gens):
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 # presentations paired with faithful permutation realizations
@@ -100,7 +107,7 @@ def test_todd_coxeter_matches_brute_force():
         assert table.complete, name
         assert table.index == expected[name], name
         if perms is not None:
-            assert _brute_force_order(npoints, perms) == expected[name], name
+            assert len(_perm_closure(npoints, perms)) == expected[name], name
 
 
 def test_todd_coxeter_subgroups_of_s4():
@@ -206,9 +213,9 @@ def test_abelian_image():
     p = pres(("a", "b"), ("a^2", "b^3", "(a b)^2"))  # S3, ab = Z/2
     w_in = parse_word("b", ("a", "b"))
     w_out = parse_word("a b", ("a", "b"))
-    struct = abelian_structure(p)
-    assert all(x == 0 for x in struct.image(w_in))
-    assert any(x != 0 for x in struct.image(w_out))
+    table = derived_subgroup_table(p)
+    assert table.act_word(0, w_in) == 0
+    assert table.act_word(0, w_out) != 0
 
 
 def test_quotient_by_normal_gens():
@@ -226,6 +233,27 @@ def test_derived_subgroup_psl2z():
     # the derived subgroup of C2 * C3 is free of rank 2
     sub = reidemeister_schreier(psl, table)
     assert abelianization(sub) == AbelianInvariants(2, ())
+
+
+def test_derived_subgroup_table_matches_permutation_brute_force():
+    # G' is generated by the commutators of all pairs of elements of G
+    rng = random.Random(12)
+    for name, p, npoints, perms in CORPUS:
+        if perms is None:
+            continue
+        group = _perm_closure(npoints, perms)
+        derived = _perm_closure(npoints, [
+            _perm_mul(_perm_mul(x, y), _perm_mul(_perm_inv(x), _perm_inv(y)))
+            for x in group for y in group])
+        table = derived_subgroup_table(p)
+        assert table.complete and table.index == len(group) // len(derived), name
+        letters = [g for k in range(1, p.ngens + 1) for g in (k, -k)]
+        for _ in range(200):
+            w = tuple(rng.choice(letters) for _ in range(rng.randrange(13)))
+            image = tuple(range(npoints))
+            for g in w:
+                image = _perm_mul(image, perms[g - 1] if g > 0 else _perm_inv(perms[-g - 1]))
+            assert (table.act_word(0, w) == 0) == (image in derived), (name, w)
 
 
 def test_derived_subgroup_requires_finite_ab():
