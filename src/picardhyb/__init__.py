@@ -14,7 +14,7 @@ from .fpgroups import (
     quotient_by_normal_gens, reidemeister_schreier, smith_normal_form,
     todd_coxeter,
 )
-from .search import SearchConfig, SearchResult, find_word
+from .search import SearchResult, find_word
 from .certify import (
     EuclideanMotion, InfinitenessCertificate, IndexResult,
     hybrid_abelianization_bounds, index_report, lemma31_index_bound,

@@ -100,7 +100,6 @@ class Catalog:
         hybrid_primed: dict[str, Mat],             # primed variant (d=1,3)
         word_identities: tuple[WordIdentity, ...],
         conjugation_identities: tuple[ConjugationIdentity, ...],
-        quotient_extra_relators: tuple[str, ...],  # words killed for the quotient
         flags: tuple[str, ...] = (),               # corrected-typo notes
     ):
         self.d = d
@@ -111,7 +110,6 @@ class Catalog:
         self.hybrid_primed = hybrid_primed
         self.word_identities = word_identities
         self.conjugation_identities = conjugation_identities
-        self.quotient_extra_relators = quotient_extra_relators
         self.flags = flags
 
     def _replace(self, **changes) -> "Catalog":
@@ -151,8 +149,10 @@ class Catalog:
         return parse_word(text, self.presentation.names())
 
     def quotient_presentation(self) -> Presentation:
-        extra = tuple(self.picard_word(t) for t in self.quotient_extra_relators)
-        return quotient_by_normal_gens(self.presentation, extra)
+        """The presentation with every word-identity word killed:
+        PU(2,1,O_d) modulo the normal closure of the hybrid generators."""
+        return quotient_by_normal_gens(
+            self.presentation, tuple(self.picard_word(wi.word) for wi in self.word_identities))
 
 
 def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
@@ -184,8 +184,7 @@ def _catalog_d3() -> Catalog:
     }
     pres = _presentation(
         ("P", "Q", "R"),
-        ("R^2", "(Q P^-1)^6", "P Q^-1 R Q P^-1 R", "P^3 Q^-2", "(R P)^3"),
-        name="picard-3")
+        ("R^2", "(Q P^-1)^6", "P Q^-1 R Q P^-1 R", "P^3 Q^-2", "(R P)^3"))
 
     w2 = w * w
     hybrid_displayed = {
@@ -244,7 +243,6 @@ def _catalog_d3() -> Catalog:
         hybrid_primed={"E1p": e1p},
         word_identities=word_identities,
         conjugation_identities=conjugations,
-        quotient_extra_relators=("Q^2",),
         flags=("section-3-closing: the H'(3) generator words die in "
                "Gamma(3)^ab = Z/6, so Gamma(3)/<<H'(3)>> surjects onto Z/6 "
                "and is not the trivial group; <<H'(3)>> is contained in "
@@ -269,8 +267,7 @@ def _catalog_d1() -> Catalog:
     pres = _presentation(
         ("I0", "Q", "T"),
         ("I0^2", "Q^2", "(I0 Q)^3", "(I0 T)^12", "(I0 Q T)^8",
-         "(I0 T)^3 T (I0 T)^-3 T^-1", "Q T Q^-1 T^-1"),
-        name="picard-1")
+         "(I0 T)^3 T (I0 T)^-3 T^-1", "Q T Q^-1 T^-1"))
 
     hybrid_displayed = {
         "E1": _mat(d, ((i, -1 + i, 1 - i),
@@ -324,8 +321,6 @@ def _catalog_d1() -> Catalog:
         hybrid_primed={"R1": r1, "R2": r2},
         word_identities=word_identities,
         conjugation_identities=conjugations,
-        quotient_extra_relators=(
-            "T", "I0 T I0", e1_word, f"I0 ({e1_word}) I0"),
         flags=("lemma-4.3: 'U2 = I0 U2 I0' realized as U2 = I0 T I0",
                "corollary-4.6: the order-4 elements R1, R2 satisfy the exact "
                "scalar identities E1^2 E2 R1 = E1 E2^2 R2 = -i Id, so they "
@@ -362,8 +357,7 @@ def _catalog_d7() -> Catalog:
          "T1^-1 I T1 I T1 I R T1 I R T1 I T1 I T1^-1 I T1^-1 I T1 R T1^-1 I R T1^-1 I",
          "R T1 I R T1 I T1 I T1^-1 I T1^-1 I R T1^-1 I R T1^-1 I T1^-1 I T1 I T1 I T1^-1",
          "R T1 I R T1 R T1^-1 I T1 I T1 I R T1 I T1 I T1^-1 R T1 R I T1 R T1^-1 I "
-         "T1 I T1 I T1 I T1^-1"),
-        name="picard-7")
+         "T1 I T1 I T1 I T1^-1"))
 
     hybrid_displayed = {
         "U1": _mat(d, ((1, 0, isq7), (0, 1, 0), (0, 0, 1))),
@@ -417,15 +411,14 @@ def _catalog_d7() -> Catalog:
         hybrid_primed={},
         word_identities=word_identities,
         conjugation_identities=conjugations,
-        quotient_extra_relators=tuple(wi.word for wi in word_identities),
         flags=("section-5: 'B2 = J^-1 iota_2(U) J' realized with B, "
                "matching the displayed matrix",),
     )
 
 
-def _presentation(names, relator_texts, name) -> Presentation:
+def _presentation(names, relator_texts) -> Presentation:
     relators = tuple(parse_word(t, names) for t in relator_texts)
-    return Presentation(len(names), relators, tuple(names), name)
+    return Presentation(len(names), relators, tuple(names))
 
 
 def _check_displays(displayed: dict[str, Mat], constructed: dict[str, Mat]) -> None:

@@ -120,8 +120,7 @@ G_ABC = Presentation(
     3,
     tuple(parse_word(t, ("a", "b", "c")) for t in
           ("c^2", "a^6", "a c a^-1 c^-1", "(a b)^3", "(c a b)^3", "b^2")),
-    ("a", "b", "c"),
-    name="quotient-d3-abc")
+    ("a", "b", "c"))
 
 # mutually inverse substitutions between the (P,Q,R) and (a,b,c) generators
 SUBST_ABC_TO_PQR = {"a": "P Q^-1", "b": "Q", "c": "R"}

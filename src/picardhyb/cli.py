@@ -18,7 +18,7 @@ from .cxhyp import classify, key_approx, orbit_points
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
 from .fpgroups import DEFAULT_MAX_COSETS, abelianization, format_word
-from .search import SearchConfig, find_word
+from .search import find_word
 
 
 # the rows each claim rests on: a row passes only if its own check passes
@@ -139,8 +139,8 @@ def cmd_search(args) -> int:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
     named = list((cat.picard if args.gens == "picard" else cat.hybrid).items())
-    cfg = SearchConfig(max_depth=args.max_depth, max_coeff_bits=args.max_coeff_bits)
-    result = find_word(env[args.target], [m for _n, m in named], cfg)
+    result = find_word(env[args.target], [m for _n, m in named],
+                       max_depth=args.max_depth, max_coeff_bits=args.max_coeff_bits)
     payload = {
         "target": args.target,
         "generators": [n for n, _m in named],

@@ -56,7 +56,6 @@ class _PresentationFields(NamedTuple):
     ngens: int
     relators: tuple[Word, ...]
     gen_names: tuple[str, ...] | None
-    name: str | None
 
 
 class Presentation(_PresentationFields):
@@ -64,8 +63,7 @@ class Presentation(_PresentationFields):
 
     __slots__ = ()
 
-    def __new__(cls, ngens: int, relators, gen_names: tuple[str, ...] | None = None,
-                name: str | None = None):
+    def __new__(cls, ngens: int, relators, gen_names: tuple[str, ...] | None = None):
         relators = tuple(free_reduce(r) for r in relators)
         if any(not r for r in relators):
             raise ValueError("relators must be nonempty after free reduction")
@@ -73,7 +71,7 @@ class Presentation(_PresentationFields):
             raise ValueError("relator uses an out-of-range generator")
         if gen_names is not None and len(gen_names) != ngens:
             raise ValueError("gen_names length mismatch")
-        return tuple.__new__(cls, (ngens, relators, gen_names, name))
+        return tuple.__new__(cls, (ngens, relators, gen_names))
 
     def _replace(self, **changes) -> "Presentation":
         # through __new__, as in exactring.QuadInt
@@ -98,7 +96,7 @@ def quotient_by_normal_gens(p: Presentation, extra) -> Presentation:
 # "P^2 (R Q^2)^2 P^-2"; the empty word is written "1". Round-trips through
 # format_word/parse_word.
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_']*)|(\()|(\))|(\^-?\d+)|(\*|·))")
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_']*)|(\()|(\))|(\^-?\d+))")
 
 
 def parse_word(text: str, names) -> Word:
@@ -117,7 +115,7 @@ def parse_word(text: str, names) -> Word:
                     raise ValueError(f"cannot tokenize {text[pos:]!r}")
                 break
             pos = m.end()
-            name, lpar, rpar, caret, _dot = m.groups()
+            name, lpar, rpar, caret = m.groups()
             if name:
                 if name not in index:
                     raise ValueError(f"unknown generator {name!r} in {text!r}")

@@ -11,31 +11,11 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .cxhyp import (
-    INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul,
-)
+from .cxhyp import INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import canonical_rep, proj_eq  # noqa: F401
 from .fpgroups import Word, eval_word, free_reduce
-
-
-class _SearchConfigFields(NamedTuple):
-    max_depth: int
-    max_coeff_bits: int
-
-
-class SearchConfig(_SearchConfigFields):
-    __slots__ = ()
-
-    def __new__(cls, max_depth: int = 10, max_coeff_bits: int = 512):
-        if max_depth < 0 or max_coeff_bits <= 0:
-            raise ValueError("search bounds must be positive")
-        return tuple.__new__(cls, (max_depth, max_coeff_bits))
-
-    def _replace(self, **changes) -> "SearchConfig":
-        # through __new__, as in exactring.QuadInt
-        return SearchConfig(**{**self._asdict(), **changes})
 
 
 class SearchResult(NamedTuple):
@@ -48,102 +28,80 @@ class SearchResult(NamedTuple):
         return self.word is not None
 
 
-def find_word(target: Mat, gens: list[Mat], cfg: SearchConfig = SearchConfig()) -> SearchResult:
+def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
+              max_coeff_bits: int = 512) -> SearchResult:
     """Minimal-length word over gens (and inverses) projectively equal to
-    the target, within the depth and coefficient-height bounds.
+    the target, using at most max_depth letters and dropping every state
+    whose int_height exceeds max_coeff_bits.
 
     The target and the generators must be integral 3x3 matrices, the
     generators with a unit determinant (ValueError otherwise); the states
     are expanded in the integer kernel of cxhyp."""
+    if max_depth < 0 or max_coeff_bits <= 0:
+        raise ValueError("search bounds must be positive")
     if not gens:
         raise ValueError("generator list is empty")
     if any(g.d != target.d for g in gens):
         raise ValueError("generators and target live over different rings")
     d = target.d
 
-    # forward words grow by appending letter g, i.e. right-multiplying by
-    # move g; backward words grow by prepending g, i.e. right-multiplying
-    # by the inverse of move g
+    # side 0 (forward) grows words by appending letter g, i.e. right-
+    # multiplying by move g; side 1 (backward) grows words by prepending g,
+    # i.e. right-multiplying by the inverse of move g
     igens = [int_mat(g) for g in gens]
-    fwd_moves: list[tuple[int, IntMat]] = []
-    bwd_moves: list[tuple[int, IntMat]] = []
+    moves = ([], [])
     for i, gm in enumerate(igens, start=1):
         gi = int_inv(d, gm)
-        fwd_moves += ((i, gm), (-i, gi))
-        bwd_moves += ((i, gi), (-i, gm))
+        moves[0].extend(((i, gm), (-i, gi)))
+        moves[1].extend(((i, gi), (-i, gm)))
 
-    ident = INT_ID
     tint = int_mat(target)
     target_key = int_key(d, tint)
-    if int_key(d, ident) == target_key:
+    ident_key = int_key(d, INT_ID)
+    if ident_key == target_key:
         return SearchResult((), 0, False)
 
-    # forward states: key(eval(w)) -> (w, matrix)
-    fwd = {int_key(d, ident): ((), ident)}
-    # backward states: key(target * eval(w)^-1) -> (w, matrix)
-    bwd = {target_key: ((), tint)}
-
+    # per side, key -> first word found (forward: key(eval(w)); backward:
+    # key(target * eval(w)^-1)), and the (word, matrix) states of the last
+    # expansion, revisited keys included
+    tables = ({ident_key: ()}, {target_key: ()})
+    frontiers = [[((), INT_ID)], [((), tint)]]
+    depths = [0, 0]
     pruned = False
-    fwd_depth = bwd_depth = 0
-
-    def expand(frontier: dict, forward: bool):
-        nonlocal pruned
-        moves = fwd_moves if forward else bwd_moves
+    while depths[0] + depths[1] < max_depth and (frontiers[0] or frontiers[1]):
+        side = 0 if (depths[0] <= depths[1] and frontiers[0]) or not frontiers[1] else 1
+        mine, theirs = tables[side], tables[1 - side]
         new: dict = {}
-        # insertion order of dicts plus sorted moves gives the lexicographic
-        # tie-break among equal-length words
-        for _key, (w, m) in sorted(frontier.items(), key=lambda kv: kv[1][0]):
-            # w is freely reduced, so the new word is iff the letter does not
-            # cancel its neighbour
-            end = (w[-1] if forward else w[0]) if w else 0
-            for g, gm in moves:
+        meets = []
+        # the frontier sorted by word plus the fixed move order gives the
+        # lexicographic tie-break among equal-length words
+        for w, m in sorted(frontiers[side]):
+            # w is freely reduced, so the new word is reduced iff the letter
+            # does not cancel its neighbour
+            end = (w[0] if side else w[-1]) if w else 0
+            for g, gm in moves[side]:
                 if g == -end:
                     continue
                 nm = int_mul(d, m, gm)
-                if int_height(nm) > cfg.max_coeff_bits:
+                if int_height(nm) > max_coeff_bits:
                     pruned = True
                     continue
                 key = int_key(d, nm)
-                if key not in new:
-                    new[key] = (w + (g,) if forward else (g,) + w, nm)
-        return new
-
-    frontier_fwd, frontier_bwd = dict(fwd), dict(bwd)
-    while fwd_depth + bwd_depth < cfg.max_depth:
-        meet = _best_meet(fwd, bwd)
-        if meet is not None:
-            return _verified(d, meet, igens, target_key, fwd_depth + bwd_depth, pruned)
-        if (fwd_depth <= bwd_depth and frontier_fwd) or not frontier_bwd:
-            frontier_fwd = expand(frontier_fwd, forward=True)
-            fwd_depth += 1
-            for k, v in frontier_fwd.items():
-                fwd.setdefault(k, v)
-        else:
-            frontier_bwd = expand(frontier_bwd, forward=False)
-            bwd_depth += 1
-            for k, v in frontier_bwd.items():
-                bwd.setdefault(k, v)
-        if not frontier_fwd and not frontier_bwd:
-            break
-
-    meet = _best_meet(fwd, bwd)
-    if meet is not None:
-        return _verified(d, meet, igens, target_key, fwd_depth + bwd_depth, pruned)
-    return SearchResult(None, fwd_depth + bwd_depth, pruned)
-
-
-def _best_meet(fwd: dict, bwd: dict) -> Word | None:
-    """Shortest (then lexicographically least) joined word over all meets."""
-    best: Word | None = None
-    small, large, fwd_is_small = (fwd, bwd, True) if len(fwd) <= len(bwd) else (bwd, fwd, False)
-    for key, (w, _m) in small.items():
-        other = large.get(key)
-        if other is None:
-            continue
-        word = free_reduce((w + other[0]) if fwd_is_small else (other[0] + w))
-        if best is None or (len(word), word) < (len(best), best):
-            best = word
-    return best
+                if key in new:
+                    continue
+                word = (g,) + w if side else w + (g,)
+                new[key] = (word, nm)
+                mine.setdefault(key, word)
+                # the tables were disjoint before this expansion, so a meet
+                # is a key new to this side, and word is its first word
+                if key in theirs:
+                    joined = free_reduce(theirs[key] + word if side else word + theirs[key])
+                    meets.append((len(joined), joined))
+        depths[side] += 1
+        frontiers[side] = list(new.values())
+        if meets:
+            return _verified(d, min(meets)[1], igens, target_key, depths[0] + depths[1], pruned)
+    return SearchResult(None, depths[0] + depths[1], pruned)
 
 
 def _verified(d: int, word: Word, gens: list[IntMat], target_key: IntMat, depth: int,
@@ -154,4 +112,3 @@ def _verified(d: int, word: Word, gens: list[IntMat], target_key: IntMat, depth:
                             partial(int_inv, d))) != target_key:
         raise RuntimeError("search returned an unsound word")
     return SearchResult(word, depth, pruned)
-

@@ -17,7 +17,7 @@ from picardhyb.fpgroups import (
     AbelianInvariants, Presentation, abelianization, eval_word, parse_word,
     reidemeister_schreier, smith_normal_form, todd_coxeter,
 )
-from picardhyb.search import SearchConfig, find_word
+from picardhyb.search import find_word
 
 
 def _report(criterion, description, elapsed, limit):
@@ -134,9 +134,9 @@ def test_criterion_8_search():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    u1 = find_word(env["U1"], gens, SearchConfig(max_depth=3))
+    u1 = find_word(env["U1"], gens, max_depth=3)
     assert u1.found and u1.word == (2, 2)
-    e1 = find_word(env["E1"], gens, SearchConfig(max_depth=12))
+    e1 = find_word(env["E1"], gens, max_depth=12)
     assert e1.found and len(e1.word) <= 12
     assert proj_eq(eval_word(e1.word, gens, Mat.identity(3)), env["E1"])
     _report(8, "search recovers U1 = Q^2 and a verified word for E1",

@@ -64,7 +64,13 @@ def test_triangle_certificate_rejects_a_wrong_witness():
 
 
 def test_tietze_substitution():
-    assert verify_tietze_substitution().passed
+    report = verify_tietze_substitution()
+    assert report.passed
+    # one row per quotient relator: the five Picard relators, then the
+    # words of U1, U2 and E1
+    dies = [c for c in report.checks if c.check_id == "relator-dies"]
+    assert len(dies) == len(catalog.get_catalog(3).quotient_presentation().relators) == 8
+    assert all(c.passed for c in dies)
 
 
 def test_lemma31_and_lemma36():

@@ -42,6 +42,8 @@ def test_parse_format_round_trip():
         parse_word("P X", names)
     with pytest.raises(ValueError):
         parse_word("(P Q", names)
+    with pytest.raises(ValueError):
+        parse_word("P * Q", names)
 
 
 @settings(max_examples=200, deadline=None)

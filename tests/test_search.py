@@ -1,7 +1,8 @@
-"""Bidirectional word search: recovery of known words, minimality on a
-small cyclic example, and honest exhaustion reporting."""
+"""Bidirectional word search: recovery of known words, minimality against a
+plain breadth-first search, and honest exhaustion reporting."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 import picardhyb
 from picardhyb.catalog import get_catalog
-from picardhyb.cxhyp import Mat, proj_eq
-from picardhyb.search import SearchConfig, find_word
+from picardhyb.cxhyp import INT_ID, Mat, int_inv, int_key, int_mat, int_mul, proj_eq
+from picardhyb.search import find_word
 from picardhyb.fpgroups import eval_word, format_word
 
 
@@ -19,7 +20,7 @@ def test_find_u1_as_q_squared():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    res = find_word(env["U1"], gens, SearchConfig(max_depth=3))
+    res = find_word(env["U1"], gens, max_depth=3)
     assert res.found
     assert res.word == (2, 2)  # Q^2
     assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["U1"])
@@ -29,7 +30,7 @@ def test_find_e1_within_depth_12():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    res = find_word(env["E1"], gens, SearchConfig(max_depth=12))
+    res = find_word(env["E1"], gens, max_depth=12)
     assert res.found and len(res.word) <= 12
     assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["E1"])
 
@@ -38,13 +39,13 @@ def test_search_result_is_shortest_on_cyclic_example():
     # single parabolic generator: the only word for g^4 has length 4
     cat = get_catalog(1)
     t = cat.picard["T"]
-    res = find_word(t * t * t * t, [t], SearchConfig(max_depth=8))
+    res = find_word(t * t * t * t, [t], max_depth=8)
     assert res.found and res.word == (1, 1, 1, 1)
 
 
 def test_identity_target():
     gens = [get_catalog(3).picard["P"]]
-    res = find_word(Mat.identity(3, 3), gens, SearchConfig(max_depth=4))
+    res = find_word(Mat.identity(3, 3), gens, max_depth=4)
     assert res.found and res.word == ()
 
 
@@ -52,7 +53,7 @@ def test_exhaustion_reports_not_found():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env["Q"]]  # Q has order 2; E1 is not a power of it
-    res = find_word(env["E1"], gens, SearchConfig(max_depth=6))
+    res = find_word(env["E1"], gens, max_depth=6)
     assert not res.found
     assert res.depth_searched >= 1
 
@@ -62,7 +63,7 @@ def test_primed_d1_words_recovered():
     env = dict(cat.hybrid)
     names = ["E1", "U1", "E2", "U2"]
     gens = [env[n] for n in names]
-    res = find_word(cat.hybrid_primed["R1"], gens, SearchConfig(max_depth=6))
+    res = find_word(cat.hybrid_primed["R1"], gens, max_depth=6)
     assert res.found
     assert format_word(res.word, names) == "E2^-1 E1^-2"
 
@@ -76,7 +77,7 @@ def test_unsound_word_raises_under_optimize():
         "env = get_catalog(3).env()\n"
         "try:\n"
         "    search.find_word(env['U1'], [env[n] for n in ('P', 'Q', 'R')],\n"
-        "                     search.SearchConfig(max_depth=3))\n"
+        "                     max_depth=3)\n"
         "except RuntimeError as exc:\n"
         "    print('raised:', exc)\n"
         "else:\n"
@@ -89,10 +90,57 @@ def test_unsound_word_raises_under_optimize():
     assert proc.stdout == "raised: search returned an unsound word\n"
 
 
-def test_search_config_replace_runs_the_constructor_checks():
-    with pytest.raises(ValueError) as made:
-        SearchConfig(max_depth=-1)
-    with pytest.raises(ValueError) as replaced:
-        SearchConfig()._replace(max_depth=-1)
-    assert str(replaced.value) == str(made.value) == "search bounds must be positive"
-    assert SearchConfig()._replace(max_depth=3) == SearchConfig(max_depth=3)
+@pytest.mark.parametrize("bounds", ({"max_depth": -1}, {"max_coeff_bits": 0}),
+                         ids=("max_depth", "max_coeff_bits"))
+def test_find_word_rejects_bounds_out_of_range(bounds):
+    gens = [get_catalog(3).picard["P"]]
+    with pytest.raises(ValueError, match="^search bounds must be positive$"):
+        find_word(Mat.identity(3, 3), gens, **bounds)
+
+
+def _bfs_length(target: Mat, gens: list[Mat], depth: int) -> int | None:
+    """Length of a shortest word for target by a plain forward breadth-first
+    search on the kernel, None beyond depth."""
+    d = target.d
+    moves = [int_mat(g) for g in gens]
+    moves += [int_inv(d, m) for m in moves]
+    goal = int_key(d, int_mat(target))
+    layer, seen = [INT_ID], {int_key(d, INT_ID)}
+    for n in range(depth):
+        if goal in seen:
+            return n
+        nxt = []
+        for m in layer:
+            for g in moves:
+                x = int_mul(d, m, g)
+                key = int_key(d, x)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(x)
+        layer = nxt
+    return depth if goal in seen else None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_word_is_as_short_as_breadth_first_search(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        d = rng.choice((1, 3, 7))
+        cat = get_catalog(d)
+        pool = cat.picard if rng.random() < 0.5 else cat.hybrid
+        gens = [pool[n] for n in rng.sample(sorted(pool), rng.randint(1, min(3, len(pool))))]
+        if rng.random() < 0.2:
+            target = rng.choice(list(cat.env().values()))
+        else:
+            target = Mat.identity(d, 3)
+            for _ in range(rng.randint(0, 7)):
+                g = rng.choice(gens)
+                target = target * (g if rng.random() < 0.5 else g.inverse())
+        depth = rng.randint(0, 5)
+        res = find_word(target, gens, max_depth=depth)
+        want = _bfs_length(target, gens, depth)
+        assert not res.pruned_by_height
+        assert res.found == (want is not None)
+        if res.found:
+            assert len(res.word) == want
+            assert proj_eq(eval_word(res.word, gens, Mat.identity(d)), target)
