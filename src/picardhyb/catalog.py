@@ -2,10 +2,11 @@
 identities for the Picard modular groups PU(2,1,O_d) and their hybrid
 subgroups H(d), d in {1, 3, 7}.
 
-Every displayed 3x3 hybrid matrix is stored twice: as the literal and as
-the block embedding conjugated by the Cayley transform. Equality of the
-two is asserted when the catalog is built, so transcription drift in
-either source is caught immediately.
+Every hybrid generator is built one way, by _build: the block embedding
+of a disk-model matrix conjugated by the Cayley transform. Where the paper
+displays the 3x3 matrix, the literal is compared with the construction
+when the catalog is built, so transcription drift in either source is
+caught immediately.
 
 Two corrected readings are stored with flags (surfaced in reports):
   * d=1: the identity "U2 = I0 U2 I0" is realized as U2 = I0 T I0, the
@@ -120,10 +121,7 @@ class Catalog:
 
     def env(self) -> dict[str, Mat]:
         """Combined name -> matrix namespace (Picard plus hybrid)."""
-        out = dict(self.picard)
-        out.update(self.hybrid)
-        out.update(self.hybrid_primed)
-        return out
+        return {**self.picard, **self.hybrid, **self.hybrid_primed}
 
     def eval_word(self, text: str, env: dict[str, Mat] | None = None) -> Mat:
         return _eval(self.d, text, self.env() if env is None else env)
@@ -148,11 +146,14 @@ class Catalog:
     def picard_word(self, text: str) -> Word:
         return parse_word(text, self.presentation.names())
 
+    def hybrid_words(self) -> tuple[Word, ...]:
+        """The word-identity words: the hybrid generators over the Picard ones."""
+        return tuple(self.picard_word(wi.word) for wi in self.word_identities)
+
     def quotient_presentation(self) -> Presentation:
-        """The presentation with every word-identity word killed:
-        PU(2,1,O_d) modulo the normal closure of the hybrid generators."""
-        return quotient_by_normal_gens(
-            self.presentation, tuple(self.picard_word(wi.word) for wi in self.word_identities))
+        """The presentation with every hybrid_words word killed: PU(2,1,O_d)
+        modulo the normal closure of the hybrid generators."""
+        return quotient_by_normal_gens(self.presentation, self.hybrid_words())
 
 
 def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
@@ -167,160 +168,145 @@ def _int_eval(d: int, w: Word, gens: list[IntMat]) -> IntMat:
 
 # -- per-d construction ----------------------------------------------------
 
+def _build(d: int, fuchsian: dict[str, Mat], picard: dict[str, Mat],
+           relators: tuple[str, ...], displayed: dict[str, Mat],
+           constructions: dict[str, tuple[int, str]], word_identities: tuple[WordIdentity, ...],
+           conjugations: tuple[ConjugationIdentity, ...], flags: tuple[str, ...],
+           primed: tuple[str, ...] = ()) -> Catalog:
+    """The catalog of one ring. The relators are word texts over the Picard
+    names. Each hybrid generator is J^-1 iota_slot(m) J for the disk matrix m
+    that constructions names by (slot, name), "-Id" being the negated 2x2
+    identity; the names in primed go to the primed hybrid, the others to the
+    plain one, in table order. Every displayed matrix (as the paper prints
+    it) must equal its construction."""
+    disk = {**fuchsian, "-Id": Mat.identity(d, 2).scale(-1)}
+    built = {name: cayley(embed(slot, disk[m])) for name, (slot, m) in constructions.items()}
+    for name, m in displayed.items():
+        if m != built[name]:
+            raise CatalogError(
+                f"displayed matrix {name} differs from its embed/cayley construction")
+    names = tuple(picard)
+    return Catalog(d, fuchsian, picard,
+                   Presentation(len(names), tuple(parse_word(t, names) for t in relators), names),
+                   hybrid={n: m for n, m in built.items() if n not in primed},
+                   hybrid_primed={n: built[n] for n in primed},
+                   word_identities=word_identities, conjugation_identities=conjugations,
+                   flags=flags)
+
+
 def _catalog_d3() -> Catalog:
     d = 3
     w = QuadInt.tau(3)           # omega
+    w2 = w * w
     isq3 = QuadInt.sqrt_minus_d(3)
 
-    fuchsian = {
-        "R": _mat(d, ((QuadInt(d, 1, 1), 0), (0, 1))),              # -w^2 = 1+w
-        "U": _mat(d, ((1 + isq3, -isq3), (isq3, 1 - isq3))),
-        "E": _mat(d, ((w, 0), (0, w * w))),
-    }
-    picard = {
-        "P": _mat(d, ((1, 1, w), (0, w, -w), (0, 0, 1))),
-        "Q": _mat(d, ((1, 1, w), (0, -1, 1), (0, 0, 1))),
-        "R": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
-    }
-    pres = _presentation(
-        ("P", "Q", "R"),
-        ("R^2", "(Q P^-1)^6", "P Q^-1 R Q P^-1 R", "P^3 Q^-2", "(R P)^3"))
-
-    w2 = w * w
-    hybrid_displayed = {
-        "E1": _mat(d, ((w2, w2 - 1, w + 2),
-                       (isq3, 1 + isq3, w2 - 1),
-                       (isq3, isq3, w2))),
-        "U1": _mat(d, ((1, 0, isq3), (0, 1, 0), (0, 0, 1))),
-        "E2": _mat(d, ((w2, -isq3, isq3),
-                       (w + 2, 1 + isq3, -isq3),
-                       (w + 2, w + 2, w2))),
-        "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (isq3, 0, 1))),
-    }
-    minus_id2 = _mat(d, ((-1, 0), (0, -1)))
-    constructed = {
-        "E1": cayley(embed(1, fuchsian["E"])),
-        "U1": cayley(embed(1, fuchsian["U"])),
-        "E2": cayley(embed(2, fuchsian["E"])),
-        "U2": cayley(embed(2, fuchsian["U"])),
-    }
-    _check_displays(hybrid_displayed, constructed)
-    hybrid = dict(constructed)
-    hybrid["I1"] = cayley(embed(1, minus_id2))
-    hybrid["I2"] = cayley(embed(2, minus_id2))
-
-    word_identities = (
-        WordIdentity("lemma-3.2", "U1", "Q^2"),
-        WordIdentity("lemma-3.2", "U2", "R Q^2 R"),
-        WordIdentity("lemma-3.2", "E1", "P^2 (R Q^2)^2 P^-2"),
-    )
-    conjugations = tuple(
-        ConjugationIdentity("lemma-3.3", lhs, rhs) for lhs, rhs in (
-            ("P^-1 U1 P", "U1"),
-            ("Q^-1 U1 Q", "U1"),
-            ("R^-1 U1 R", "U2"),
-            ("P^-1 U2 P", "U1^-1 E1"),
-            ("Q^-1 U2 Q", "U1^-1 E1"),
-            ("R^-1 U2 R", "U1"),
-            ("P^-1 E1 P", "U2^-1 E1^-1 U1"),
-            ("Q^-1 E1 Q", "U2 U1"),
-            ("R^-1 E1 R", "E1^-1"),
-        ))
-
-    # primed generator E1' = P^2 (R Q^2) P^-2, a square root of E1
-    x = _int_eval(d, parse_word("P^2 (R Q^2) P^-2", tuple(picard)),
-                  [int_mat(m) for m in picard.values()])
-    if int_key(d, int_mul(d, x, x)) != int_key(d, int_mat(hybrid["E1"])):
-        raise CatalogError("(E1')^2 is not E1 projectively")
-    e1p = mat_from_int(d, x)
-
-    return Catalog(
-        d=d,
-        fuchsian=fuchsian,
-        picard=picard,
-        presentation=pres,
-        hybrid=hybrid,
-        hybrid_primed={"E1p": e1p},
-        word_identities=word_identities,
-        conjugation_identities=conjugations,
+    cat = _build(
+        d,
+        fuchsian={
+            "R": _mat(d, ((QuadInt(d, 1, 1), 0), (0, 1))),              # -w^2 = 1+w
+            "U": _mat(d, ((1 + isq3, -isq3), (isq3, 1 - isq3))),
+            "E": _mat(d, ((w, 0), (0, w * w))),
+        },
+        picard={
+            "P": _mat(d, ((1, 1, w), (0, w, -w), (0, 0, 1))),
+            "Q": _mat(d, ((1, 1, w), (0, -1, 1), (0, 0, 1))),
+            "R": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
+        },
+        relators=("R^2", "(Q P^-1)^6", "P Q^-1 R Q P^-1 R", "P^3 Q^-2", "(R P)^3"),
+        displayed={
+            "E1": _mat(d, ((w2, w2 - 1, w + 2),
+                           (isq3, 1 + isq3, w2 - 1),
+                           (isq3, isq3, w2))),
+            "U1": _mat(d, ((1, 0, isq3), (0, 1, 0), (0, 0, 1))),
+            "E2": _mat(d, ((w2, -isq3, isq3),
+                           (w + 2, 1 + isq3, -isq3),
+                           (w + 2, w + 2, w2))),
+            "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (isq3, 0, 1))),
+        },
+        constructions={"E1": (1, "E"), "U1": (1, "U"), "E2": (2, "E"), "U2": (2, "U"),
+                       "I1": (1, "-Id"), "I2": (2, "-Id")},
+        word_identities=(
+            WordIdentity("lemma-3.2", "U1", "Q^2"),
+            WordIdentity("lemma-3.2", "U2", "R Q^2 R"),
+            WordIdentity("lemma-3.2", "E1", "P^2 (R Q^2)^2 P^-2"),
+        ),
+        conjugations=tuple(
+            ConjugationIdentity("lemma-3.3", lhs, rhs) for lhs, rhs in (
+                ("P^-1 U1 P", "U1"),
+                ("Q^-1 U1 Q", "U1"),
+                ("R^-1 U1 R", "U2"),
+                ("P^-1 U2 P", "U1^-1 E1"),
+                ("Q^-1 U2 Q", "U1^-1 E1"),
+                ("R^-1 U2 R", "U1"),
+                ("P^-1 E1 P", "U2^-1 E1^-1 U1"),
+                ("Q^-1 E1 Q", "U2 U1"),
+                ("R^-1 E1 R", "E1^-1"),
+            )),
         flags=("section-3-closing: the H'(3) generator words die in "
                "Gamma(3)^ab = Z/6, so Gamma(3)/<<H'(3)>> surjects onto Z/6 "
                "and is not the trivial group; <<H'(3)>> is contained in "
                "[Gamma(3),Gamma(3)]",),
     )
 
+    # primed generator E1' = P^2 (R Q^2) P^-2, a square root of E1
+    x = _int_eval(d, cat.picard_word("P^2 (R Q^2) P^-2"),
+                  [int_mat(m) for m in cat.picard.values()])
+    if int_key(d, int_mul(d, x, x)) != int_key(d, int_mat(cat.hybrid["E1"])):
+        raise CatalogError("(E1')^2 is not E1 projectively")
+    return cat._replace(hybrid_primed={"E1p": mat_from_int(d, x)})
+
 
 def _catalog_d1() -> Catalog:
     d = 1
     i = QuadInt.tau(1)
-
-    fuchsian = {
-        "R": _mat(d, ((i, 0), (0, 1))),
-        "U": _mat(d, ((1 + i, -i), (i, 1 - i))),
-        "E": _mat(d, ((-i, 0), (0, i))),
-    }
-    picard = {
-        "I0": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
-        "Q": _mat(d, ((1, 1 - i, -1), (0, -1, 1 + i), (0, 0, 1))),
-        "T": _mat(d, ((1, 0, i), (0, 1, 0), (0, 0, 1))),
-    }
-    pres = _presentation(
-        ("I0", "Q", "T"),
-        ("I0^2", "Q^2", "(I0 Q)^3", "(I0 T)^12", "(I0 Q T)^8",
-         "(I0 T)^3 T (I0 T)^-3 T^-1", "Q T Q^-1 T^-1"))
-
-    hybrid_displayed = {
-        "E1": _mat(d, ((i, -1 + i, 1 - i),
-                       (-2 * i, 1 - 2 * i, -1 + i),
-                       (-2 * i, -2 * i, i))),
-        "U1": _mat(d, ((1, 0, i), (0, 1, 0), (0, 0, 1))),
-        "E2": _mat(d, ((i, 2 * i, -2 * i),
-                       (1 - i, 1 - 2 * i, 2 * i),
-                       (1 - i, 1 - i, i))),
-        "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (i, 0, 1))),
-    }
-    constructed = {
-        "E1": cayley(embed(1, fuchsian["E"])),
-        "U1": cayley(embed(1, fuchsian["U"])),
-        "E2": cayley(embed(2, fuchsian["E"])),
-        "U2": cayley(embed(2, fuchsian["U"])),
-    }
-    _check_displays(hybrid_displayed, constructed)
-    hybrid = dict(constructed)
-
     e1_word = "T^-1 Q (I0 T)^3 I0 (T (I0 T)^-3 Q)^2 I0"
-    word_identities = (
-        WordIdentity("lemma-4.3", "U1", "T"),
-        WordIdentity("lemma-4.3", "U2", "I0 T I0",
-                     note="printed as the self-referential 'U2 = I0 U2 I0'; "
-                          "corrected to I0 T I0"),
-        WordIdentity("lemma-4.3", "E1", e1_word),
-        WordIdentity("lemma-4.3", "E2", f"I0 ({e1_word}) I0"),
-    )
-    conjugations = tuple(
-        ConjugationIdentity("lemma-4.4", lhs, rhs) for lhs, rhs in (
-            ("Q^-1 U1 Q", "U1"),
-            ("Q^-1 U2 Q", "(U1 E1) U2 (U1 E1)^-1"),
-            ("Q^-1 E1 Q", "(U2 U1) E2 (U2 U1)^-1"),
-            ("Q^-1 E2 Q", "(U2 U1) E1 (U2 U1)^-1"),
-            ("I0 U1 I0", "U2"),
-            ("I0 E1 I0", "E2"),
-        ))
 
-    # order-4 elements of the primed hybrid H'(1): iota_1 and iota_2 of the
-    # disk rotation R (the square root of the elliptic E in PU(1,1))
-    r1 = cayley(embed(1, fuchsian["R"]))
-    r2 = cayley(embed(2, fuchsian["R"]))
-
-    return Catalog(
-        d=d,
-        fuchsian=fuchsian,
-        picard=picard,
-        presentation=pres,
-        hybrid=hybrid,
-        hybrid_primed={"R1": r1, "R2": r2},
-        word_identities=word_identities,
-        conjugation_identities=conjugations,
+    return _build(
+        d,
+        fuchsian={
+            "R": _mat(d, ((i, 0), (0, 1))),
+            "U": _mat(d, ((1 + i, -i), (i, 1 - i))),
+            "E": _mat(d, ((-i, 0), (0, i))),
+        },
+        picard={
+            "I0": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
+            "Q": _mat(d, ((1, 1 - i, -1), (0, -1, 1 + i), (0, 0, 1))),
+            "T": _mat(d, ((1, 0, i), (0, 1, 0), (0, 0, 1))),
+        },
+        relators=("I0^2", "Q^2", "(I0 Q)^3", "(I0 T)^12", "(I0 Q T)^8",
+                  "(I0 T)^3 T (I0 T)^-3 T^-1", "Q T Q^-1 T^-1"),
+        displayed={
+            "E1": _mat(d, ((i, -1 + i, 1 - i),
+                           (-2 * i, 1 - 2 * i, -1 + i),
+                           (-2 * i, -2 * i, i))),
+            "U1": _mat(d, ((1, 0, i), (0, 1, 0), (0, 0, 1))),
+            "E2": _mat(d, ((i, 2 * i, -2 * i),
+                           (1 - i, 1 - 2 * i, 2 * i),
+                           (1 - i, 1 - i, i))),
+            "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (i, 0, 1))),
+        },
+        constructions={"E1": (1, "E"), "U1": (1, "U"), "E2": (2, "E"), "U2": (2, "U"),
+                       "R1": (1, "R"), "R2": (2, "R")},
+        # order-4 elements of the primed hybrid H'(1): iota_1 and iota_2 of
+        # the disk rotation R (the square root of the elliptic E in PU(1,1))
+        primed=("R1", "R2"),
+        word_identities=(
+            WordIdentity("lemma-4.3", "U1", "T"),
+            WordIdentity("lemma-4.3", "U2", "I0 T I0",
+                         note="printed as the self-referential 'U2 = I0 U2 I0'; "
+                              "corrected to I0 T I0"),
+            WordIdentity("lemma-4.3", "E1", e1_word),
+            WordIdentity("lemma-4.3", "E2", f"I0 ({e1_word}) I0"),
+        ),
+        conjugations=tuple(
+            ConjugationIdentity("lemma-4.4", lhs, rhs) for lhs, rhs in (
+                ("Q^-1 U1 Q", "U1"),
+                ("Q^-1 U2 Q", "(U1 E1) U2 (U1 E1)^-1"),
+                ("Q^-1 E1 Q", "(U2 U1) E2 (U2 U1)^-1"),
+                ("Q^-1 E2 Q", "(U2 U1) E1 (U2 U1)^-1"),
+                ("I0 U1 I0", "U2"),
+                ("I0 E1 I0", "E2"),
+            )),
         flags=("lemma-4.3: 'U2 = I0 U2 I0' realized as U2 = I0 T I0",
                "corollary-4.6: the order-4 elements R1, R2 satisfy the exact "
                "scalar identities E1^2 E2 R1 = E1 E2^2 R2 = -i Id, so they "
@@ -339,93 +325,63 @@ def _catalog_d7() -> Catalog:
         "A": _mat(d, ((t - 1, 1), (-1, t))),
         "B": _mat(d, ((-1, 0), (0, 1))),
     }
-    picard = {
-        "T1": _mat(d, ((1, -1, t - 1), (0, 1, 1), (0, 0, 1))),
-        "R": _mat(d, ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
-        "I": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
-    }
-    pres = _presentation(
-        ("T1", "R", "I"),
-        ("R^2", "I^2", "(R I)^2",
-         "R T1^-1 R T1 R T1 R T1^-1",
-         "(T1 I T1^-1 R)^4",
-         "(T1^-1 I T1 R)^4",
-         "T1^-1 I T1^-1 I T1 I T1 I T1^-3 I T1 I T1 I T1^-1 I T1^-1",
-         "(T1^-1 I T1 I T1 I T1^-1 I T1^-1 I)^2",
-         "(I T1^-1 R)^7",
-         "T1^-1 I T1 I T1 I T1^-2 I T1^-1 I T1 I T1^2 I T1^-1 I T1^-1 I T1 I",
-         "T1^-1 I T1 I T1 I R T1 I R T1 I T1 I T1^-1 I T1^-1 I T1 R T1^-1 I R T1^-1 I",
-         "R T1 I R T1 I T1 I T1^-1 I T1^-1 I R T1^-1 I R T1^-1 I T1^-1 I T1 I T1 I T1^-1",
-         "R T1 I R T1 R T1^-1 I T1 I T1 I R T1 I T1 I T1^-1 R T1 R I T1 R T1^-1 I "
-         "T1 I T1 I T1 I T1^-1"))
-
-    hybrid_displayed = {
-        "U1": _mat(d, ((1, 0, isq7), (0, 1, 0), (0, 0, 1))),
-        "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (isq7, 0, 1))),
-        "A1": _mat(d, ((t - 1, t - 2, 1 - t), (1, 2, t - 2), (1, 1, t - 1))),
-        "B1": _mat(d, ((1, 0, 0), (-2, -1, 0), (-2, -2, 1))),
-        "A2": _mat(d, ((t - 1, -1, 1), (2 - t, 2, -1), (1 - t, 2 - t, t - 1))),
-        "B2": _mat(d, ((1, 2, -2), (0, -1, 2), (0, 0, 1))),
-    }
-    constructed = {
-        "U1": cayley(embed(1, fuchsian["U"])),
-        "U2": cayley(embed(2, fuchsian["U"])),
-        "A1": cayley(embed(1, fuchsian["A"])),
-        "A2": cayley(embed(2, fuchsian["A"])),
-        "B1": cayley(embed(1, fuchsian["B"])),
-        "B2": cayley(embed(2, fuchsian["B"])),   # corrected from iota_2(U)
-    }
-    _check_displays(hybrid_displayed, constructed)
-
     # the simplification used to drop the -Id generators (projective identity)
-    minus_id2 = _mat(d, ((-1, 0), (0, -1)))
-    if not proj_eq(embed(1, minus_id2), embed(2, fuchsian["B"])) or \
-       not proj_eq(embed(2, minus_id2), embed(1, fuchsian["B"])):
+    minus_id2 = Mat.identity(d, 2).scale(-1)
+    if not all(proj_eq(embed(j, minus_id2), embed(3 - j, fuchsian["B"])) for j in (1, 2)):
         raise CatalogError("iota_1(-Id) = iota_2(B) cross-check failed")
 
-    word_identities = (
-        WordIdentity("lemma-5.3", "U1", "(R T1)^2"),
-        WordIdentity("lemma-5.3", "U2", "I (R T1)^2 I"),
-        WordIdentity("lemma-5.3", "A1", "T1 I T1 R"),
-        WordIdentity("lemma-5.3", "A2", "I (T1 I T1 R) I"),
-        WordIdentity("lemma-5.3", "B1", "(I T1) R (I T1)^-1"),
-        WordIdentity("lemma-5.3", "B2", "I ((I T1) R (I T1)^-1) I"),
-    )
-    conjugations = tuple(
-        ConjugationIdentity("lemma-5.4", lhs, rhs) for lhs, rhs in (
-            ("T1^-1 A1 T1", "(A1 A2^-1 B2 A2^-1 A1)^-1 A2 (A1 A2^-1 B2 A2^-1 A1)"),
-            ("T1^-1 A2 T1", "(B2 A2 A1^-1 A2^-1 B1)^-1 A2 (B2 A2 A1^-1 A2^-1 B1)"),
-            ("T1^-1 B1 T1", "(A1^-1 A2^-1 B1)^-1 B1 (A1^-1 A2^-1 B1)"),
-            ("T1^-1 B2 T1", "R"),
-            ("T1^-1 U1 T1", "U1"),
-            ("T1^-1 U2 T1", "(A1^2 A2^-1 B2 A2^-1 A1)^-1 U2 (A1^2 A2^-1 B2 A2^-1 A1)"),
-            ("R", "(A1 A2 B1 A1 B2)^-1 B1 (A1 A2 B1 A1 B2)"),
-        ))
-
-    return Catalog(
-        d=d,
+    return _build(
+        d,
         fuchsian=fuchsian,
-        picard=picard,
-        presentation=pres,
-        hybrid=constructed,
-        hybrid_primed={},
-        word_identities=word_identities,
-        conjugation_identities=conjugations,
+        picard={
+            "T1": _mat(d, ((1, -1, t - 1), (0, 1, 1), (0, 0, 1))),
+            "R": _mat(d, ((1, 0, 0), (0, -1, 0), (0, 0, 1))),
+            "I": _mat(d, ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
+        },
+        relators=(
+            "R^2", "I^2", "(R I)^2",
+            "R T1^-1 R T1 R T1 R T1^-1",
+            "(T1 I T1^-1 R)^4",
+            "(T1^-1 I T1 R)^4",
+            "T1^-1 I T1^-1 I T1 I T1 I T1^-3 I T1 I T1 I T1^-1 I T1^-1",
+            "(T1^-1 I T1 I T1 I T1^-1 I T1^-1 I)^2",
+            "(I T1^-1 R)^7",
+            "T1^-1 I T1 I T1 I T1^-2 I T1^-1 I T1 I T1^2 I T1^-1 I T1^-1 I T1 I",
+            "T1^-1 I T1 I T1 I R T1 I R T1 I T1 I T1^-1 I T1^-1 I T1 R T1^-1 I R T1^-1 I",
+            "R T1 I R T1 I T1 I T1^-1 I T1^-1 I R T1^-1 I R T1^-1 I T1^-1 I T1 I T1 I T1^-1",
+            "R T1 I R T1 R T1^-1 I T1 I T1 I R T1 I T1 I T1^-1 R T1 R I T1 R T1^-1 I "
+            "T1 I T1 I T1 I T1^-1"),
+        displayed={
+            "U1": _mat(d, ((1, 0, isq7), (0, 1, 0), (0, 0, 1))),
+            "U2": _mat(d, ((1, 0, 0), (0, 1, 0), (isq7, 0, 1))),
+            "A1": _mat(d, ((t - 1, t - 2, 1 - t), (1, 2, t - 2), (1, 1, t - 1))),
+            "B1": _mat(d, ((1, 0, 0), (-2, -1, 0), (-2, -2, 1))),
+            "A2": _mat(d, ((t - 1, -1, 1), (2 - t, 2, -1), (1 - t, 2 - t, t - 1))),
+            "B2": _mat(d, ((1, 2, -2), (0, -1, 2), (0, 0, 1))),
+        },
+        constructions={"U1": (1, "U"), "U2": (2, "U"), "A1": (1, "A"), "A2": (2, "A"),
+                       "B1": (1, "B"), "B2": (2, "B")},
+        word_identities=(
+            WordIdentity("lemma-5.3", "U1", "(R T1)^2"),
+            WordIdentity("lemma-5.3", "U2", "I (R T1)^2 I"),
+            WordIdentity("lemma-5.3", "A1", "T1 I T1 R"),
+            WordIdentity("lemma-5.3", "A2", "I (T1 I T1 R) I"),
+            WordIdentity("lemma-5.3", "B1", "(I T1) R (I T1)^-1"),
+            WordIdentity("lemma-5.3", "B2", "I ((I T1) R (I T1)^-1) I"),
+        ),
+        conjugations=tuple(
+            ConjugationIdentity("lemma-5.4", lhs, rhs) for lhs, rhs in (
+                ("T1^-1 A1 T1", "(A1 A2^-1 B2 A2^-1 A1)^-1 A2 (A1 A2^-1 B2 A2^-1 A1)"),
+                ("T1^-1 A2 T1", "(B2 A2 A1^-1 A2^-1 B1)^-1 A2 (B2 A2 A1^-1 A2^-1 B1)"),
+                ("T1^-1 B1 T1", "(A1^-1 A2^-1 B1)^-1 B1 (A1^-1 A2^-1 B1)"),
+                ("T1^-1 B2 T1", "R"),
+                ("T1^-1 U1 T1", "U1"),
+                ("T1^-1 U2 T1", "(A1^2 A2^-1 B2 A2^-1 A1)^-1 U2 (A1^2 A2^-1 B2 A2^-1 A1)"),
+                ("R", "(A1 A2 B1 A1 B2)^-1 B1 (A1 A2 B1 A1 B2)"),
+            )),
         flags=("section-5: 'B2 = J^-1 iota_2(U) J' realized with B, "
                "matching the displayed matrix",),
     )
-
-
-def _presentation(names, relator_texts) -> Presentation:
-    relators = tuple(parse_word(t, names) for t in relator_texts)
-    return Presentation(len(names), relators, tuple(names))
-
-
-def _check_displays(displayed: dict[str, Mat], constructed: dict[str, Mat]) -> None:
-    for k, m in displayed.items():
-        if m != constructed[k]:
-            raise CatalogError(
-                f"displayed matrix {k} differs from its embed/cayley construction")
 
 
 def _validate(cat: Catalog) -> Catalog:
@@ -435,9 +391,10 @@ def _validate(cat: Catalog) -> Catalog:
     for name, m in cat.fuchsian.items():
         if not (m.is_integral() and int_is_unitary(cat.d, int_mat(cayley(embed(1, m))))):
             raise CatalogError(f"2x2 generator {name} does not preserve the disk form")
-    for name, m in cat.env().items():
-        if not (m.is_integral() and int_is_unitary(cat.d, int_mat(m))):
-            raise CatalogError(f"3x3 matrix {name} does not preserve the Siegel form")
+    bad = ([n for n, m in cat.env().items() if not m.is_integral()]
+           or [n for n, x in cat.int_env.items() if not int_is_unitary(cat.d, x)])
+    if bad:
+        raise CatalogError(f"3x3 matrix {bad[0]} does not preserve the Siegel form")
     gens = [cat.int_env[n] for n in cat.presentation.names()]
     ident = int_key(cat.d, INT_ID)
     for rel in cat.presentation.relators:
@@ -447,12 +404,11 @@ def _validate(cat: Catalog) -> Catalog:
     return cat
 
 
+_RINGS = {1: _catalog_d1, 3: _catalog_d3, 7: _catalog_d7}
+
+
 @lru_cache(maxsize=None)
 def get_catalog(d: int) -> Catalog:
-    if d == 1:
-        return _validate(_catalog_d1())
-    if d == 3:
-        return _validate(_catalog_d3())
-    if d == 7:
-        return _validate(_catalog_d7())
-    raise ValueError(f"unsupported d={d!r}; must be one of {SUPPORTED_D}")
+    if d not in _RINGS:
+        raise ValueError(f"unsupported d={d!r}; must be one of {SUPPORTED_D}")
+    return _validate(_RINGS[d]())

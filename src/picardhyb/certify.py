@@ -271,15 +271,18 @@ D3_OVERFLOW_CAP = 20000
 
 
 def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
-    """The coset table of PU(2,1,O_d)/H(d) for d = 1, 7; for d = 3 the
-    (2,3,6) certificate, "infinite" iff it validates and the generator
-    change it uses is verified."""
+    """For d = 1, 7 the coset table of H(d) itself in PU(2,1,O_d), enumerated
+    from the hybrid_words of the catalog (not of the normal closure of H(d),
+    whose quotient has order [PU(2,1,O_d) : H(d)] only if H(d) is normal);
+    for d = 3 the (2,3,6) certificate, "infinite" iff it validates and the
+    generator change it uses is verified."""
     if d == 3:
         cert = triangle_236_certificate()
         certified = cert.validate() and verify_tietze_substitution().passed
         return IndexResult(3, "infinite" if certified else "undecided",
                            certificate=cert)
-    table = todd_coxeter(get_catalog(d).quotient_presentation(), max_cosets=max_cosets)
+    cat = get_catalog(d)
+    table = todd_coxeter(cat.presentation, cat.hybrid_words(), max_cosets=max_cosets)
     if not table.complete:
         return IndexResult(d, "overflowed", table=table)
     return IndexResult(d, "finite", index=table.index, table=table)
@@ -332,8 +335,8 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
     """Corrected reading of the d=1 primed hybrid: the order-4 elements
     R1 = iota_1(R), R2 = iota_2(R) satisfy exact scalar identities placing
     them inside H(1), and conversely E1, E2 are words in R1, R2, so
-    H'(1) = H(1) and the lattice quotient by H'(1) still has order 2; a
-    coset cap too small for that quotient fails its row."""
+    H'(1) = H(1), and the cosets of H(1) with the word of R1 adjoined still
+    number 2; a coset cap too small for that enumeration fails its row."""
     cat = get_catalog(1)
     names = (*cat.hybrid, *cat.hybrid_primed)
     report = Report("primed hybrid d=1")
@@ -350,9 +353,8 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
                    cat.word_key(lhs, names) == int_key(1, cat.int_env[rhs]))
     report.add("corollary-4.6", "the order-4 word over I0, Q, T is verified",
                verify_primed_d1_word())
-    pres = quotient_by_normal_gens(
-        cat.quotient_presentation(), (cat.picard_word(PRIMED_D1_WORD),))
-    table = todd_coxeter(pres, max_cosets=max_cosets)
+    subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
+    table = todd_coxeter(cat.presentation, subgens, max_cosets=max_cosets)
     report.add("corollary-4.6", "adjoining the order-4 element leaves a "
                "quotient of order 2, not 1: H'(1) = H(1) (corrected reading)",
                table.complete and table.index == 2)
@@ -361,24 +363,28 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
 
 # -- abelianizations -------------------------------------------------------
 
+# the relations of lemma 3.6 among E1, U1, U2, each checked by
+# lemma36_relations and abelianized by hybrid_abelianization_bounds
+LEMMA36_RELATORS = ("E1^3", "(U1 U2)^3", "(E1 U1^-1 U2)^3", "(E1 U2 U1^-1)^3",
+                    "(E1^-1 U1 U2^-1)^3", "(E1^-1 U2^-1 U1)^3")
+
+
 def lemma36_relations() -> Report:
     cat = get_catalog(3)
     report = Report("relations among E1, U1, U2")
     ident = int_key(3, INT_ID)
-    for text in ("E1^3", "(U1 U2)^3", "(E1 U1^-1 U2)^3", "(E1 U2 U1^-1)^3",
-                 "(E1^-1 U1 U2^-1)^3", "(E1^-1 U2^-1 U1)^3"):
+    for text in LEMMA36_RELATORS:
         report.add("lemma-3.6", f"{text} = 1", cat.word_key(text) == ident)
     return report
 
 
 def partial_hybrid_presentation(primed: bool = False) -> Presentation:
-    """<E1 (or E1'), U1, U2> subject to the verified relations; for the
+    """<E1 (or E1'), U1, U2> subject to the lemma-3.6 relations; for the
     primed variant E1 = (E1')^2 is substituted."""
-    e = "e^2" if primed else "e"
-    texts = (f"({e})^3", "(u v)^3", f"({e} u^-1 v)^3", f"({e} v u^-1)^3",
-             f"(({e})^-1 u v^-1)^3", f"(({e})^-1 v^-1 u)^3")
-    names = ("e", "u", "v")
-    return Presentation(3, tuple(parse_word(t, names) for t in texts), names)
+    relators = [parse_word(t, ("E1", "U1", "U2")) for t in LEMMA36_RELATORS]
+    if primed:
+        relators = [_substitute(r, [(1, 1), (2,), (3,)]) for r in relators]
+    return Presentation(3, relators, ("E1p" if primed else "E1", "U1", "U2"))
 
 
 def commutator_subgroup_table() -> CosetTable:

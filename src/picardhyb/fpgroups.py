@@ -103,50 +103,42 @@ def parse_word(text: str, names) -> Word:
     if text.strip() == "1":
         return ()
     index = {n: i + 1 for i, n in enumerate(names)}
+    groups: list[list[int]] = [[]]   # the open parenthesized groups, innermost last
+    start = None                     # where the factor an exponent may follow starts
     pos = 0
-
-    def parse_seq(depth: int):
-        nonlocal pos
-        out: list[int] = []
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            pos = m.end()
-            name, lpar, rpar, caret = m.groups()
-            if name:
-                if name not in index:
-                    raise ValueError(f"unknown generator {name!r} in {text!r}")
-                out.extend(_with_exponent([index[name]]))
-            elif lpar:
-                inner = parse_seq(depth + 1)
-                out.extend(_with_exponent(inner))
-            elif rpar:
-                if depth == 0:
-                    raise ValueError(f"unbalanced ')' in {text!r}")
-                return out
-            elif caret:
-                raise ValueError(f"dangling exponent in {text!r}")
-        if depth != 0:
-            raise ValueError(f"unbalanced '(' in {text!r}")
-        return out
-
-    def _with_exponent(base: list[int]) -> list[int]:
-        nonlocal pos
+    while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m and m.group(4):
-            pos = m.end()
-            e = int(m.group(4)[1:])
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"cannot tokenize {text[pos:]!r}")
+            break
+        pos = m.end()
+        name, lpar, rpar, caret = m.groups()
+        out = groups[-1]
+        if name:
+            if name not in index:
+                raise ValueError(f"unknown generator {name!r} in {text!r}")
+            start = len(out)
+            out.append(index[name])
+        elif lpar:
+            groups.append([])
+            start = None
+        elif rpar:
+            if len(groups) == 1:
+                raise ValueError(f"unbalanced ')' in {text!r}")
+            inner = groups.pop()
+            start = len(groups[-1])
+            groups[-1].extend(inner)
+        elif start is None:
+            raise ValueError(f"dangling exponent in {text!r}")
         else:
-            e = 1
-        if e < 0:
-            base = [-g for g in reversed(base)]
-            e = -e
-        return base * e
-
-    return free_reduce(parse_seq(0))
+            e = int(caret[1:])
+            factor = out[start:] if e >= 0 else invert_word(out[start:])
+            out[start:] = factor * abs(e)
+            start = None
+    if len(groups) > 1:
+        raise ValueError(f"unbalanced '(' in {text!r}")
+    return free_reduce(groups[0])
 
 
 def format_word(w: Word, names) -> str:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from picardhyb import catalog
 from picardhyb.catalog import (
     Catalog, CatalogError, _validate, cayley, cayley_transform, embed,
     get_catalog,
@@ -137,6 +138,23 @@ def test_kernel_build_matches_mat(d):
     for m in disk.values():
         for slot in (1, 2):
             assert cayley(embed(slot, m)) == j_inv * embed(slot, m) * j
+
+
+# the hybrid matrices the paper displays, which each ring's catalog compares
+# with their construction
+DISPLAYED = {1: ("E1", "U1", "E2", "U2"), 3: ("E1", "U1", "E2", "U2"),
+             7: ("U1", "U2", "A1", "A2", "B1", "B2")}
+
+
+@pytest.mark.parametrize("d, name", [(d, n) for d in DISPLAYED for n in DISPLAYED[d]])
+def test_ring_rejects_a_construction_that_differs_from_its_display(monkeypatch, d, name):
+    slot, m = CONSTRUCTIONS[d][name]
+    victim = embed(slot, get_catalog(d).fuchsian[m])
+    real = catalog.cayley
+    monkeypatch.setattr(catalog, "cayley",
+                        lambda x: _bumped(real(x)) if x == victim else real(x))
+    with pytest.raises(CatalogError, match=f"^displayed matrix {name} differs"):
+        getattr(catalog, f"_catalog_d{d}")()
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))

@@ -15,7 +15,7 @@ from picardhyb.certify import (
     verify_word_identities,
 )
 from picardhyb.exactring import QuadInt
-from picardhyb.fpgroups import AbelianInvariants, abelianization
+from picardhyb.fpgroups import AbelianInvariants, abelianization, parse_word, todd_coxeter
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
@@ -37,6 +37,17 @@ def test_index_d1_is_two():
 def test_index_d7_is_one():
     res = index_report(7)
     assert res.outcome == "finite" and res.index == 1
+
+
+def test_index_enumerates_the_cosets_of_the_hybrid_itself(monkeypatch):
+    # with U1 = T as the only word identity, Gamma(1) modulo the normal
+    # closure of T still has order 2, but <T> has infinite index: the
+    # enumeration of its cosets must overflow, not report index 2
+    cat = catalog.get_catalog(1)
+    bad = cat._replace(word_identities=cat.word_identities[:1])
+    assert todd_coxeter(bad.quotient_presentation()).index == 2
+    monkeypatch.setattr(certify, "get_catalog", lambda d: bad)
+    assert index_report(1, max_cosets=2000).outcome == "overflowed"
 
 
 def test_index_d3_is_infinite_with_certificate():
@@ -159,6 +170,20 @@ def test_partial_hybrid_presentations_finite():
     for primed in (False, True):
         ab = abelianization(partial_hybrid_presentation(primed))
         assert ab.is_finite
+
+
+def test_partial_hybrid_presentations_are_the_lemma36_relations():
+    # corollary 3.7 and lemma 3.10 abelianize exactly the relations the
+    # lemma-3.6 rows check; the primed variant has (E1')^2 for E1
+    texts = [c.description.removesuffix(" = 1") for c in lemma36_relations().checks]
+    assert texts == list(certify.LEMMA36_RELATORS)
+    for primed, e1 in ((False, "E1"), (True, "(E1p^2)")):
+        names = ("E1p" if primed else "E1", "U1", "U2")
+        words = tuple(parse_word(t.replace("E1", e1), names) for t in texts)
+        p = partial_hybrid_presentation(primed)
+        assert p.relators == words and p.names() == names
+    assert abelianization(partial_hybrid_presentation(False)) == AbelianInvariants(0, (3, 3, 6))
+    assert abelianization(partial_hybrid_presentation(True)) == AbelianInvariants(0, (3, 6, 6))
 
 
 def test_primed_d1_equality():

@@ -46,6 +46,44 @@ def test_parse_format_round_trip():
         parse_word("P * Q", names)
 
 
+# edge texts and what parse_word makes of them over (P, Q, R): a word, or
+# the message of the ValueError it raises
+PARSE_EDGES = {
+    "": (),
+    "1": (),
+    " 1 ": (),
+    "()^2": (),
+    "P ^2": (1, 1),
+    "P\tQ^-3": (1, -2, -2, -2),
+    "P^0 Q^-0": (),
+    "(P Q)^-2 R": (-2, -1, -2, -1, 3),
+    "((P)^2 Q)^-1": (-2, -1, -1),
+    "P Q^-1 Q P^-1": (),
+    "P^2^3": "dangling exponent in 'P^2^3'",
+    "(^2)": "dangling exponent in '(^2)'",
+    "^2": "dangling exponent in '^2'",
+    "P)": "unbalanced ')' in 'P)'",
+    ")(": "unbalanced ')' in ')('",
+    "(P": "unbalanced '(' in '(P'",
+    "(P   ": "unbalanced '(' in '(P   '",
+    "X": "unknown generator 'X' in 'X'",
+    "P 1": "cannot tokenize ' 1'",
+    "P^": "cannot tokenize '^'",
+    "P*Q": "cannot tokenize '*Q'",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_EDGES)
+def test_parse_word_edge_texts(text):
+    expected = PARSE_EDGES[text]
+    if isinstance(expected, tuple):
+        assert parse_word(text, ("P", "Q", "R")) == expected
+    else:
+        with pytest.raises(ValueError) as err:
+            parse_word(text, ("P", "Q", "R"))
+        assert str(err.value) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=12).map(tuple))
 @example(())
