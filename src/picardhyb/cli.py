@@ -7,9 +7,9 @@ tie-breaks are fixed, and floats only appear at the final formatting step.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import catalog as cat_mod
 from . import certify
@@ -215,71 +215,95 @@ def _write(path: str | None, text: str) -> None:
         raise SystemExit(2) from None
 
 
+REQUIRED = object()    # the default of an option that must be given
+
+
 def _at_least(lo: int):
-    """argparse type: an int no smaller than lo."""
+    """Converter: an int no smaller than lo."""
     def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if (value := int(text)) < lo:
+            raise ValueError(f"must be at least {lo}, got {value}")
         return value
-    parse.__name__ = "int"    # argparse names the type in "invalid int value"
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="picardhyb",
-        description="Exact verification toolkit for hybrid subgroups of the "
-                    "Picard modular groups PU(2,1,O_d), d in {1, 3, 7}.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# verb -> (command, help, options); option: (flag, converter or tuple of choices, default)
+_D, _OUT = ("--d", (1, 3, 7), REQUIRED), ("--out", str, None)
+COMMANDS = {
+    "verify": (cmd_verify, "re-verify the paper's claims", (
+        _D, _OUT, ("--scope", str, "all"), ("--format", ("json", "md"), "md"),
+        ("--max-cosets", _at_least(1), DEFAULT_MAX_COSETS))),
+    "orbit": (cmd_orbit, "export a boundary orbit as CSV", (
+        _D, _OUT, ("--variant", ("plain", "primed"), "plain"), ("--max-depth", _at_least(0), 2))),
+    "search": (cmd_search, "find a word for a catalog element", (
+        _D, _OUT, ("--target", str, REQUIRED), ("--gens", ("picard", "hybrid"), "picard"),
+        ("--max-depth", _at_least(0), 10), ("--max-coeff-bits", _at_least(1), 512))),
+    "classify": (cmd_classify, "isometry type of a catalog element", (
+        _D, _OUT, ("--element", str, REQUIRED))),
+    "abelianize": (cmd_abelianize, "abelian invariants of a stored presentation", (
+        _OUT, ("--presentation", str, REQUIRED))),
+    "dump": (cmd_dump, "dump the catalog in the textual ring format", (_D, _OUT)),
+}
 
-    def add_common(p, need_d=True):
-        if need_d:
-            p.add_argument("--d", type=int, choices=(1, 3, 7), required=True)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("verify", help="re-verify the paper's claims")
-    add_common(p)
-    p.add_argument("--scope", default="all",
-                   help="'all' or a check id such as lemma-3.6")
-    p.add_argument("--format", choices=("json", "md"), default="md")
-    p.add_argument("--max-cosets", type=_at_least(1), default=DEFAULT_MAX_COSETS)
-    p.set_defaults(func=cmd_verify)
+class UsageError(Exception):
+    """A command line the table rejects; args are (verb or None, message)."""
 
-    p = sub.add_parser("orbit", help="export a boundary orbit as CSV")
-    add_common(p)
-    p.add_argument("--variant", choices=("plain", "primed"), default="plain")
-    p.add_argument("--max-depth", type=_at_least(0), default=2, metavar="L")
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("search", help="find a word for a catalog element")
-    add_common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--gens", choices=("picard", "hybrid"), default="picard")
-    p.add_argument("--max-depth", type=_at_least(0), default=10)
-    p.add_argument("--max-coeff-bits", type=_at_least(1), default=512)
-    p.set_defaults(func=cmd_search)
+def _usage(verb: str | None, rows: bool = False) -> str:
+    """The usage line of a verb, or of all verbs; with rows, also a row per flag or verb."""
+    if verb is None:
+        head = f"usage: picardhyb {{{','.join(COMMANDS)}}} [--flag value ...]"
+        table = [(v, text) for v, (_f, text, _o) in COMMANDS.items()]
+    else:
+        head, table = f"usage: picardhyb {verb}", []
+        for flag, conv, default in COMMANDS[verb][2]:
+            meta = ("{%s}" % ",".join(map(str, conv)) if isinstance(conv, tuple)
+                    else flag[2:].upper().replace("-", "_"))
+            head += f" {flag} {meta}" if default is REQUIRED else f" [{flag} {meta}]"
+            table.append((flag, "required" if default is REQUIRED else
+                          f"default: {'stdout' if default is None else default}"))
+    return "\n".join([head] + ([f"  {a:<17} {b}" for a, b in table] if rows else []))
 
-    p = sub.add_parser("classify", help="isometry type of a catalog element")
-    add_common(p)
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("abelianize", help="abelian invariants of a stored presentation")
-    add_common(p, need_d=False)
-    p.add_argument("--presentation", required=True)
-    p.set_defaults(func=cmd_abelianize)
-
-    p = sub.add_parser("dump", help="dump the catalog in the textual ring format")
-    add_common(p)
-    p.set_defaults(func=cmd_dump)
-
-    return parser
+def parse_args(argv: list[str]):
+    """(command, args) for argv, or UsageError; the last of a repeated flag wins."""
+    verb = argv[0] if argv and argv[0] in COMMANDS else None
+    if {"-h", "--help"} & set(argv):
+        print(_usage(verb, rows=True))
+        raise SystemExit(0)
+    if verb is None:
+        raise UsageError(None, f"unknown verb {argv[0]!r}" if argv else "a verb is required")
+    func, _text, options = COMMANDS[verb]
+    converters = {flag: conv for flag, conv, _default in options}
+    given, tokens = {}, list(argv[1:])
+    while tokens:
+        flag, eq, text = tokens.pop(0).partition("=")
+        if flag not in converters:
+            raise UsageError(verb, f"unrecognized argument: {flag}")
+        if not eq and (not tokens or tokens[0].startswith("--")):
+            raise UsageError(verb, f"argument {flag}: expected one value")
+        text, conv = text if eq else tokens.pop(0), converters[flag]
+        try:
+            given[flag] = conv(text) if callable(conv) else {str(c): c for c in conv}[text]
+        except KeyError:
+            raise UsageError(verb, f"argument {flag}: invalid choice: {text!r}") from None
+        except ValueError as exc:
+            raise UsageError(verb, f"argument {flag}: {exc}") from None
+    missing = ", ".join(f for f, _c, default in options if default is REQUIRED and f not in given)
+    if missing:
+        raise UsageError(verb, f"the following flags are required: {missing}")
+    return func, SimpleNamespace(command=verb, **{
+        flag[2:].replace("-", "_"): given.get(flag, default) for flag, _c, default in options})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        func, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"{_usage(exc.args[0])}\npicardhyb: error: {exc.args[1]}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return func(args)
 
 
 if __name__ == "__main__":

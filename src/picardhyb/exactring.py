@@ -320,18 +320,18 @@ def render(x: QuadInt) -> str:
 
 _SYM = "i|w|t7"
 _TERM = rf"(?:[0-9]+(?: *\* *(?:{_SYM}))?|{_SYM})"
-# sign-separated terms N, SYM and N*SYM; spaces only around signs and '*'
-_ELEMENT_RE = re.compile(rf"(?: *[+-] *)?{_TERM}(?: *[+-] *{_TERM})*")
-_TERM_RE = re.compile(rf"([+-]?) *(?:([0-9]+)(?: *\* *({_SYM}))?|({_SYM}))")
+# sign-separated terms N, SYM and N*SYM; spaces only around signs and '*'; compiled on first use
+_ELEMENT_RE = rf"(?: *[+-] *)?{_TERM}(?: *[+-] *{_TERM})*"
+_TERM_RE = rf"([+-]?) *(?:([0-9]+)(?: *\* *({_SYM}))?|({_SYM}))"
 
 
 def parse(d: int, text: str) -> QuadInt:
     """Inverse of render: accepts forms like '3', '-w', '1+2*w', '2*t7 - 1'."""
     _check_d(d)
-    if not _ELEMENT_RE.fullmatch(text):
+    if not re.fullmatch(_ELEMENT_RE, text):
         raise ValueError(f"cannot parse {text!r} as an element of O_{d}")
     a = b = 0
-    for sign, digits, tau_after, tau_alone in _TERM_RE.findall(text):
+    for sign, digits, tau_after, tau_alone in re.findall(_TERM_RE, text):
         tau = tau_after or tau_alone
         if tau and tau != _TAU_SYMBOL[d]:
             raise ValueError(f"symbol {tau!r} does not belong to O_{d}")

@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import picardhyb
 
@@ -255,6 +256,17 @@ def test_dump_cmd(tmp_path):
     "dump --d 7 --out /nonexistent/x",
     "verify --d 7 --out /nonexistent/x",
     "orbit --d 3 --out .",
+    "",
+    "prove --d 7",
+    "verify --d 7 --bogus 1",
+    "verify --d 7 --scope",
+    "verify --d",
+    "verify --d 2",
+    "verify --d x",
+    "verify --d 7 --format xml",
+    "search --d 1",
+    "search --d 1 --target E1 --max-depth two",
+    "verify --d 7 --max-c 5",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = str(Path(picardhyb.__file__).resolve().parents[1])
@@ -264,6 +276,121 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# what each verb accepts, stated apart from cli.COMMANDS
+VERB_FLAGS = {
+    "verify": "--d --out --scope --format --max-cosets",
+    "orbit": "--d --out --variant --max-depth",
+    "search": "--d --out --target --gens --max-depth --max-coeff-bits",
+    "classify": "--d --out --element",
+    "abelianize": "--out --presentation",
+    "dump": "--d --out",
+}
+LOWER_BOUNDS = {"--max-cosets": 1, "--max-depth": 0, "--max-coeff-bits": 1}
+CHOICES = {"--d": (1, 3, 7), "--format": ("json", "md"),
+           "--variant": ("plain", "primed"), "--gens": ("picard", "hybrid")}
+REQUIRED = {"--d": "7", "--target": "E1", "--element": "A1", "--presentation": "picard-3"}
+FLAGS = sorted({f for flags in VERB_FLAGS.values() for f in flags.split()} | {"--bogus"})
+VALUES = ["1", "3", "7", "2", "x", "-1", "0", "12", "two", "md", "xml", "primed",
+          "hybrid", "E1", "", "a=b", "--out"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("", None),
+    ("prove --d 7", None),
+    ("verify --d 7 --bogus 1", "--bogus"),
+    ("verify --d 7 --scope", "--scope"),
+    ("verify --d 2", "--d"),
+    ("verify --d 7 --format xml", "--format"),
+    ("search --d 1", "--target"),
+    ("search --d 1 --target E1 --max-depth two", "--max-depth"),
+    ("abelianize", "--presentation"),
+])
+def test_usage_error_is_usage_and_one_error_line(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    verb = argv.split()[0] if argv and argv.split()[0] in VERB_FLAGS else "{"
+    assert usage.startswith(f"usage: picardhyb {verb}")
+    assert error.startswith("picardhyb: error: ")
+    if flag:
+        assert flag in error
+
+
+def test_help_lists_every_verb_and_flag(capsys):
+    for argv in (["--help"], ["-h"], ["verify", "--help"], ["verify", "--d", "7", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        listed = VERB_FLAGS["verify"] if argv[0] == "verify" else " ".join(VERB_FLAGS)
+        assert all(f"  {word} " in captured.out for word in listed.split()), argv
+
+
+def test_flag_equals_value_is_the_spaced_form(capsys):
+    assert run(["classify", "--d=7", "--element=A1"]) == 0
+    joined = capsys.readouterr().out
+    assert run(["classify", "--d", "7", "--element", "A1"]) == 0
+    assert capsys.readouterr().out == joined == "A1: loxodromic\n"
+
+
+def _accepted(verb, pairs):
+    """The values a line sets, or None when it must be refused."""
+    allowed, given = VERB_FLAGS[verb].split(), {}
+    for flag, text, spaced in pairs:
+        if flag not in allowed or spaced and text.startswith("--"):
+            return None
+        if flag in CHOICES:
+            match = [c for c in CHOICES[flag] if str(c) == text]
+            if not match:
+                return None
+            given[flag] = match[0]
+        elif flag in LOWER_BOUNDS:
+            if not text.lstrip("-").isdigit() or int(text) < LOWER_BOUNDS[flag]:
+                return None
+            given[flag] = int(text)
+        else:
+            given[flag] = text
+    return None if set(REQUIRED) & set(allowed) - set(given) else given
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(VERB_FLAGS)), st.booleans(), st.lists(st.tuples(
+    st.sampled_from(FLAGS), st.sampled_from(VALUES), st.booleans()), max_size=5))
+@example("verify", True, [("--scope", "--out", True)])
+@example("search", True, [("--max-depth", "-1", False), ("--max-depth", "0", True)])
+def test_parse_args_follows_the_stated_rules(verb, complete, pairs):
+    # a line is refused with UsageError, or parsed to the last value of each flag
+    if complete:
+        pairs = [(f, v, True) for f, v in REQUIRED.items() if f in VERB_FLAGS[verb].split()] + pairs
+    argv = [verb]
+    for flag, text, spaced in pairs:
+        argv += [flag, text] if spaced else [f"{flag}={text}"]
+    expected = _accepted(verb, pairs)
+    if expected is None:
+        with pytest.raises(cli.UsageError):
+            cli.parse_args(argv)
+        return
+    _func, args = cli.parse_args(argv)
+    for flag, value in expected.items():
+        assert getattr(args, flag[2:].replace("-", "_")) == value, argv
+
+
+def test_parse_args_defaults_and_repeated_flags():
+    func, args = cli.parse_args(["search", "--d", "3", "--target", "E1", "--d", "1"])
+    assert func is cli.cmd_search
+    assert vars(args) == {"command": "search", "d": 1, "out": None, "target": "E1",
+                          "gens": "picard", "max_depth": 10, "max_coeff_bits": 512}
+    _func, args = cli.parse_args(["verify", "--d", "7", "--scope=a=b"])
+    assert (args.scope, args.format, args.max_cosets) == (
+        "a=b", "md", fpgroups.DEFAULT_MAX_COSETS)
+    _func, args = cli.parse_args(["orbit", "--d", "3"])
+    assert (args.variant, args.max_depth) == ("plain", 2)
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -279,17 +406,22 @@ def test_unwritable_out_is_one_error_line(argv, reason, capsys):
 
 
 def test_import_needs_no_dataclasses_or_inspect():
-    # importing the CLI and building every catalog stays clear of the
-    # dataclasses and inspect modules, whose import dominated set-up time
+    # importing the CLI, building every catalog and running verify stay
+    # clear of the argparse, gettext, locale, dataclasses and inspect
+    # modules, whose import and use dominated set-up and parse time
     src = str(Path(picardhyb.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import picardhyb.cli; "
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import picardhyb.cli; "
             "from picardhyb.catalog import get_catalog; "
             "[get_catalog(d) for d in (1, 3, 7)]; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "out, sys.stdout = sys.stdout, io.StringIO(); "
+            "code = picardhyb.cli.main(['verify', '--d', '7']); "
+            "report, sys.stdout = sys.stdout.getvalue(), out; "
+            "print(code, '[PASS] theorem-5.5' in report, sorted({'argparse', 'gettext', "
+            "'locale', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 True []\n"
 
 
 def test_requires_subcommand():
