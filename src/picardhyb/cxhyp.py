@@ -18,7 +18,8 @@ I2 for d=3, or B1 and B2 for d=7) gives the class the earlier move gave
 the same element. And it skips the move that undoes an element's last
 move, because that product is the element's parent. Either product is
 already in the set of seen keys, so the elements and their order stay
-those of the plain breadth-first search over all moves.
+those of the plain breadth-first search over all moves. The word search
+takes its moves from the same table.
 
 ``orbit_points`` runs the same breadth-first loop to radius L-1 only. The
 image of the Heisenberg origin under m depends only on the third column of
@@ -419,10 +420,16 @@ def int_inv(d: int, x: IntMat) -> IntMat:
     return tuple(out)
 
 
+# for d = 1 and 3, each unit u = ua + ub*tau other than 1 (UNITS lists 1
+# first) as (ua, ub, q, s) with q = ub*c0 and s = ua + ub*c1, so that
+# u * (a + b*tau) = (a*ua + b*q) + (a*ub + b*s)*tau
+_UNIT_MULS = {d: tuple((ua, ub, ub * c0, ua + ub * c1) for ua, ub in UNITS[d][1:])
+              for d, (c0, c1) in _TAU_SQ.items() if d != 7}
+
+
 def int_key(d: int, x: IntMat) -> IntMat:
     """The least unit multiple of x in tuple order, so two matrices have
     equal keys iff they are equal in PU(2,1); canonical_rep's choice."""
-    c0, c1 = _TAU_SQ[d]
     k = 0
     while not (x[k] or x[k + 1]):
         k += 2
@@ -433,20 +440,23 @@ def int_key(d: int, x: IntMat) -> IntMat:
     # the u minimizing the pair of coefficients of u * (a + b*tau)
     a, b = x[k], x[k + 1]
     if d == 7:      # the units are 1 and -1
-        ua, ub = (1, 0) if a < 0 or (a == 0 and b < 0) else (-1, 0)
-    else:
-        ma, mb, ua, ub = a, b, 1, 0
-        for va, vb in UNITS[d]:
-            ca = a * va + b * vb * c0
-            if ca < ma or (ca == ma and a * vb + b * (va + vb * c1) < mb):
-                ma, mb, ua, ub = ca, a * vb + b * (va + vb * c1), va, vb
-    if ub == 0:
-        return x if ua == 1 else tuple(map(operator.neg, x))
-    q, s = ub * c0, ua + ub * c1
-    out: list[int] = []
-    for a, b in zip(x[::2], x[1::2]):
-        out += (a * ua + b * q, a * ub + b * s)
-    return tuple(out)
+        return x if a < 0 or (a == 0 and b < 0) else tuple(map(operator.neg, x))
+    ma, mb, best = a, b, None
+    for u in _UNIT_MULS[d]:
+        ca = a * u[0] + b * u[2]
+        if ca < ma or (ca == ma and a * u[1] + b * u[3] < mb):
+            ma, mb, best = ca, a * u[1] + b * u[3], u
+    if best is None:
+        return x
+    ua, ub, q, s = best
+    if ub == 0:     # u = -1
+        return tuple(map(operator.neg, x))
+    (a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8) = x
+    return (a0 * ua + b0 * q, a0 * ub + b0 * s, a1 * ua + b1 * q, a1 * ub + b1 * s,
+            a2 * ua + b2 * q, a2 * ub + b2 * s, a3 * ua + b3 * q, a3 * ub + b3 * s,
+            a4 * ua + b4 * q, a4 * ub + b4 * s, a5 * ua + b5 * q, a5 * ub + b5 * s,
+            a6 * ua + b6 * q, a6 * ub + b6 * s, a7 * ua + b7 * q, a7 * ub + b7 * s,
+            a8 * ua + b8 * q, a8 * ub + b8 * s)
 
 
 def int_is_unitary(d: int, x: IntMat) -> bool:
@@ -503,22 +513,25 @@ def int_origin_key(d: int, x: tuple[int, ...]) -> tuple[int, ...] | None:
     return za // g, zb // g, norm_r // g, tn // h, td // h
 
 
-def _move_table(gens: list[Mat]) -> tuple[int, list[IntMat], list[int]]:
+def _move_table(gens: list[Mat]) -> tuple[int, list[IntMat], list[int], list[int]]:
     """The ring, one move per projective class among gens and their
-    inverses, and for each move the position of the move that undoes it."""
+    inverses, for each move the position of the move that undoes it, and
+    each move's letter: i for gens[i - 1], -i for its inverse."""
     if not gens:
         raise ValueError("generator list is empty")
     d = gens[0].d
     moves: list[IntMat] = []
+    letters: list[int] = []
     index: dict[IntMat, int] = {}    # move key -> position in moves
-    for g in gens:
+    for i, g in enumerate(gens, start=1):
         x = int_mat(g)
-        for m in (x, int_inv(d, x)):
+        for letter, m in ((i, x), (-i, int_inv(d, x))):
             key = int_key(d, m)
             if key not in index:
                 index[key] = len(moves)
                 moves.append(m)
-    return d, moves, [index[int_key(d, int_inv(d, m))] for m in moves]
+                letters.append(letter)
+    return d, moves, [index[int_key(d, int_inv(d, m))] for m in moves], letters
 
 
 def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
@@ -548,7 +561,7 @@ def ball(gens: list[Mat], radius: int) -> list[IntMat]:
     """The projectively distinct elements of word length <= radius over
     gens and their inverses, in breadth-first order from the identity.
     Products known to be repeats are skipped (see the module docstring)."""
-    d, moves, undo = _move_table(gens)
+    d, moves, undo, _letters = _move_table(gens)
     return [m for sphere in _spheres(d, moves, undo, set(), radius) for m, _k in sphere]
 
 
@@ -557,7 +570,7 @@ def orbit_points(gens: list[Mat], radius: int) -> tuple[set[tuple[int, ...]], in
     the Heisenberg origin finite, and the number of elements that send it
     to Infinity. The last sphere is formed as columns only (see the module
     docstring)."""
-    d, moves, undo = _move_table(gens)
+    d, moves, undo, _letters = _move_table(gens)
     seen: set[IntMat] = set()
     points = set()
     n_infinity = 0

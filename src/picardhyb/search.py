@@ -3,7 +3,12 @@ isometry as a word in given generator matrices.
 
 States are deduplicated by the canonical projective representative's exact
 entry key, so two words meet iff they evaluate to the same element of
-PU(2,1). Every returned word is re-verified by evaluation before return.
+PU(2,1). The search forms no product whose class it already knows: it
+takes the moves of cxhyp's ball (one per projective class among the
+generators and their inverses), skips the move that undoes a word's last
+letter and drops a product whose key its side has reached, so no key is
+expanded twice on a side. The height prune reads the key, not the product.
+Every returned word is re-verified by evaluation before return.
 """
 
 from __future__ import annotations
@@ -11,7 +16,9 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .cxhyp import INT_ID, IntMat, Mat, int_height, int_inv, int_key, int_mat, int_mul
+from .cxhyp import (
+    INT_ID, IntMat, Mat, _move_table, int_height, int_inv, int_key, int_mat, int_mul,
+)
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import canonical_rep, proj_eq  # noqa: F401
@@ -31,74 +38,67 @@ class SearchResult(NamedTuple):
 def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
               max_coeff_bits: int = 512) -> SearchResult:
     """Minimal-length word over gens (and inverses) projectively equal to
-    the target, using at most max_depth letters and dropping every state
-    whose int_height exceeds max_coeff_bits.
+    the target, using at most max_depth letters and dropping every class
+    whose key has an int_height above max_coeff_bits. The search ends
+    early, with depth_searched below max_depth, once neither side has a
+    new class left to expand.
 
     The target and the generators must be integral 3x3 matrices, the
     generators with a unit determinant (ValueError otherwise); the states
     are expanded in the integer kernel of cxhyp."""
     if max_depth < 0 or max_coeff_bits <= 0:
         raise ValueError("search bounds must be positive")
-    if not gens:
-        raise ValueError("generator list is empty")
     if any(g.d != target.d for g in gens):
         raise ValueError("generators and target live over different rings")
-    d = target.d
-
-    # side 0 (forward) grows words by appending letter g, i.e. right-
-    # multiplying by move g; side 1 (backward) grows words by prepending g,
-    # i.e. right-multiplying by the inverse of move g
+    d, moves, undo, letters = _move_table(gens)
     igens = [int_mat(g) for g in gens]
-    moves = ([], [])
-    for i, gm in enumerate(igens, start=1):
-        gi = int_inv(d, gm)
-        moves[0].extend(((i, gm), (-i, gi)))
-        moves[1].extend(((i, gi), (-i, gm)))
 
-    tint = int_mat(target)
-    target_key = int_key(d, tint)
+    # side 0 (forward) grows words by appending the letter of move k, i.e.
+    # right-multiplying by move k; side 1 (backward) grows words by
+    # prepending it, i.e. right-multiplying by moves[undo[k]], a unit
+    # multiple of the inverse of move k
+    steps = (list(zip(letters, moves)), [(g, moves[j]) for g, j in zip(letters, undo)])
+
+    target_key = int_key(d, int_mat(target))
     ident_key = int_key(d, INT_ID)
     if ident_key == target_key:
         return SearchResult((), 0, False)
 
     # per side, key -> first word found (forward: key(eval(w)); backward:
-    # key(target * eval(w)^-1)), and the (word, matrix) states of the last
-    # expansion, revisited keys included
+    # key(target * eval(w)^-1)), and the states the last expansion added as
+    # (word, key, position of the move that undoes the word's last letter);
+    # a key is a unit multiple of its product, so it stands for it
     tables = ({ident_key: ()}, {target_key: ()})
-    frontiers = [[((), INT_ID)], [((), tint)]]
+    frontiers = [[((), ident_key, -1)], [((), target_key, -1)]]
     depths = [0, 0]
     pruned = False
     while depths[0] + depths[1] < max_depth and (frontiers[0] or frontiers[1]):
         side = 0 if (depths[0] <= depths[1] and frontiers[0]) or not frontiers[1] else 1
         mine, theirs = tables[side], tables[1 - side]
-        new: dict = {}
+        new = []
         meets = []
         # the frontier sorted by word plus the fixed move order gives the
         # lexicographic tie-break among equal-length words
-        for w, m in sorted(frontiers[side]):
-            # w is freely reduced, so the new word is reduced iff the letter
-            # does not cancel its neighbour
-            end = (w[0] if side else w[-1]) if w else 0
-            for g, gm in moves[side]:
-                if g == -end:
+        for w, m, skip in sorted(frontiers[side]):
+            for k, (g, gm) in enumerate(steps[side]):
+                if k == skip:
                     continue
-                nm = int_mul(d, m, gm)
-                if int_height(nm) > max_coeff_bits:
+                key = int_key(d, int_mul(d, m, gm))
+                if key in mine:
+                    continue
+                if int_height(key) > max_coeff_bits:
                     pruned = True
                     continue
-                key = int_key(d, nm)
-                if key in new:
-                    continue
                 word = (g,) + w if side else w + (g,)
-                new[key] = (word, nm)
-                mine.setdefault(key, word)
+                mine[key] = word
+                new.append((word, key, undo[k]))
                 # the tables were disjoint before this expansion, so a meet
                 # is a key new to this side, and word is its first word
                 if key in theirs:
                     joined = free_reduce(theirs[key] + word if side else word + theirs[key])
                     meets.append((len(joined), joined))
         depths[side] += 1
-        frontiers[side] = list(new.values())
+        frontiers[side] = new
         if meets:
             return _verified(d, min(meets)[1], igens, target_key, depths[0] + depths[1], pruned)
     return SearchResult(None, depths[0] + depths[1], pruned)

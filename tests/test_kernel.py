@@ -22,10 +22,10 @@ from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
     INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul, int_mul_column,
-    int_origin_key, key_approx, orbit_points,
+    _qmul, int_origin_key, key_approx, orbit_points,
 )
 from picardhyb.fpgroups import eval_word
-from picardhyb.exactring import QuadInt, QuadRat, units
+from picardhyb.exactring import _TAU_SQ, UNITS, QuadInt, QuadRat, units
 
 MAX_WORD = 8
 
@@ -187,6 +187,21 @@ def _least_unit_multiple(d: int, x: tuple) -> tuple:
 def test_key_is_least_unit_multiple(case):
     d, x = case
     assert int_key(d, x) == _least_unit_multiple(d, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 3, 7)), st.integers(0, 8),
+       st.lists(st.integers(-2**70, 2**70), min_size=18, max_size=18))
+def test_key_is_least_unit_multiple_entrywise(d, zeros, entries):
+    # any size of coefficient, and a reference that multiplies each entry
+    # by each unit with the pair product of the kernel
+    x = tuple([0] * 2 * zeros + entries[2 * zeros:])
+    if not any(x):
+        return
+    c0, c1 = _TAU_SQ[d]
+    assert int_key(d, x) == min(
+        tuple(v for k in range(0, 18, 2) for v in _qmul(c0, c1, u, x[k:k + 2]))
+        for u in UNITS[d])
 
 
 @pytest.mark.parametrize("d", [1, 3, 7])

@@ -1,5 +1,6 @@
 """Bidirectional word search: recovery of known words, minimality against a
-plain breadth-first search, and honest exhaustion reporting."""
+plain breadth-first search, honest exhaustion reporting, results pinned for
+every catalog element, and a bound on the products one search forms."""
 
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import picardhyb
+from picardhyb import search
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import INT_ID, Mat, int_inv, int_key, int_mat, int_mul, proj_eq
 from picardhyb.search import find_word
@@ -66,6 +68,16 @@ def test_primed_d1_words_recovered():
     res = find_word(cat.hybrid_primed["R1"], gens, max_depth=6)
     assert res.found
     assert format_word(res.word, names) == "E2^-1 E1^-2"
+
+
+def test_search_ends_when_every_state_under_the_height_cap_is_known():
+    # at 2 bits the d=3 hybrid generators reach no new class after 16
+    # letters, so both frontiers empty and a deeper bound changes nothing
+    cat = get_catalog(3)
+    gens = list(cat.hybrid.values())
+    for depth in (16, 40):
+        assert find_word(cat.env()["R"], gens, max_depth=depth,
+                         max_coeff_bits=2) == (None, 16, True)
 
 
 def test_unsound_word_raises_under_optimize():
@@ -144,3 +156,153 @@ def test_find_word_is_as_short_as_breadth_first_search(seed):
         if res.found:
             assert len(res.word) == want
             assert proj_eq(eval_word(res.word, gens, Mat.identity(d)), target)
+
+
+# find_word(target, generators, max_depth=7, max_coeff_bits=bits) for every
+# catalog element over the Picard and over the plain hybrid generators, as
+# (word, depth_searched, pruned_by_height) for bits 3, 6 and 512
+PINNED_AT_DEPTH_7 = {
+    (1, "picard", "I0"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (1, "picard", "Q"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (1, "picard", "T"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (1, "picard", "E1"): ((None, 7, False), (None, 7, False), (None, 7, False)),
+    (1, "picard", "U1"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (1, "picard", "E2"): ((None, 7, False), (None, 7, False), (None, 7, False)),
+    (1, "picard", "U2"): (((1, 3, 1), 3, False), ((1, 3, 1), 3, False), ((1, 3, 1), 3, False)),
+    (1, "picard", "R1"): (
+        ((-3, 1, -3, 2, 1, 2), 6, False),
+        ((-3, 1, -3, 2, 1, 2), 6, False),
+        ((-3, 1, -3, 2, 1, 2), 6, False),
+    ),
+    (1, "picard", "R2"): (
+        ((1, -3, 1, -3, 1, 2), 6, False),
+        ((1, -3, 1, -3, 1, 2), 6, False),
+        ((1, -3, 1, -3, 1, 2), 6, False),
+    ),
+    (1, "hybrid", "I0"): ((None, 7, True), (None, 7, False), (None, 7, False)),
+    (1, "hybrid", "Q"): ((None, 7, True), (None, 7, False), (None, 7, False)),
+    (1, "hybrid", "T"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (1, "hybrid", "E1"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (1, "hybrid", "U1"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (1, "hybrid", "E2"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (1, "hybrid", "U2"): (((4,), 1, False), ((4,), 1, False), ((4,), 1, False)),
+    (1, "hybrid", "R1"): (
+        ((-3, -1, -1), 3, False),
+        ((-3, -1, -1), 3, False),
+        ((-3, -1, -1), 3, False),
+    ),
+    (1, "hybrid", "R2"): (
+        ((-3, -3, -1), 3, False),
+        ((-3, -3, -1), 3, False),
+        ((-3, -3, -1), 3, False),
+    ),
+    (3, "picard", "P"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (3, "picard", "Q"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (3, "picard", "R"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (3, "picard", "E1"): (
+        ((2, 3, 2, 2, 3, 2), 6, False),
+        ((2, 3, 2, 2, 3, 2), 6, False),
+        ((2, 3, 2, 2, 3, 2), 6, False),
+    ),
+    (3, "picard", "U1"): (((2, 2), 2, False), ((2, 2), 2, False), ((2, 2), 2, False)),
+    (3, "picard", "E2"): (
+        ((-2, 3, -2, -2, 3, -2), 6, False),
+        ((-2, 3, -2, -2, 3, -2), 6, False),
+        ((-2, 3, -2, -2, 3, -2), 6, False),
+    ),
+    (3, "picard", "U2"): (
+        ((3, 2, 2, 3), 4, False),
+        ((3, 2, 2, 3), 4, False),
+        ((3, 2, 2, 3), 4, False),
+    ),
+    (3, "picard", "I1"): (
+        ((-2, 1, -2, 1, -2, 1), 6, False),
+        ((-2, 1, -2, 1, -2, 1), 6, False),
+        ((-2, 1, -2, 1, -2, 1), 6, False),
+    ),
+    (3, "picard", "I2"): ((None, 7, False), (None, 7, False), (None, 7, False)),
+    (3, "picard", "E1p"): (((2, 3, 2), 3, False), ((2, 3, 2), 3, False), ((2, 3, 2), 3, False)),
+    (3, "hybrid", "P"): ((None, 7, True), (None, 7, False), (None, 7, False)),
+    (3, "hybrid", "Q"): ((None, 7, True), (None, 7, False), (None, 7, False)),
+    (3, "hybrid", "R"): ((None, 7, True), (None, 7, False), (None, 7, False)),
+    (3, "hybrid", "E1"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (3, "hybrid", "U1"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (3, "hybrid", "E2"): (((-1,), 1, False), ((-1,), 1, False), ((-1,), 1, False)),
+    (3, "hybrid", "U2"): (((4,), 1, False), ((4,), 1, False), ((4,), 1, False)),
+    (3, "hybrid", "I1"): (((5,), 1, False), ((5,), 1, False), ((5,), 1, False)),
+    (3, "hybrid", "I2"): (((6,), 1, False), ((6,), 1, False), ((6,), 1, False)),
+    (3, "hybrid", "E1p"): (((-1, 5, 6), 3, False), ((-1, 5, 6), 3, False), ((-1, 5, 6), 3, False)),
+    (7, "picard", "T1"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (7, "picard", "R"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (7, "picard", "I"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (7, "picard", "U1"): (
+        ((1, 2, 1, 2), 4, False),
+        ((1, 2, 1, 2), 4, False),
+        ((1, 2, 1, 2), 4, False),
+    ),
+    (7, "picard", "U2"): (
+        ((2, 3, 1, 2, 1, 3), 6, True),
+        ((2, 3, 1, 2, 1, 3), 6, False),
+        ((2, 3, 1, 2, 1, 3), 6, False),
+    ),
+    (7, "picard", "A1"): (
+        ((1, 3, 1, 2), 4, True),
+        ((1, 3, 1, 2), 4, False),
+        ((1, 3, 1, 2), 4, False),
+    ),
+    (7, "picard", "A2"): (
+        ((3, 1, 3, 1, 3, 2), 6, True),
+        ((3, 1, 3, 1, 3, 2), 6, False),
+        ((3, 1, 3, 1, 3, 2), 6, False),
+    ),
+    (7, "picard", "B1"): (
+        ((3, 1, 2, -1, 3), 5, False),
+        ((3, 1, 2, -1, 3), 5, False),
+        ((3, 1, 2, -1, 3), 5, False),
+    ),
+    (7, "picard", "B2"): (((1, 2, -1), 3, False), ((1, 2, -1), 3, False), ((1, 2, -1), 3, False)),
+    (7, "hybrid", "T1"): (
+        ((4, 6, 4, -3, 5, -4), 6, True),
+        ((4, 6, 4, -3, 5, -4), 6, False),
+        ((4, 6, 4, -3, 5, -4), 6, False),
+    ),
+    (7, "hybrid", "R"): ((None, 7, True), (None, 7, True), (None, 7, False)),
+    (7, "hybrid", "I"): ((None, 7, True), (None, 7, True), (None, 7, False)),
+    (7, "hybrid", "U1"): (((1,), 1, False), ((1,), 1, False), ((1,), 1, False)),
+    (7, "hybrid", "U2"): (((2,), 1, False), ((2,), 1, False), ((2,), 1, False)),
+    (7, "hybrid", "A1"): (((3,), 1, False), ((3,), 1, False), ((3,), 1, False)),
+    (7, "hybrid", "A2"): (((4,), 1, False), ((4,), 1, False), ((4,), 1, False)),
+    (7, "hybrid", "B1"): (((5,), 1, False), ((5,), 1, False), ((5,), 1, False)),
+    (7, "hybrid", "B2"): (((6,), 1, False), ((6,), 1, False), ((6,), 1, False)),
+}
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_find_word_matches_pinned_results(d):
+    cat = get_catalog(d)
+    got = {}
+    for pool in ("picard", "hybrid"):
+        gens = list(getattr(cat, pool).values())
+        for name, target in cat.env().items():
+            got[d, pool, name] = tuple(
+                tuple(find_word(target, gens, max_depth=7, max_coeff_bits=bits))
+                for bits in (3, 6, 512))
+    assert got == {k: v for k, v in PINNED_AT_DEPTH_7.items() if k[0] == d}
+
+
+def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
+    # one move per projective class, no product back to the parent and no
+    # known key expanded again: 552 products, where a search over every
+    # generator and inverse that re-expands known keys forms 1,072
+    count = 0
+
+    def counting_mul(*args):
+        nonlocal count
+        count += 1
+        return int_mul(*args)
+
+    env = get_catalog(1).env()
+    gens = list(get_catalog(1).picard.values())
+    monkeypatch.setattr(search, "int_mul", counting_mul)
+    assert find_word(env["E1"], gens, max_depth=12).found
+    assert count <= 560
