@@ -17,8 +17,8 @@ Two corrected readings are stored with flags (surfaced in reports):
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
 
 from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
@@ -77,17 +77,15 @@ def cayley(m: Mat) -> Mat:
 
 # -- catalog data ----------------------------------------------------------
 
-class WordIdentity(NamedTuple):
-    lemma: str
-    target: str          # hybrid generator name
-    word: str            # word text over the Picard generators
-    note: str | None = None
+# target: a hybrid generator name; word: word text over the Picard
+# generators; note: a string or None
+class WordIdentity(namedtuple("WordIdentity", "lemma target word note", defaults=(None,))):
+    __slots__ = ()
 
 
-class ConjugationIdentity(NamedTuple):
-    lemma: str
-    lhs: str             # word text over the combined namespace
-    rhs: str
+# lhs, rhs: word text over the combined namespace
+class ConjugationIdentity(namedtuple("ConjugationIdentity", "lemma lhs rhs")):
+    __slots__ = ()
 
 
 class Catalog:
@@ -179,7 +177,7 @@ def _build(d: int, fuchsian: dict[str, Mat], picard: dict[str, Mat],
     identity; the names in primed go to the primed hybrid, the others to the
     plain one, in table order. Every displayed matrix (as the paper prints
     it) must equal its construction."""
-    disk = {**fuchsian, "-Id": Mat.identity(d, 2).scale(-1)}
+    disk = {**fuchsian, "-Id": _mat(d, ((-1, 0), (0, -1)))}
     built = {name: cayley(embed(slot, disk[m])) for name, (slot, m) in constructions.items()}
     for name, m in displayed.items():
         if m != built[name]:
@@ -326,7 +324,7 @@ def _catalog_d7() -> Catalog:
         "B": _mat(d, ((-1, 0), (0, 1))),
     }
     # the simplification used to drop the -Id generators (projective identity)
-    minus_id2 = Mat.identity(d, 2).scale(-1)
+    minus_id2 = _mat(d, ((-1, 0), (0, -1)))
     if not all(proj_eq(embed(j, minus_id2), embed(3 - j, fuchsian["B"])) for j in (1, 2)):
         raise CatalogError("iota_1(-Id) = iota_2(B) cross-check failed")
 

@@ -15,7 +15,7 @@ cli.RESTS_ON.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exactring import QuadInt
 from .catalog import get_catalog
@@ -31,11 +31,9 @@ from .fpgroups import (
 )
 
 
-class CheckResult(NamedTuple):
-    check_id: str
-    description: str
-    passed: bool
-    witness: str = ""
+class CheckResult(namedtuple("CheckResult", "check_id description passed witness",
+                             defaults=("",))):
+    __slots__ = ()
 
 
 class Report:
@@ -68,12 +66,7 @@ class Report:
 
 # -- Euclidean motions over O_3 -------------------------------------------
 
-class _EuclideanMotionFields(NamedTuple):
-    alpha: QuadInt
-    beta: QuadInt
-
-
-class EuclideanMotion(_EuclideanMotionFields):
+class EuclideanMotion(namedtuple("EuclideanMotion", "alpha beta")):
     """z -> alpha z + beta with alpha a unit of O_3 and beta in O_3."""
 
     __slots__ = ()
@@ -127,13 +120,13 @@ SUBST_ABC_TO_PQR = {"a": "P Q^-1", "b": "Q", "c": "R"}
 SUBST_PQR_TO_ABC = {"P": "a b", "Q": "b", "R": "c"}
 
 
-class InfinitenessCertificate(NamedTuple):
-    presentation: Presentation            # G on generators a, b, c
-    kill_list: tuple[str, ...]            # generators sent to the identity
-    images: dict[str, EuclideanMotion]    # surviving generator images
-    witness_word: str
-    witness_image: EuclideanMotion
-    relator_images: tuple[EuclideanMotion, ...]
+# presentation: G on generators a, b, c; kill_list: the generators sent to
+# the identity; images: name -> EuclideanMotion of the surviving generators;
+# witness_image and each of relator_images: an EuclideanMotion
+class InfinitenessCertificate(namedtuple(
+        "InfinitenessCertificate",
+        "presentation kill_list images witness_word witness_image relator_images")):
+    __slots__ = ()
 
     def validate(self) -> bool:
         """True iff, re-derived from the images, every relator maps to the
@@ -258,12 +251,12 @@ def lemma31_index_bound() -> Report:
 
 # -- indices ---------------------------------------------------------------
 
-class IndexResult(NamedTuple):
-    d: int
-    outcome: str                # "finite" | "infinite" | "undecided" | "overflowed"
-    index: int | None = None
-    table: CosetTable | None = None
-    certificate: InfinitenessCertificate | None = None
+# outcome: "finite" | "infinite" | "undecided" | "overflowed"; index: an int
+# or None; table: a CosetTable or None; certificate: an
+# InfinitenessCertificate or None
+class IndexResult(namedtuple("IndexResult", "d outcome index table certificate",
+                             defaults=(None, None, None))):
+    __slots__ = ()
 
 
 # read only by benchmarks/kernel.py, which times the d=3 enumeration to this cap

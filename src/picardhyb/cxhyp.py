@@ -39,20 +39,19 @@ from __future__ import annotations
 
 import enum
 import operator
-from fractions import Fraction
+from collections import namedtuple
 from math import gcd, sqrt
-from typing import NamedTuple
 
 from .exactring import (
     _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
 )
 
 
-class Mat(NamedTuple):
-    """Square matrix (2x2 or 3x3) over the fraction field of O_d."""
+class Mat(namedtuple("Mat", "d rows")):
+    """Square matrix (2x2 or 3x3) over the fraction field of O_d: rows is a
+    tuple of rows, each a tuple of QuadRat."""
 
-    d: int
-    rows: tuple[tuple[QuadRat, ...], ...]
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -161,10 +160,10 @@ class Mat(NamedTuple):
 
 # -- projective classes ----------------------------------------------------
 
-class ProjIsom(NamedTuple):
-    """A matrix canonicalized modulo the unit group of O_d."""
+class ProjIsom(namedtuple("ProjIsom", "rep")):
+    """A matrix canonicalized modulo the unit group of O_d (rep is a Mat)."""
 
-    rep: Mat
+    __slots__ = ()
 
     def key(self) -> tuple:
         return self.rep.key()
@@ -185,21 +184,17 @@ def proj_eq(m: Mat, n: Mat) -> bool:
 
 # -- Heisenberg boundary ---------------------------------------------------
 
-# the coefficient _TAU_ISQRTD[d] as a (numerator, denominator) pair of ints
-_ISQRTD = {d: (c.numerator, c.denominator) for d, c in _TAU_ISQRTD.items()}
-
-
-class BoundaryPoint(NamedTuple):
+class BoundaryPoint(namedtuple("BoundaryPoint", "d at_infinity z t_coeff",
+                               defaults=(False, None, 0))):
     """Point of the boundary in Heisenberg coordinates, or Infinity.
 
-    The finite variant stores z exactly in Q(i sqrt d) and t as the exact
-    rational coefficient t_coeff with t = t_coeff * sqrt(d).
+    The finite variant stores z exactly in Q(i sqrt d) as a QuadRat and t as
+    the exact rational coefficient t_coeff (a Fraction) with
+    t = t_coeff * sqrt(d). The default t_coeff is the int 0, which compares
+    and hashes equal to Fraction(0).
     """
 
-    d: int
-    at_infinity: bool = False
-    z: QuadRat | None = None
-    t_coeff: Fraction = Fraction(0)
+    __slots__ = ()
 
     @staticmethod
     def infinity(d: int) -> "BoundaryPoint":
@@ -207,6 +202,7 @@ class BoundaryPoint(NamedTuple):
 
     @staticmethod
     def finite(z: QuadRat | QuadInt, t_coeff: Fraction | int = 0) -> "BoundaryPoint":
+        from fractions import Fraction
         z = QuadRat.of(z)
         return BoundaryPoint(z.d, False, z, Fraction(t_coeff))
 
@@ -217,6 +213,7 @@ class BoundaryPoint(NamedTuple):
     @staticmethod
     def from_key(d: int, key: tuple[int, ...]) -> "BoundaryPoint":
         """The finite point whose key() is key."""
+        from fractions import Fraction
         za, zb, den, tn, td = key
         return BoundaryPoint(d, False, QuadRat(QuadInt(d, za, zb), den), Fraction(tn, td))
 
@@ -231,9 +228,11 @@ class BoundaryPoint(NamedTuple):
             one = QuadRat.one(self.d)
             zero = QuadRat.zero(self.d)
             return (one, zero, zero)
+        from fractions import Fraction
         half_norm = QuadRat.of_fraction(self.d, -self.z.norm() / 2)
+        # Fraction(t, 2), not t / 2, which is a float for an int t_coeff
         it_half = QuadRat.of(QuadInt.sqrt_minus_d(self.d)) * QuadRat.of_fraction(
-            self.d, self.t_coeff / 2)
+            self.d, Fraction(self.t_coeff, 2))
         return (half_norm + it_half, self.z, QuadRat.one(self.d))
 
     def approx(self) -> tuple[complex, float]:
@@ -247,7 +246,7 @@ def key_approx(d: int, key: tuple[int, ...]) -> tuple[complex, float]:
     the float operations of QuadInt.approx, QuadRat.approx and
     BoundaryPoint.approx in the same order, so the floats are identical."""
     za, zb, den, tn, td = key
-    cn, cd = _ISQRTD[d]
+    cn, cd = _TAU_ISQRTD[d]
     re = (2 * za + zb * _TAU_SQ[d][1]) / 2
     z = complex(re) + 1j * (zb * cn / cd) * sqrt(d)
     return z / den, tn / td * d ** 0.5
@@ -507,7 +506,7 @@ def int_origin_key(d: int, x: tuple[int, ...]) -> tuple[int, ...] | None:
     # reduce z and t_coeff = (2 sb / N(r)) * _TAU_ISQRTD[d] as QuadRat and
     # Fraction do; N(r) > 0
     g = gcd(za, zb, norm_r)
-    cn, cd = _ISQRTD[d]
+    cn, cd = _TAU_ISQRTD[d]
     tn, td = 2 * sb * cn, norm_r * cd
     h = gcd(tn, td)
     return za // g, zb // g, norm_r // g, tn // h, td // h

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
+
+# fractions is imported inside the functions that build a Fraction (here and
+# in cxhyp): only the Mat-side reference geometry builds one, no command-line
+# verb does, and importing fractions also loads decimal and numbers
 
 SUPPORTED_D = (1, 3, 7)
 
@@ -25,8 +28,9 @@ _TAU_SQ = {1: (-1, 0), 3: (-1, -1), 7: (-2, 1)}
 UNITS = {1: ((1, 0), (-1, 0), (0, 1), (0, -1)),
          3: ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1)),
          7: ((1, 0), (-1, 0))}
-# tau = re + (imag coefficient) * i*sqrt(d)
-_TAU_ISQRTD = {1: Fraction(1), 3: Fraction(1, 2), 7: Fraction(1, 2)}
+# tau = re + (imag coefficient) * i*sqrt(d), the coefficient as a
+# (numerator, denominator) pair of ints
+_TAU_ISQRTD = {1: (1, 1), 3: (1, 2), 7: (1, 2)}
 _TAU_SYMBOL = {1: "i", 3: "w", 7: "t7"}
 
 
@@ -39,17 +43,12 @@ def _check_d(d: int) -> None:
         raise ValueError(f"unsupported ring selector d={d!r}; must be one of {SUPPORTED_D}")
 
 
-# A NamedTuple may not define __new__ in its own body, so a class that
-# checks or normalizes its fields subclasses a plain NamedTuple of them. It
-# also overrides _replace, which would otherwise build the copy without
-# calling __new__ and so skip its checks.
-class _QuadIntFields(NamedTuple):
-    d: int
-    a: int
-    b: int
-
-
-class QuadInt(_QuadIntFields):
+# The records of the package subclass collections.namedtuple, whose class
+# costs a fraction of a typing.NamedTuple's to create. A record that checks
+# or normalizes its fields does so in __new__, and overrides _replace, which
+# would otherwise build the copy without calling __new__ and so skip the
+# checks. (_make skips them too, as in any namedtuple.)
+class QuadInt(namedtuple("QuadInt", "d a b")):
     """a + b*tau_d with arbitrary-precision integer a, b."""
 
     __slots__ = ()
@@ -154,11 +153,14 @@ class QuadInt(_QuadIntFields):
     # -- real / imaginary decomposition -----------------------------------
 
     def real_part(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(2 * self.a + self.b * _TAU_SQ[self.d][1], 2)
 
     def isqrtd_coeff(self) -> Fraction:
         """Rational c with self = real_part + c * i*sqrt(d)."""
-        return self.b * _TAU_ISQRTD[self.d]
+        from fractions import Fraction
+        cn, cd = _TAU_ISQRTD[self.d]
+        return Fraction(self.b * cn, cd)
 
     # -- rendering ---------------------------------------------------------
 
@@ -167,9 +169,9 @@ class QuadInt(_QuadIntFields):
 
     def approx(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does
-        c = _TAU_ISQRTD[self.d]
+        cn, cd = _TAU_ISQRTD[self.d]
         re = (2 * self.a + self.b * _TAU_SQ[self.d][1]) / 2
-        return complex(re) + 1j * (self.b * c.numerator / c.denominator) * math.sqrt(self.d)
+        return complex(re) + 1j * (self.b * cn / cd) * math.sqrt(self.d)
 
 
 def units(d: int) -> list[QuadInt]:
@@ -178,12 +180,7 @@ def units(d: int) -> list[QuadInt]:
     return [QuadInt(d, a, b) for a, b in UNITS[d]]
 
 
-class _QuadRatFields(NamedTuple):
-    num: QuadInt
-    den: int
-
-
-class QuadRat(_QuadRatFields):
+class QuadRat(namedtuple("QuadRat", "num den")):
     """num/den with num in O_d and positive integer denominator, reduced."""
 
     __slots__ = ()
@@ -224,6 +221,7 @@ class QuadRat(_QuadRatFields):
 
     @staticmethod
     def of_fraction(d: int, q: Fraction | int) -> "QuadRat":
+        from fractions import Fraction
         q = Fraction(q)
         return QuadRat(QuadInt.of_int(d, q.numerator), q.denominator)
 
@@ -279,6 +277,7 @@ class QuadRat(_QuadRatFields):
         return QuadRat(self.num.conj(), self.den)
 
     def norm(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.num.norm(), self.den * self.den)
 
     def is_zero(self) -> bool:

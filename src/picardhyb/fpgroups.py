@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 Word = tuple[int, ...]
 
@@ -52,14 +51,9 @@ def eval_word(w: Word, gens, one, mul=operator.mul, inv=_inverse):
     return result
 
 
-class _PresentationFields(NamedTuple):
-    ngens: int
-    relators: tuple[Word, ...]
-    gen_names: tuple[str, ...] | None
-
-
-class Presentation(_PresentationFields):
-    """Generators and relators; the relators are stored freely reduced."""
+class Presentation(namedtuple("Presentation", "ngens relators gen_names")):
+    """Generators and relators; the relators are stored freely reduced, and
+    gen_names is a tuple of ngens names or None."""
 
     __slots__ = ()
 
@@ -409,11 +403,10 @@ def smith_normal_form(a):
     return d, lmat, rmat
 
 
-class AbelianInvariants(NamedTuple):
-    """Free rank plus torsion divisors d1 | d2 | ... (all >= 2)."""
+class AbelianInvariants(namedtuple("AbelianInvariants", "rank torsion")):
+    """Free rank plus torsion divisors d1 | d2 | ... (all >= 2), a tuple."""
 
-    rank: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:

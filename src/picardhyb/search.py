@@ -13,8 +13,8 @@ Every returned word is re-verified by evaluation before return.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from .cxhyp import (
     INT_ID, IntMat, Mat, _move_table, int_height, int_inv, int_key, int_mat, int_mul,
@@ -25,10 +25,10 @@ from .cxhyp import canonical_rep, proj_eq  # noqa: F401
 from .fpgroups import Word, eval_word, free_reduce
 
 
-class SearchResult(NamedTuple):
-    word: Word | None
-    depth_searched: int
-    pruned_by_height: bool
+class SearchResult(namedtuple("SearchResult", "word depth_searched pruned_by_height")):
+    """word is a Word, or None when no word was found."""
+
+    __slots__ = ()
 
     @property
     def found(self) -> bool:
@@ -75,8 +75,12 @@ def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
     while depths[0] + depths[1] < max_depth and (frontiers[0] or frontiers[1]):
         side = 0 if (depths[0] <= depths[1] and frontiers[0]) or not frontiers[1] else 1
         mine, theirs = tables[side], tables[1 - side]
+        # no state of the last expansion is expanded, so it only checks for
+        # meets, and keeps the met keys so that a meet uses its key's first word
+        last = depths[0] + depths[1] + 1 == max_depth
         new = []
         meets = []
+        met = set()
         # the frontier sorted by word plus the fixed move order gives the
         # lexicographic tie-break among equal-length words
         for w, m, skip in sorted(frontiers[side]):
@@ -84,19 +88,21 @@ def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
                 if k == skip:
                     continue
                 key = int_key(d, int_mul(d, m, gm))
-                if key in mine:
+                if key in mine or key in met:
                     continue
                 if int_height(key) > max_coeff_bits:
                     pruned = True
                     continue
                 word = (g,) + w if side else w + (g,)
-                mine[key] = word
-                new.append((word, key, undo[k]))
                 # the tables were disjoint before this expansion, so a meet
                 # is a key new to this side, and word is its first word
                 if key in theirs:
+                    met.add(key)
                     joined = free_reduce(theirs[key] + word if side else word + theirs[key])
                     meets.append((len(joined), joined))
+                if not last:
+                    mine[key] = word
+                    new.append((word, key, undo[k]))
         depths[side] += 1
         frontiers[side] = new
         if meets:

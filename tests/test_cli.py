@@ -405,23 +405,34 @@ def test_unwritable_out_is_one_error_line(argv, reason, capsys):
     assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
 
 
+# every verb on small arguments, for the start-up import check
+START_UP_RUNS = (
+    ["verify", "--d", "1"], ["verify", "--d", "3"], ["verify", "--d", "7"],
+    ["orbit", "--d", "3", "--max-depth", "2"], ["orbit", "--d", "1", "--variant", "primed"],
+    ["search", "--d", "1", "--target", "E1"], ["classify", "--d", "3", "--element", "P"],
+    ["dump", "--d", "7"], ["abelianize", "--presentation", "picard-3"],
+)
+# modules whose import dominated set-up and parse time: argparse, gettext and
+# locale (the parser), dataclasses and inspect (records), typing (NamedTuple
+# records) and fractions, which loads decimal and numbers
+START_UP_FREE = ("argparse", "gettext", "locale", "dataclasses", "inspect",
+                 "typing", "fractions", "decimal", "numbers")
+
+
 def test_import_needs_no_dataclasses_or_inspect():
-    # importing the CLI, building every catalog and running verify stay
-    # clear of the argparse, gettext, locale, dataclasses and inspect
-    # modules, whose import and use dominated set-up and parse time
+    # importing the CLI and running every verb stay clear of START_UP_FREE;
+    # -I -S keeps the interpreter's site packages from importing them first
     src = str(Path(picardhyb.__file__).resolve().parents[1])
     code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import picardhyb.cli; "
-            "from picardhyb.catalog import get_catalog; "
-            "[get_catalog(d) for d in (1, 3, 7)]; "
             "out, sys.stdout = sys.stdout, io.StringIO(); "
-            "code = picardhyb.cli.main(['verify', '--d', '7']); "
+            f"codes = [picardhyb.cli.main(a) for a in {START_UP_RUNS!r}]; "
             "report, sys.stdout = sys.stdout.getvalue(), out; "
-            "print(code, '[PASS] theorem-5.5' in report, sorted({'argparse', 'gettext', "
-            "'locale', 'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(codes, report.count('[PASS] theorem-'), "
+            f"sorted(set({START_UP_FREE!r}) & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 True []\n"
+    assert proc.stdout == f"{[0] * len(START_UP_RUNS)} 3 []\n"
 
 
 def test_requires_subcommand():

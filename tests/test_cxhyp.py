@@ -188,6 +188,15 @@ def test_boundary_point_lift_is_null():
             assert total.is_zero()
 
 
+def test_boundary_point_lift_of_int_t_coeff_is_exact():
+    # t_coeff defaults to the int 0, and an int past 2^53 must not round
+    z = QuadRat.one(1)
+    for t in (0, 3, 2**60 + 1):
+        assert (BoundaryPoint(1, False, z, t).lift()
+                == BoundaryPoint.finite(z, Fraction(t)).lift())
+    assert BoundaryPoint(1, False, z).lift() == BoundaryPoint.finite(z).lift()
+
+
 def test_projective_order_limits():
     env = get_catalog(3).env()
     assert projective_order(env["U1"], 10) is None  # parabolic, infinite order

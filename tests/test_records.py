@@ -1,0 +1,146 @@
+"""The record types of the package keep their tuple API: field names, field
+order and defaults, no instance ``__dict__``, field checks that also run on
+``_replace``, ``_make`` round trips, and a ``Mat`` that refuses tuple ``+``
+and ``*``.
+
+``_make`` builds the tuple without calling ``__new__``, as for any
+namedtuple, so only ``_replace`` is overridden to re-run the checks."""
+
+from fractions import Fraction
+
+import pytest
+
+from picardhyb.catalog import ConjugationIdentity, WordIdentity
+from picardhyb.certify import (
+    CheckResult, EuclideanMotion, IndexResult, InfinitenessCertificate,
+)
+from picardhyb.cxhyp import BoundaryPoint, Mat, ProjIsom
+from picardhyb.exactring import QuadInt, QuadRat
+from picardhyb.fpgroups import AbelianInvariants, Presentation
+from picardhyb.search import SearchResult
+
+# _fields and _field_defaults of every record, as recorded before the records
+# moved from typing.NamedTuple to collections.namedtuple
+RECORDS = {
+    QuadInt: (("d", "a", "b"), {}),
+    QuadRat: (("num", "den"), {}),
+    Mat: (("d", "rows"), {}),
+    ProjIsom: (("rep",), {}),
+    BoundaryPoint: (("d", "at_infinity", "z", "t_coeff"),
+                    {"at_infinity": False, "z": None, "t_coeff": Fraction(0)}),
+    Presentation: (("ngens", "relators", "gen_names"), {}),
+    AbelianInvariants: (("rank", "torsion"), {}),
+    WordIdentity: (("lemma", "target", "word", "note"), {"note": None}),
+    ConjugationIdentity: (("lemma", "lhs", "rhs"), {}),
+    SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
+    CheckResult: (("check_id", "description", "passed", "witness"), {"witness": ""}),
+    EuclideanMotion: (("alpha", "beta"), {}),
+    InfinitenessCertificate: (("presentation", "kill_list", "images", "witness_word",
+                               "witness_image", "relator_images"), {}),
+    IndexResult: (("d", "outcome", "index", "table", "certificate"),
+                  {"index": None, "table": None, "certificate": None}),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_fields_and_defaults(record):
+    fields, defaults = RECORDS[record]
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert issubclass(record, tuple)
+
+
+def _instances():
+    w, one = QuadInt(3, 0, 1), QuadInt.one(3)
+    return [
+        QuadInt(1, 2, 3),
+        QuadRat(QuadInt(1, 2, 4), 6),
+        Mat.identity(7),
+        ProjIsom(Mat.identity(1)),
+        BoundaryPoint.infinity(3),
+        Presentation(2, [(1, 2, -2, 1)]),
+        AbelianInvariants(1, (2,)),
+        WordIdentity("lemma", "E1", "P Q"),
+        ConjugationIdentity("lemma", "E1", "E2"),
+        SearchResult((1, 2), 2, False),
+        CheckResult("id", "description", True),
+        EuclideanMotion(w, one),
+        InfinitenessCertificate(None, (), {}, "", None, ()),
+        IndexResult(1, "finite", 2),
+    ]
+
+
+def test_every_record_is_covered_once():
+    assert sorted(type(x).__name__ for x in _instances()) == sorted(
+        r.__name__ for r in RECORDS)
+
+
+@pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)
+def test_instances_have_no_dict(x):
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def test_defaults_apply():
+    assert BoundaryPoint(1) == (1, False, None, 0)
+    assert BoundaryPoint(1).t_coeff == Fraction(0)
+    assert hash(BoundaryPoint(1)) == hash((1, False, None, Fraction(0)))
+    assert WordIdentity("l", "t", "w").note is None
+    assert CheckResult("i", "d", True).witness == ""
+    assert IndexResult(1, "finite")[2:] == (None, None, None)
+    assert Presentation(1, [(1, 1)]).gen_names is None
+
+
+def test_quadint_checks_on_replace():
+    x = QuadInt(1, 2, 3)
+    assert x._replace(a=5) == QuadInt(1, 5, 3)
+    assert type(x._replace(a=5)) is QuadInt
+    with pytest.raises(ValueError):
+        x._replace(d=2)
+
+
+def test_quadrat_normalizes_on_replace():
+    q = QuadRat(QuadInt(1, 2, 4), 6)
+    assert q == (QuadInt(1, 1, 2), 3)
+    assert q._replace(den=-4) == (QuadInt(1, -1, -2), 4)
+    with pytest.raises(ZeroDivisionError):
+        q._replace(den=0)
+
+
+def test_presentation_checks_on_replace():
+    p = Presentation(2, [(1, -1, 2, 2)])
+    assert p.relators == ((2, 2),)
+    assert p._replace(relators=[(1, 2, -2)]).relators == ((1,),)
+    with pytest.raises(ValueError):
+        p._replace(relators=[(3,)])
+    with pytest.raises(ValueError):
+        p._replace(gen_names=("a",))
+
+
+def test_euclidean_motion_checks_on_replace():
+    w, one = QuadInt(3, 0, 1), QuadInt.one(3)
+    m = EuclideanMotion(w, one)
+    assert m._replace(beta=w) == (w, w)
+    with pytest.raises(ValueError):
+        m._replace(alpha=QuadInt(3, 2, 0))
+
+
+@pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)
+def test_make_and_asdict_round_trip(x):
+    y = type(x)._make(tuple(x))
+    assert y == x and type(y) is type(x)
+    assert type(x)(**x._asdict()) == x
+
+
+def test_mat_refuses_tuple_concatenation_and_repetition():
+    m = Mat.identity(1)
+    with pytest.raises(TypeError):
+        m + m
+    with pytest.raises(TypeError):
+        m + (1,)
+    with pytest.raises(TypeError):
+        m * 2
+    with pytest.raises(TypeError):
+        2 * m
+    assert m * m == m
