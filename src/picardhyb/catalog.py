@@ -18,11 +18,11 @@ Two corrected readings are stored with flags (surfaced in reports):
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
-    INT_ID, IntMat, Mat, int_inv, int_is_unitary, int_key, int_mat, int_mul,
+    INT_ID, IntMat, Mat, int_inv, int_is_unitary, int_key, int_mat, int_mul, int_word,
     mat_from_int, proj_eq,
 )
 # not called here: bound as a module attribute because the benchmark's
@@ -88,34 +88,15 @@ class ConjugationIdentity(namedtuple("ConjugationIdentity", "lemma lhs rhs")):
     __slots__ = ()
 
 
-class Catalog:
-    def __init__(
-        self,
-        d: int,
-        fuchsian: dict[str, Mat],                  # 2x2 disk-model generators
-        picard: dict[str, Mat],                    # 3x3 Siegel-model generators
-        presentation: Presentation,                # of PU(2,1,O_d)
-        hybrid: dict[str, Mat],                    # plain hybrid generators
-        hybrid_primed: dict[str, Mat],             # primed variant (d=1,3)
-        word_identities: tuple[WordIdentity, ...],
-        conjugation_identities: tuple[ConjugationIdentity, ...],
-        flags: tuple[str, ...] = (),               # corrected-typo notes
-    ):
-        self.d = d
-        self.fuchsian = fuchsian
-        self.picard = picard
-        self.presentation = presentation
-        self.hybrid = hybrid
-        self.hybrid_primed = hybrid_primed
-        self.word_identities = word_identities
-        self.conjugation_identities = conjugation_identities
-        self.flags = flags
-
-    def _replace(self, **changes) -> "Catalog":
-        """A copy with the given fields changed, as NamedTuple._replace
-        makes; its int_env is built afresh."""
-        fields = {k: v for k, v in vars(self).items() if k != "int_env"}
-        return Catalog(**{**fields, **changes})
+# fuchsian: name -> 2x2 disk-model Mat; picard: name -> 3x3 Siegel-model
+# Mat, with presentation the presentation of PU(2,1,O_d) on them; hybrid and
+# hybrid_primed (d=1, 3): name -> Mat of the plain and primed hybrid
+# generators; word_identities and conjugation_identities: tuples of the
+# records above; flags: the corrected-typo notes
+class Catalog(namedtuple("Catalog", "d fuchsian picard presentation hybrid hybrid_primed "
+                         "word_identities conjugation_identities flags", defaults=((),))):
+    # no __slots__: the cached int_env lives in the instance dict, so a
+    # _replace copy starts without one and builds its own
 
     def env(self) -> dict[str, Mat]:
         """Combined name -> matrix namespace (Picard plus hybrid)."""
@@ -134,7 +115,7 @@ class Catalog:
         (all of them by default)."""
         table = self.int_env
         names = tuple(table) if names is None else names
-        return _int_eval(self.d, parse_word(text, names), [table[n] for n in names])
+        return int_word(self.d, parse_word(text, names), [table[n] for n in names])
 
     def word_key(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
         """The int_key of word_matrix: equal keys mean equal elements of
@@ -156,12 +137,6 @@ class Catalog:
 
 def _eval(d: int, text: str, env: dict[str, Mat]) -> Mat:
     return eval_word(parse_word(text, list(env)), list(env.values()), Mat.identity(d))
-
-
-def _int_eval(d: int, w: Word, gens: list[IntMat]) -> IntMat:
-    # each generator that w inverts is inverted once
-    inverse = {gens[-g - 1]: int_inv(d, gens[-g - 1]) for g in set(w) if g < 0}
-    return eval_word(w, gens, INT_ID, partial(int_mul, d), inverse.__getitem__)
 
 
 # -- per-d construction ----------------------------------------------------
@@ -247,9 +222,8 @@ def _catalog_d3() -> Catalog:
     )
 
     # primed generator E1' = P^2 (R Q^2) P^-2, a square root of E1
-    x = _int_eval(d, cat.picard_word("P^2 (R Q^2) P^-2"),
-                  [int_mat(m) for m in cat.picard.values()])
-    if int_key(d, int_mul(d, x, x)) != int_key(d, int_mat(cat.hybrid["E1"])):
+    x = cat.word_matrix("P^2 (R Q^2) P^-2", tuple(cat.picard))
+    if int_key(d, int_mul(d, x, x)) != int_key(d, cat.int_env["E1"]):
         raise CatalogError("(E1')^2 is not E1 projectively")
     return cat._replace(hybrid_primed={"E1p": mat_from_int(d, x)})
 
@@ -396,7 +370,7 @@ def _validate(cat: Catalog) -> Catalog:
     gens = [cat.int_env[n] for n in cat.presentation.names()]
     ident = int_key(cat.d, INT_ID)
     for rel in cat.presentation.relators:
-        if int_key(cat.d, _int_eval(cat.d, rel, gens)) != ident:
+        if int_key(cat.d, int_word(cat.d, rel, gens)) != ident:
             raise CatalogError(
                 f"relator does not evaluate to a unit multiple of Id over O_{cat.d}")
     return cat

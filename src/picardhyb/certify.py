@@ -78,9 +78,10 @@ class EuclideanMotion(namedtuple("EuclideanMotion", "alpha beta")):
             raise ValueError(f"alpha = {alpha} is not a unit of O_3")
         return tuple.__new__(cls, (alpha, beta))
 
-    def _replace(self, **changes) -> "EuclideanMotion":
-        # through __new__, as in exactring.QuadInt
-        return EuclideanMotion(**{**self._asdict(), **changes})
+    # through __new__, as in exactring.QuadInt
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @staticmethod
     def identity() -> "EuclideanMotion":
@@ -335,7 +336,7 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
     report = Report("primed hybrid d=1")
     for name in ("R1", "R2"):
         report.add("corollary-4.6", f"{name} has projective order 4",
-                   projective_order(cat.hybrid_primed[name], 8) == 4)
+                   projective_order(1, cat.int_env[name], 8) == 4)
     for text in ("E1^2 E2 R1", "E1 E2^2 R2"):
         report.add("corollary-4.6", f"{text} is a unit scalar (so the "
                    "order-4 element lies in the plain hybrid)",

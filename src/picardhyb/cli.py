@@ -114,15 +114,15 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit(args) -> int:
     cat = cat_mod.get_catalog(args.d)
-    gens = dict(cat.hybrid)
+    names = list(cat.hybrid)
     if args.variant == "primed":
         if not cat.hybrid_primed:
             print(f"error: no primed hybrid variant for d={args.d}", file=sys.stderr)
             return 2
-        gens.update(cat.hybrid_primed)
+        names += cat.hybrid_primed
     # the origin's images under the projectively deduplicated word ball
     # of radius L
-    keys, n_infinity = orbit_points(list(gens.values()), args.max_depth)
+    keys, n_infinity = orbit_points(args.d, [cat.int_env[n] for n in names], args.max_depth)
     rows = ["re_z,im_z,t"]
     for key in sorted(keys):
         z, t = key_approx(args.d, key)
@@ -134,21 +134,21 @@ def cmd_orbit(args) -> int:
 
 def cmd_search(args) -> int:
     cat = cat_mod.get_catalog(args.d)
-    env = cat.env()
+    env = cat.int_env
     if args.target not in env:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
-    named = list((cat.picard if args.gens == "picard" else cat.hybrid).items())
-    result = find_word(env[args.target], [m for _n, m in named],
+    names = list(cat.picard if args.gens == "picard" else cat.hybrid)
+    result = find_word(args.d, env[args.target], [env[n] for n in names],
                        max_depth=args.max_depth, max_coeff_bits=args.max_coeff_bits)
     payload = {
         "target": args.target,
-        "generators": [n for n, _m in named],
+        "generators": names,
         "found": result.found,
         "pruned_by_height": result.pruned_by_height,
     }
     if result.found:
-        payload["word"] = format_word(result.word, [n for n, _m in named])
+        payload["word"] = format_word(result.word, names)
         payload["length"] = len(result.word)
         payload["verified"] = True
     else:
@@ -158,12 +158,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cat = cat_mod.get_catalog(args.d)
-    env = cat.env()
+    env = cat_mod.get_catalog(args.d).int_env
     if args.element not in env:
         print(f"unknown element {args.element!r}", file=sys.stderr)
         return 2
-    kind = classify(env[args.element])
+    kind = classify(args.d, env[args.element])
     _write(args.out, f"{args.element}: {kind.value}\n")
     return 0
 

@@ -6,10 +6,12 @@ entries. All catalog matrices are in fact integral with a unit
 determinant, and so is every word in them. The hot loops (the orbit
 ``ball``, the word search, and the word checks of the catalog and of
 certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
-as a flat tuple of 18 Python ints, with its product, inverse, canonical
-projective key, coefficient height and the key of the image of the
-Heisenberg origin, all in integers. ``classify`` and ``projective_order``
-take a ``Mat`` but convert it once and decide on the kernel too.
+as a flat tuple of 18 Python ints (an ``IntMat``), with its product,
+inverse, word evaluation, canonical projective key, coefficient height and
+the key of the image of the Heisenberg origin, all in integers. Every
+kernel function takes the ring d and ``IntMat``s, ``classify`` and
+``projective_order`` included; ``int_mat`` converts a ``Mat`` once, and
+the catalog's ``int_env`` is where the command-line verbs get theirs.
 
 ``ball`` skips two kinds of product, and neither can change its output.
 It keeps one move per projective class, because a move projectively equal
@@ -40,11 +42,13 @@ from __future__ import annotations
 import enum
 import operator
 from collections import namedtuple
+from functools import partial
 from math import gcd, sqrt
 
 from .exactring import (
     _TAU_ISQRTD, _TAU_SQ, UNITS, QuadInt, QuadRat, RingMismatchError, units,
 )
+from .fpgroups import Word, eval_word
 
 
 class Mat(namedtuple("Mat", "d rows")):
@@ -512,25 +516,30 @@ def int_origin_key(d: int, x: tuple[int, ...]) -> tuple[int, ...] | None:
     return za // g, zb // g, norm_r // g, tn // h, td // h
 
 
-def _move_table(gens: list[Mat]) -> tuple[int, list[IntMat], list[int], list[int]]:
-    """The ring, one move per projective class among gens and their
-    inverses, for each move the position of the move that undoes it, and
-    each move's letter: i for gens[i - 1], -i for its inverse."""
+def int_word(d: int, w: Word, gens: list[IntMat]) -> IntMat:
+    """The product of the word w over gens (fpgroups.eval_word on the
+    kernel); each generator that w inverts is inverted once."""
+    inverse = {gens[-g - 1]: int_inv(d, gens[-g - 1]) for g in set(w) if g < 0}
+    return eval_word(w, gens, INT_ID, partial(int_mul, d), inverse.__getitem__)
+
+
+def _move_table(d: int, gens: list[IntMat]) -> tuple[list[IntMat], list[int], list[int]]:
+    """One move per projective class among gens and their inverses, for
+    each move the position of the move that undoes it, and each move's
+    letter: i for gens[i - 1], -i for its inverse."""
     if not gens:
         raise ValueError("generator list is empty")
-    d = gens[0].d
     moves: list[IntMat] = []
     letters: list[int] = []
     index: dict[IntMat, int] = {}    # move key -> position in moves
-    for i, g in enumerate(gens, start=1):
-        x = int_mat(g)
+    for i, x in enumerate(gens, start=1):
         for letter, m in ((i, x), (-i, int_inv(d, x))):
             key = int_key(d, m)
             if key not in index:
                 index[key] = len(moves)
                 moves.append(m)
                 letters.append(letter)
-    return d, moves, [index[int_key(d, int_inv(d, m))] for m in moves], letters
+    return moves, [index[int_key(d, int_inv(d, m))] for m in moves], letters
 
 
 def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
@@ -556,20 +565,20 @@ def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
         yield frontier
 
 
-def ball(gens: list[Mat], radius: int) -> list[IntMat]:
+def ball(d: int, gens: list[IntMat], radius: int) -> list[IntMat]:
     """The projectively distinct elements of word length <= radius over
     gens and their inverses, in breadth-first order from the identity.
     Products known to be repeats are skipped (see the module docstring)."""
-    d, moves, undo, _letters = _move_table(gens)
+    moves, undo, _letters = _move_table(d, gens)
     return [m for sphere in _spheres(d, moves, undo, set(), radius) for m, _k in sphere]
 
 
-def orbit_points(gens: list[Mat], radius: int) -> tuple[set[tuple[int, ...]], int]:
-    """The int_origin_key of every element of ball(gens, radius) that keeps
-    the Heisenberg origin finite, and the number of elements that send it
-    to Infinity. The last sphere is formed as columns only (see the module
-    docstring)."""
-    d, moves, undo, _letters = _move_table(gens)
+def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int, ...]], int]:
+    """The int_origin_key of every element of ball(d, gens, radius) that
+    keeps the Heisenberg origin finite, and the number of elements that
+    send it to Infinity. The last sphere is formed as columns only (see the
+    module docstring)."""
+    moves, undo, _letters = _move_table(d, gens)
     seen: set[IntMat] = set()
     points = set()
     n_infinity = 0
@@ -622,16 +631,15 @@ def goldman_f(d: int, tr: tuple[int, int], det: tuple[int, int]) -> int:
     return n * n - (8 * a + 4 * c1 * b) + 18 * n - 27
 
 
-def classify(m: Mat) -> IsometryClass:
-    """Trace-discriminant classification of m in PU(2,1) (Goldman,
-    Complex Hyperbolic Geometry, 1999, 6.2); ValueError unless m is
-    integral with a unit determinant.
+def classify(d: int, x: IntMat) -> IsometryClass:
+    """Trace-discriminant classification of x in PU(2,1) (Goldman,
+    Complex Hyperbolic Geometry, 1999, 6.2); ValueError unless det x is a
+    unit.
 
-    On the zero locus of f, m is unipotent up to scale iff m - u*Id is
-    nilpotent for some u with u^3 = det m. Such a u is a root of
-    x^3 - det m equal to tr(m)/3, so it lies in O_d and is a unit; when
-    det m has no unit cube root (det P = w for d=3), m is other-boundary."""
-    d, x = m.d, int_mat(m)
+    On the zero locus of f, x is unipotent up to scale iff x - u*Id is
+    nilpotent for some u with u^3 = det x. Such a u is a root of
+    t^3 - det x equal to tr(x)/3, so it lies in O_d and is a unit; when
+    det x has no unit cube root (det P = w for d=3), x is other-boundary."""
     c0, c1 = _TAU_SQ[d]
     det = _cofactors(d, x)[1]
     f = goldman_f(d, (x[0] + x[8] + x[16], x[1] + x[9] + x[17]), det)
@@ -642,7 +650,7 @@ def classify(m: Mat) -> IsometryClass:
     for u in UNITS[d]:
         if _qmul(c0, c1, _qmul(c0, c1, u, u), u) != det:
             continue
-        nil = tuple(map(operator.sub, x, (*u, 0, 0, 0, 0, 0, 0) * 2 + u))   # m - u*Id
+        nil = tuple(map(operator.sub, x, (*u, 0, 0, 0, 0, 0, 0) * 2 + u))   # x - u*Id
         if not any(nil):
             return IsometryClass.OTHER_BOUNDARY
         nil2 = int_mul(d, nil, nil)
@@ -653,10 +661,8 @@ def classify(m: Mat) -> IsometryClass:
     return IsometryClass.OTHER_BOUNDARY
 
 
-def projective_order(m: Mat, limit: int = 24) -> int | None:
-    """Smallest k >= 1 with m^k a unit multiple of Id, or None past limit;
-    ValueError unless m is an integral 3x3 matrix."""
-    d, x = m.d, int_mat(m)
+def projective_order(d: int, x: IntMat, limit: int = 24) -> int | None:
+    """Smallest k >= 1 with x^k a unit multiple of Id, or None past limit."""
     ident, power = int_key(d, INT_ID), x
     for k in range(1, limit + 1):
         if int_key(d, power) == ident:

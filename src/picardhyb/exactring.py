@@ -45,9 +45,9 @@ def _check_d(d: int) -> None:
 
 # The records of the package subclass collections.namedtuple, whose class
 # costs a fraction of a typing.NamedTuple's to create. A record that checks
-# or normalizes its fields does so in __new__, and overrides _replace, which
-# would otherwise build the copy without calling __new__ and so skip the
-# checks. (_make skips them too, as in any namedtuple.)
+# or normalizes its fields does so in __new__, and overrides _make, which
+# would otherwise build the tuple without calling __new__ and so skip the
+# checks; namedtuple's _replace builds its copy with _make, so it runs them too.
 class QuadInt(namedtuple("QuadInt", "d a b")):
     """a + b*tau_d with arbitrary-precision integer a, b."""
 
@@ -57,8 +57,9 @@ class QuadInt(namedtuple("QuadInt", "d a b")):
         _check_d(d)
         return tuple.__new__(cls, (d, a, b))
 
-    def _replace(self, **changes) -> "QuadInt":
-        return QuadInt(**{**self._asdict(), **changes})
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     # -- constructors ------------------------------------------------------
 
@@ -196,8 +197,9 @@ class QuadRat(namedtuple("QuadRat", "num den")):
             den //= g
         return tuple.__new__(cls, (num, den))
 
-    def _replace(self, **changes) -> "QuadRat":
-        return QuadRat(**{**self._asdict(), **changes})
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def d(self) -> int:

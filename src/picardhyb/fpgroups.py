@@ -43,7 +43,8 @@ def eval_word(w: Word, gens, one, mul=operator.mul, inv=_inverse):
     one: letter +k is gens[k - 1] and -k its inverse. By default any
     element type with ``*`` and ``.inverse()`` will do (matrices, Euclidean
     motions); ``mul`` and ``inv`` replace them for the integer kernel of
-    cxhyp, which passes ``partial(int_mul, d)`` and ``partial(int_inv, d)``."""
+    cxhyp, whose ``int_word`` passes ``partial(int_mul, d)`` and a table of
+    the inverses the word needs."""
     result = one
     for g in w:
         x = gens[abs(g) - 1]
@@ -67,9 +68,10 @@ class Presentation(namedtuple("Presentation", "ngens relators gen_names")):
             raise ValueError("gen_names length mismatch")
         return tuple.__new__(cls, (ngens, relators, gen_names))
 
-    def _replace(self, **changes) -> "Presentation":
-        # through __new__, as in exactring.QuadInt
-        return Presentation(**{**self._asdict(), **changes})
+    # through __new__, as in exactring.QuadInt
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def names(self) -> tuple[str, ...]:
         if self.gen_names is not None:

@@ -14,15 +14,12 @@ Every returned word is re-verified by evaluation before return.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 
-from .cxhyp import (
-    INT_ID, IntMat, Mat, _move_table, int_height, int_inv, int_key, int_mat, int_mul,
-)
+from .cxhyp import INT_ID, IntMat, _move_table, int_height, int_key, int_mul, int_word
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import canonical_rep, proj_eq  # noqa: F401
-from .fpgroups import Word, eval_word, free_reduce
+from .fpgroups import Word, free_reduce
 
 
 class SearchResult(namedtuple("SearchResult", "word depth_searched pruned_by_height")):
@@ -35,7 +32,7 @@ class SearchResult(namedtuple("SearchResult", "word depth_searched pruned_by_hei
         return self.word is not None
 
 
-def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
+def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10,
               max_coeff_bits: int = 512) -> SearchResult:
     """Minimal-length word over gens (and inverses) projectively equal to
     the target, using at most max_depth letters and dropping every class
@@ -43,15 +40,12 @@ def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
     early, with depth_searched below max_depth, once neither side has a
     new class left to expand.
 
-    The target and the generators must be integral 3x3 matrices, the
-    generators with a unit determinant (ValueError otherwise); the states
-    are expanded in the integer kernel of cxhyp."""
+    The target and the generators are kernel matrices over O_d (cxhyp's
+    IntMat), the generators with a unit determinant (ValueError
+    otherwise)."""
     if max_depth < 0 or max_coeff_bits <= 0:
         raise ValueError("search bounds must be positive")
-    if any(g.d != target.d for g in gens):
-        raise ValueError("generators and target live over different rings")
-    d, moves, undo, letters = _move_table(gens)
-    igens = [int_mat(g) for g in gens]
+    moves, undo, letters = _move_table(d, gens)
 
     # side 0 (forward) grows words by appending the letter of move k, i.e.
     # right-multiplying by move k; side 1 (backward) grows words by
@@ -59,7 +53,7 @@ def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
     # multiple of the inverse of move k
     steps = (list(zip(letters, moves)), [(g, moves[j]) for g, j in zip(letters, undo)])
 
-    target_key = int_key(d, int_mat(target))
+    target_key = int_key(d, target)
     ident_key = int_key(d, INT_ID)
     if ident_key == target_key:
         return SearchResult((), 0, False)
@@ -106,7 +100,7 @@ def find_word(target: Mat, gens: list[Mat], *, max_depth: int = 10,
         depths[side] += 1
         frontiers[side] = new
         if meets:
-            return _verified(d, min(meets)[1], igens, target_key, depths[0] + depths[1], pruned)
+            return _verified(d, min(meets)[1], gens, target_key, depths[0] + depths[1], pruned)
     return SearchResult(None, depths[0] + depths[1], pruned)
 
 
@@ -114,7 +108,6 @@ def _verified(d: int, word: Word, gens: list[IntMat], target_key: IntMat, depth:
               pruned: bool) -> SearchResult:
     """The result for word, re-evaluated on the kernel from the generators
     (not from the stored search states) and compared with the target."""
-    if int_key(d, eval_word(word, gens, INT_ID, partial(int_mul, d),
-                            partial(int_inv, d))) != target_key:
+    if int_key(d, int_word(d, word, gens)) != target_key:
         raise RuntimeError("search returned an unsound word")
     return SearchResult(word, depth, pruned)

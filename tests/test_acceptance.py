@@ -115,16 +115,16 @@ def test_criterion_6_abelianizations():
 def test_criterion_7_classification():
     t0 = time.monotonic()
     for d in (1, 3, 7):
-        env = get_catalog(d).env()
-        assert classify(env["U1"]) is IsometryClass.UNIPOTENT_2_STEP
-        assert classify(env["U2"]) is IsometryClass.UNIPOTENT_2_STEP
-    env3 = get_catalog(3).env()
-    assert classify(env3["E1"]) is IsometryClass.REGULAR_ELLIPTIC
-    assert projective_order(env3["E1"], 6) == 3
-    env7 = get_catalog(7).env()
-    assert classify(env7["A1"]) is IsometryClass.LOXODROMIC
-    assert classify(env7["B1"]) is IsometryClass.OTHER_BOUNDARY
-    assert projective_order(env7["B1"], 4) == 2
+        env = get_catalog(d).int_env
+        assert classify(d, env["U1"]) is IsometryClass.UNIPOTENT_2_STEP
+        assert classify(d, env["U2"]) is IsometryClass.UNIPOTENT_2_STEP
+    env3 = get_catalog(3).int_env
+    assert classify(3, env3["E1"]) is IsometryClass.REGULAR_ELLIPTIC
+    assert projective_order(3, env3["E1"], 6) == 3
+    env7 = get_catalog(7).int_env
+    assert classify(7, env7["A1"]) is IsometryClass.LOXODROMIC
+    assert classify(7, env7["B1"]) is IsometryClass.OTHER_BOUNDARY
+    assert projective_order(7, env7["B1"], 4) == 2
     _report(7, "isometry inventory matches (2-step, elliptic, loxodromic)",
             time.monotonic() - t0, 5)
 
@@ -134,9 +134,10 @@ def test_criterion_8_search():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    u1 = find_word(env["U1"], gens, max_depth=3)
+    kernel = [cat.int_env[n] for n in ("P", "Q", "R")]
+    u1 = find_word(3, cat.int_env["U1"], kernel, max_depth=3)
     assert u1.found and u1.word == (2, 2)
-    e1 = find_word(env["E1"], gens, max_depth=12)
+    e1 = find_word(3, cat.int_env["E1"], kernel, max_depth=12)
     assert e1.found and len(e1.word) <= 12
     assert proj_eq(eval_word(e1.word, gens, Mat.identity(3)), env["E1"])
     _report(8, "search recovers U1 = Q^2 and a verified word for E1",

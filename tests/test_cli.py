@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import picardhyb
 
-from picardhyb import catalog, certify, cli, fpgroups
+from picardhyb import catalog, certify, cli, cxhyp, fpgroups
 from picardhyb.cli import main
 
 
@@ -225,6 +225,32 @@ def test_classify_cmd_determinant_w(capsys):
     # det P = w has no unit cube root in O_3; P still classifies
     assert run(["classify", "--d", "3", "--element", "P"]) == 0
     assert capsys.readouterr().out == "P: other-boundary\n"
+
+
+# a verify of every ring, both orbit variants, both search generator sets
+# and classify: each reads its kernel matrices from the catalog's int_env
+KERNEL_VERBS = (
+    ["verify", "--d", "1"], ["verify", "--d", "3"], ["verify", "--d", "7"],
+    ["orbit", "--d", "3", "--max-depth", "2"],
+    ["orbit", "--d", "1", "--variant", "primed", "--max-depth", "2"],
+    ["search", "--d", "1", "--target", "E1"],
+    ["search", "--d", "3", "--target", "E1p", "--gens", "hybrid", "--max-depth", "4"],
+    ["classify", "--d", "7", "--element", "B1"],
+)
+
+
+def test_no_verb_converts_a_mat_after_set_up(monkeypatch, capsys):
+    for d in (1, 3, 7):
+        assert catalog.get_catalog(d).int_env
+
+    def refuse(m):
+        raise AssertionError(f"converted a Mat to the kernel: {m}")
+
+    monkeypatch.setattr(cxhyp, "int_mat", refuse)
+    monkeypatch.setattr(catalog, "int_mat", refuse)
+    for argv in KERNEL_VERBS:
+        assert run(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_abelianize_cmd(tmp_path):

@@ -86,12 +86,12 @@ def test_goldman_examples():
 
 def test_classify_rejects_non_integral_or_non_unit_det():
     with pytest.raises(ValueError, match="not a unit"):
-        classify(Mat.identity(3, 3).scale(QuadRat.of_fraction(3, 2)))
+        classify(3, int_mat(Mat.identity(3, 3).scale(QuadRat.of_fraction(3, 2))))
     half = QuadRat.of_fraction(3, Fraction(1, 2))
     for m in (Mat.identity(3, 3).scale(half),
               Mat.from_entries(3, ((2, 0, 0), (0, half, 0), (0, 0, 1)))):  # det 1
         with pytest.raises(ValueError, match="integral 3x3"):
-            classify(m)
+            int_mat(m)
 
 
 # the class of every catalog element; P (d=3, det w) has eigenvalues
@@ -115,8 +115,8 @@ CATALOG_CLASSES = {
 
 def test_classification_of_every_catalog_element():
     for d, want in CATALOG_CLASSES.items():
-        env = get_catalog(d).env()
-        assert {n: classify(m).value for n, m in env.items()} == want
+        env = get_catalog(d).int_env
+        assert {n: classify(d, x).value for n, x in env.items()} == want
 
 
 def test_classify_conjugation_invariant():
@@ -127,18 +127,18 @@ def test_classify_conjugation_invariant():
         if d == 3:      # some words have determinant +-w or +-w^2
             assert any(g.det().num.b for g in words)
         for m in list(get_catalog(d).env().values()) + words:
-            kind = classify(m)
+            kind = classify(d, int_mat(m))
             for u in units(d):
-                assert classify(m.scale(QuadRat.of(u))) is kind
+                assert classify(d, int_mat(m.scale(QuadRat.of(u)))) is kind
             for g in words:
-                assert classify(g * m * g.inverse()) is kind
+                assert classify(d, int_mat(g * m * g.inverse())) is kind
 
 
 def test_heis_translation_classification():
     for d in (1, 3, 7):
         s = QuadRat.of(QuadInt.sqrt_minus_d(d))
         vertical = heis_translation(QuadRat.zero(d), s)
-        assert classify(vertical) is IsometryClass.UNIPOTENT_2_STEP
+        assert classify(d, int_mat(vertical)) is IsometryClass.UNIPOTENT_2_STEP
         # integral translations: -|z|^2/2 + s is -1 + i for d=1 and
         # (-1 + i*sqrt(d))/2 in O_d for d = 3, 7
         if d == 1:
@@ -146,7 +146,7 @@ def test_heis_translation_classification():
         else:
             z, s = QuadRat.one(d), QuadRat(QuadInt.sqrt_minus_d(d), 2)
         horizontal = heis_translation(z, s)
-        assert classify(horizontal) is IsometryClass.UNIPOTENT_3_STEP
+        assert classify(d, int_mat(horizontal)) is IsometryClass.UNIPOTENT_3_STEP
 
 
 def test_heis_translation_rejects_real_s():
@@ -198,11 +198,11 @@ def test_boundary_point_lift_of_int_t_coeff_is_exact():
 
 
 def test_projective_order_limits():
-    env = get_catalog(3).env()
-    assert projective_order(env["U1"], 10) is None  # parabolic, infinite order
-    assert projective_order(Mat.identity(3, 3)) == 1
-    assert projective_order(env["E1"], 6) == 3
+    env = get_catalog(3).int_env
+    assert projective_order(3, env["U1"], 10) is None  # parabolic, infinite order
+    assert projective_order(3, int_mat(Mat.identity(3, 3))) == 1
+    assert projective_order(3, env["E1"], 6) == 3
     # B1, B2 are non-regular elliptic: zero discriminant, finite order
-    env7 = get_catalog(7).env()
-    assert projective_order(env7["B1"], 4) == 2
-    assert projective_order(env7["B2"], 4) == 2
+    env7 = get_catalog(7).int_env
+    assert projective_order(7, env7["B1"], 4) == 2
+    assert projective_order(7, env7["B2"], 4) == 2

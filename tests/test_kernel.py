@@ -278,24 +278,24 @@ def test_ball_matches_mat_reference(d):
                     new.append(m * g)
         reference = reference + new
         frontier = new
-    assert ball(mats, 2) == [int_mat(m) for m in reference]
+    assert ball(d, [int_mat(m) for m in mats], 2) == [int_mat(m) for m in reference]
 
 
 def _hybrids():
-    """The generators of every hybrid the orbit verb can use."""
+    """The ring and the kernel generators of every hybrid the orbit verb
+    can use."""
     for d in (1, 3, 7):
         cat = get_catalog(d)
-        yield pytest.param(list(cat.hybrid.values()), id=f"{d}-plain")
+        yield pytest.param(d, [cat.int_env[n] for n in cat.hybrid], id=f"{d}-plain")
         if cat.hybrid_primed:
-            yield pytest.param(list({**cat.hybrid, **cat.hybrid_primed}.values()),
+            yield pytest.param(d, [cat.int_env[n] for n in (*cat.hybrid, *cat.hybrid_primed)],
                                id=f"{d}-primed")
 
 
-def _plain_bfs(gens: list[Mat], radius: int) -> list[tuple]:
+def _plain_bfs(d: int, gens: list[tuple], radius: int) -> list[tuple]:
     """Breadth-first ball over all 2k moves: every product is formed and
     looked up in one set of every key seen."""
-    d = gens[0].d
-    moves = [y for g in gens for y in (int_mat(g), int_inv(d, int_mat(g)))]
+    moves = [y for g in gens for y in (g, int_inv(d, g))]
     seen = {int_key(d, INT_ID)}
     elements = frontier = [INT_ID]
     for _ in range(radius):
@@ -312,10 +312,10 @@ def _plain_bfs(gens: list[Mat], radius: int) -> list[tuple]:
     return elements
 
 
-@pytest.mark.parametrize("gens", _hybrids())
-def test_ball_matches_plain_bfs(gens):
+@pytest.mark.parametrize("d,gens", _hybrids())
+def test_ball_matches_plain_bfs(d, gens):
     for radius in range(5):
-        assert ball(gens, radius) == _plain_bfs(gens, radius)
+        assert ball(d, gens, radius) == _plain_bfs(d, gens, radius)
 
 
 # products formed by ball at radius 4 over each plain hybrid; _plain_bfs
@@ -332,33 +332,34 @@ def test_ball_skips_known_repeats(d, monkeypatch):
         count += 1
         return int_mul(*args)
 
-    gens = list(get_catalog(d).hybrid.values())
+    cat = get_catalog(d)
+    gens = [cat.int_env[n] for n in cat.hybrid]
     monkeypatch.setattr(cxhyp, "int_mul", counting_mul)
-    ball(gens, 4)
+    ball(d, gens, 4)
     assert count <= MAX_PRODUCTS_AT_RADIUS_4[d]
 
 
 def test_ball_rejects_no_generators():
     with pytest.raises(ValueError, match="generator list is empty"):
-        ball([], 2)
+        ball(1, [], 2)
 
 
-def _reference_orbit(gens: list[Mat], radius: int) -> tuple[set, int]:
-    d = gens[0].d
-    keys = [int_origin_key(d, x) for x in ball(gens, radius)]
+def _reference_orbit(d: int, gens: list[tuple], radius: int) -> tuple[set, int]:
+    keys = [int_origin_key(d, x) for x in ball(d, gens, radius)]
     return set(keys) - {None}, keys.count(None)
 
 
-@pytest.mark.parametrize("gens", _hybrids())
-def test_orbit_points_match_ball(gens):
+@pytest.mark.parametrize("d,gens", _hybrids())
+def test_orbit_points_match_ball(d, gens):
     for radius in range(5):
-        assert orbit_points(gens, radius) == _reference_orbit(gens, radius)
+        assert orbit_points(d, gens, radius) == _reference_orbit(d, gens, radius)
 
 
-@pytest.mark.parametrize("gens", _hybrids())
-def test_orbit_points_multiply_out_only_images_at_infinity(gens, monkeypatch):
-    d, radius = gens[0].d, 4
-    new_at_infinity = _reference_orbit(gens, radius)[1] - _reference_orbit(gens, radius - 1)[1]
+@pytest.mark.parametrize("d,gens", _hybrids())
+def test_orbit_points_multiply_out_only_images_at_infinity(d, gens, monkeypatch):
+    radius = 4
+    new_at_infinity = (_reference_orbit(d, gens, radius)[1]
+                       - _reference_orbit(d, gens, radius - 1)[1])
     products = []
 
     def recording_mul(*args):
@@ -366,12 +367,12 @@ def test_orbit_points_multiply_out_only_images_at_infinity(gens, monkeypatch):
         return products[-1]
 
     monkeypatch.setattr(cxhyp, "int_mul", recording_mul)
-    ball(gens, radius - 1)
+    ball(d, gens, radius - 1)
     inner = len(products)
-    ball(gens, radius)
+    ball(d, gens, radius)
     full = len(products) - inner
     del products[:]
-    orbit_points(gens, radius)
+    orbit_points(d, gens, radius)
     last = products[inner:]
     # the first radius - 1 spheres are formed as ball forms them; in the
     # last one, a product is formed only when the origin goes to Infinity,
@@ -389,7 +390,7 @@ def _float_bits(z: complex) -> tuple[str, str]:
 def test_key_approx_matches_boundary_point(d, variant, radius):
     cat = get_catalog(d)
     gens = {**cat.hybrid, **(cat.hybrid_primed if variant == "primed" else {})}
-    keys = orbit_points(list(gens.values()), radius)[0]
+    keys = orbit_points(d, [cat.int_env[n] for n in gens], radius)[0]
     assert keys
     for key in keys:
         z, t = key_approx(d, key)

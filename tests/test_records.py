@@ -1,16 +1,19 @@
 """The record types of the package keep their tuple API: field names, field
 order and defaults, no instance ``__dict__``, field checks that also run on
-``_replace``, ``_make`` round trips, and a ``Mat`` that refuses tuple ``+``
-and ``*``.
+``_make`` and ``_replace``, ``_make`` round trips, and a ``Mat`` that
+refuses tuple ``+`` and ``*``.
 
-``_make`` builds the tuple without calling ``__new__``, as for any
-namedtuple, so only ``_replace`` is overridden to re-run the checks."""
+A record that checks its fields in ``__new__`` overrides ``_make`` to call
+it; namedtuple's ``_replace`` builds its copy with ``_make``, so it runs the
+checks too. ``Catalog`` is the one record with an instance ``__dict__``: its
+``int_env`` is a ``cached_property``, which keeps its value there, so a
+``_replace`` copy starts without one and builds its own."""
 
 from fractions import Fraction
 
 import pytest
 
-from picardhyb.catalog import ConjugationIdentity, WordIdentity
+from picardhyb.catalog import Catalog, ConjugationIdentity, WordIdentity, get_catalog
 from picardhyb.certify import (
     CheckResult, EuclideanMotion, IndexResult, InfinitenessCertificate,
 )
@@ -39,6 +42,8 @@ RECORDS = {
                                "witness_image", "relator_images"), {}),
     IndexResult: (("d", "outcome", "index", "table", "certificate"),
                   {"index": None, "table": None, "certificate": None}),
+    Catalog: (("d", "fuchsian", "picard", "presentation", "hybrid", "hybrid_primed",
+               "word_identities", "conjugation_identities", "flags"), {"flags": ()}),
 }
 
 
@@ -67,6 +72,7 @@ def _instances():
         EuclideanMotion(w, one),
         InfinitenessCertificate(None, (), {}, "", None, ()),
         IndexResult(1, "finite", 2),
+        Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), {}, {}, (), ()),
     ]
 
 
@@ -75,11 +81,23 @@ def test_every_record_is_covered_once():
         r.__name__ for r in RECORDS)
 
 
-@pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", [x for x in _instances() if not isinstance(x, Catalog)],
+                         ids=lambda x: type(x).__name__)
 def test_instances_have_no_dict(x):
     assert not hasattr(x, "__dict__")
     with pytest.raises(AttributeError):
         x.extra = 1
+
+
+def test_catalog_caches_int_env_per_copy():
+    cat = get_catalog(3)
+    assert cat.int_env is cat.int_env and vars(cat)["int_env"] is cat.int_env
+    copy = cat._replace(flags=())
+    assert type(copy) is Catalog and copy[:-1] == cat[:-1] and copy.flags == ()
+    assert "int_env" not in vars(copy)
+    assert copy.int_env == cat.int_env and copy.int_env is not cat.int_env
+    empty = cat._replace(hybrid={}, hybrid_primed={})
+    assert set(empty.int_env) == set(cat.picard)
 
 
 def test_defaults_apply():
@@ -124,6 +142,21 @@ def test_euclidean_motion_checks_on_replace():
     assert m._replace(beta=w) == (w, w)
     with pytest.raises(ValueError):
         m._replace(alpha=QuadInt(3, 2, 0))
+
+
+def test_make_runs_the_checks():
+    with pytest.raises(ValueError):
+        QuadInt._make((2, 0, 0))
+    with pytest.raises(ZeroDivisionError):
+        QuadRat._make((QuadInt(7, 1, 0), 0))
+    assert QuadRat._make((QuadInt(1, 2, 4), -6)) == (QuadInt(1, -1, -2), 3)
+    assert Presentation._make((2, [(1, -1, 2)], None)).relators == ((2,),)
+    with pytest.raises(ValueError):
+        Presentation._make((1, [(2,)], None))
+    with pytest.raises(ValueError):
+        EuclideanMotion._make((QuadInt(3, 2, 0), QuadInt.one(3)))
+    with pytest.raises(TypeError):
+        QuadInt._make((1, 2))
 
 
 @pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)

@@ -18,11 +18,15 @@ from picardhyb.search import find_word
 from picardhyb.fpgroups import eval_word, format_word
 
 
+def _kernel(cat, names):
+    return [cat.int_env[n] for n in names]
+
+
 def test_find_u1_as_q_squared():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    res = find_word(env["U1"], gens, max_depth=3)
+    res = find_word(3, cat.int_env["U1"], _kernel(cat, ("P", "Q", "R")), max_depth=3)
     assert res.found
     assert res.word == (2, 2)  # Q^2
     assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["U1"])
@@ -32,7 +36,7 @@ def test_find_e1_within_depth_12():
     cat = get_catalog(3)
     env = cat.env()
     gens = [env[n] for n in ("P", "Q", "R")]
-    res = find_word(env["E1"], gens, max_depth=12)
+    res = find_word(3, cat.int_env["E1"], _kernel(cat, ("P", "Q", "R")), max_depth=12)
     assert res.found and len(res.word) <= 12
     assert proj_eq(eval_word(res.word, gens, Mat.identity(3)), env["E1"])
 
@@ -41,31 +45,28 @@ def test_search_result_is_shortest_on_cyclic_example():
     # single parabolic generator: the only word for g^4 has length 4
     cat = get_catalog(1)
     t = cat.picard["T"]
-    res = find_word(t * t * t * t, [t], max_depth=8)
+    res = find_word(1, int_mat(t * t * t * t), [int_mat(t)], max_depth=8)
     assert res.found and res.word == (1, 1, 1, 1)
 
 
 def test_identity_target():
-    gens = [get_catalog(3).picard["P"]]
-    res = find_word(Mat.identity(3, 3), gens, max_depth=4)
+    gens = [get_catalog(3).int_env["P"]]
+    res = find_word(3, int_mat(Mat.identity(3, 3)), gens, max_depth=4)
     assert res.found and res.word == ()
 
 
 def test_exhaustion_reports_not_found():
     cat = get_catalog(3)
-    env = cat.env()
-    gens = [env["Q"]]  # Q has order 2; E1 is not a power of it
-    res = find_word(env["E1"], gens, max_depth=6)
+    gens = [cat.int_env["Q"]]  # Q has order 2; E1 is not a power of it
+    res = find_word(3, cat.int_env["E1"], gens, max_depth=6)
     assert not res.found
     assert res.depth_searched >= 1
 
 
 def test_primed_d1_words_recovered():
     cat = get_catalog(1)
-    env = dict(cat.hybrid)
     names = ["E1", "U1", "E2", "U2"]
-    gens = [env[n] for n in names]
-    res = find_word(cat.hybrid_primed["R1"], gens, max_depth=6)
+    res = find_word(1, cat.int_env["R1"], _kernel(cat, names), max_depth=6)
     assert res.found
     assert format_word(res.word, names) == "E2^-1 E1^-2"
 
@@ -74,9 +75,9 @@ def test_search_ends_when_every_state_under_the_height_cap_is_known():
     # at 2 bits the d=3 hybrid generators reach no new class after 16
     # letters, so both frontiers empty and a deeper bound changes nothing
     cat = get_catalog(3)
-    gens = list(cat.hybrid.values())
+    gens = _kernel(cat, cat.hybrid)
     for depth in (16, 40):
-        assert find_word(cat.env()["R"], gens, max_depth=depth,
+        assert find_word(3, cat.int_env["R"], gens, max_depth=depth,
                          max_coeff_bits=2) == (None, 16, True)
 
 
@@ -85,10 +86,10 @@ def test_unsound_word_raises_under_optimize():
     script = (
         "from picardhyb import search\n"
         "from picardhyb.catalog import get_catalog\n"
-        "search.eval_word = lambda w, gens, one, *args: one\n"
-        "env = get_catalog(3).env()\n"
+        "search.int_word = lambda d, w, gens: search.INT_ID\n"
+        "env = get_catalog(3).int_env\n"
         "try:\n"
-        "    search.find_word(env['U1'], [env[n] for n in ('P', 'Q', 'R')],\n"
+        "    search.find_word(3, env['U1'], [env[n] for n in ('P', 'Q', 'R')],\n"
         "                     max_depth=3)\n"
         "except RuntimeError as exc:\n"
         "    print('raised:', exc)\n"
@@ -105,9 +106,9 @@ def test_unsound_word_raises_under_optimize():
 @pytest.mark.parametrize("bounds", ({"max_depth": -1}, {"max_coeff_bits": 0}),
                          ids=("max_depth", "max_coeff_bits"))
 def test_find_word_rejects_bounds_out_of_range(bounds):
-    gens = [get_catalog(3).picard["P"]]
+    gens = [get_catalog(3).int_env["P"]]
     with pytest.raises(ValueError, match="^search bounds must be positive$"):
-        find_word(Mat.identity(3, 3), gens, **bounds)
+        find_word(3, int_mat(Mat.identity(3, 3)), gens, **bounds)
 
 
 def _bfs_length(target: Mat, gens: list[Mat], depth: int) -> int | None:
@@ -149,7 +150,7 @@ def test_find_word_is_as_short_as_breadth_first_search(seed):
                 g = rng.choice(gens)
                 target = target * (g if rng.random() < 0.5 else g.inverse())
         depth = rng.randint(0, 5)
-        res = find_word(target, gens, max_depth=depth)
+        res = find_word(d, int_mat(target), [int_mat(g) for g in gens], max_depth=depth)
         want = _bfs_length(target, gens, depth)
         assert not res.pruned_by_height
         assert res.found == (want is not None)
@@ -158,7 +159,7 @@ def test_find_word_is_as_short_as_breadth_first_search(seed):
             assert proj_eq(eval_word(res.word, gens, Mat.identity(d)), target)
 
 
-# find_word(target, generators, max_depth=7, max_coeff_bits=bits) for every
+# find_word(d, target, generators, max_depth=7, max_coeff_bits=bits) for every
 # catalog element over the Picard and over the plain hybrid generators, as
 # (word, depth_searched, pruned_by_height) for bits 3, 6 and 512
 PINNED_AT_DEPTH_7 = {
@@ -282,18 +283,19 @@ def test_find_word_matches_pinned_results(d):
     cat = get_catalog(d)
     got = {}
     for pool in ("picard", "hybrid"):
-        gens = list(getattr(cat, pool).values())
-        for name, target in cat.env().items():
+        gens = _kernel(cat, getattr(cat, pool))
+        for name, target in cat.int_env.items():
             got[d, pool, name] = tuple(
-                tuple(find_word(target, gens, max_depth=7, max_coeff_bits=bits))
+                tuple(find_word(d, target, gens, max_depth=7, max_coeff_bits=bits))
                 for bits in (3, 6, 512))
     assert got == {k: v for k, v in PINNED_AT_DEPTH_7.items() if k[0] == d}
 
 
 def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
     # one move per projective class, no product back to the parent and no
-    # known key expanded again: 552 products, where a search over every
-    # generator and inverse that re-expands known keys forms 1,072
+    # known key expanded again: 542 products, where a search over every
+    # generator and inverse that re-expands known keys forms 1,072 (the
+    # re-check of the found word multiplies in cxhyp.int_word, uncounted)
     count = 0
 
     def counting_mul(*args):
@@ -301,8 +303,7 @@ def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
         count += 1
         return int_mul(*args)
 
-    env = get_catalog(1).env()
-    gens = list(get_catalog(1).picard.values())
+    cat = get_catalog(1)
     monkeypatch.setattr(search, "int_mul", counting_mul)
-    assert find_word(env["E1"], gens, max_depth=12).found
+    assert find_word(1, cat.int_env["E1"], _kernel(cat, cat.picard), max_depth=12).found
     assert count <= 560
