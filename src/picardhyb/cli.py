@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from . import catalog as cat_mod
 from . import certify
-from .cxhyp import classify, key_approx, orbit_points
+from .cxhyp import classify, key_rows, orbit_points
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
@@ -123,11 +123,8 @@ def cmd_orbit(args) -> int:
     # the origin's images under the projectively deduplicated word ball
     # of radius L
     keys, n_infinity = orbit_points(args.d, [cat.int_env[n] for n in names], args.max_depth)
-    rows = ["re_z,im_z,t"]
-    for key in sorted(keys):
-        z, t = key_approx(args.d, key)
-        rows.append(f"{z.real:.15g},{z.imag:.15g},{t:.15g}")
-    rows.append(f"# points_at_infinity={n_infinity}")
+    rows = ["re_z,im_z,t", *key_rows(args.d, sorted(keys)),
+            f"# points_at_infinity={n_infinity}"]
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 

@@ -34,6 +34,17 @@ already in the set. The one count that needs distinct elements is that of
 the images at Infinity, so only those products are multiplied out in full
 and counted when their key is new.
 
+A move g whose third column is (0, 0, r) fixes the origin, and so does the
+move that undoes it. The third column of m*g is then r times that of m,
+and r != 0 because g is invertible, so m*g sends the origin where m does.
+``orbit_points`` therefore forms no key for an inner element whose last
+move is such a g, and no column and no key for the product of an element
+of the sphere of radius L-1 by such a g: each skipped column is a nonzero
+multiple of one whose key, boundary check included, was formed for an
+ancestor. When m sends the origin to Infinity, so does m*g, but m*g may
+still be a new element, so that product keeps the full product and key
+and the count of elements at Infinity stays exact.
+
 Everything here is exact: no floating point enters any decision.
 """
 
@@ -245,15 +256,23 @@ class BoundaryPoint(namedtuple("BoundaryPoint", "d at_infinity z t_coeff",
         return self.z.approx(), float(self.t_coeff) * self.d ** 0.5
 
 
-def key_approx(d: int, key: tuple[int, ...]) -> tuple[complex, float]:
-    """BoundaryPoint.from_key(d, key).approx() without building the point:
+def key_rows(d: int, keys):
+    """The CSV row "re_z,im_z,t" (each %.15g) of BoundaryPoint.from_key(d,
+    key).approx() for each int_origin_key key, without building the point:
     the float operations of QuadInt.approx, QuadRat.approx and
-    BoundaryPoint.approx in the same order, so the floats are identical."""
-    za, zb, den, tn, td = key
+    BoundaryPoint.approx in the same order, so the floats are identical.
+    The "re_z,im_z," text is formed once for each run of keys with equal
+    z, which sorted keys put side by side."""
+    c1 = _TAU_SQ[d][1]
     cn, cd = _TAU_ISQRTD[d]
-    re = (2 * za + zb * _TAU_SQ[d][1]) / 2
-    z = complex(re) + 1j * (zb * cn / cd) * sqrt(d)
-    return z / den, tn / td * d ** 0.5
+    root, half_power = sqrt(d), d ** 0.5
+    last = head = None
+    for za, zb, den, tn, td in keys:
+        if (za, zb, den) != last:
+            last = za, zb, den
+            z = (complex((2 * za + zb * c1) / 2) + 1j * (zb * cn / cd) * root) / den
+            head = "%.15g,%.15g," % (z.real, z.imag)
+        yield "%s%.15g" % (head, tn / td * half_power)
 
 
 def heis_translation(z: QuadRat | QuadInt, s: QuadRat | QuadInt) -> Mat:
@@ -576,26 +595,32 @@ def ball(d: int, gens: list[IntMat], radius: int) -> list[IntMat]:
 def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int, ...]], int]:
     """The int_origin_key of every element of ball(d, gens, radius) that
     keeps the Heisenberg origin finite, and the number of elements that
-    send it to Infinity. The last sphere is formed as columns only (see the
-    module docstring)."""
+    send it to Infinity. The last sphere is formed as columns only, and
+    products by moves that fix the origin form no key (see the module
+    docstring)."""
     moves, undo, _letters = _move_table(d, gens)
+    # the moves whose third column is (0, 0, r): each fixes the origin, and
+    # so does the move that undoes it
+    fixes = [not (g[4] or g[5] or g[10] or g[11]) for g in moves]
     seen: set[IntMat] = set()
     points = set()
     n_infinity = 0
     for frontier in _spheres(d, moves, undo, seen, max(radius - 1, 0)):
-        for m, _k in frontier:
-            key = int_origin_key(d, m)
-            if key is None:
-                n_infinity += 1
+        for m, skip in frontier:
+            if m[16] or m[17]:
+                if skip >= 0 and fixes[skip]:
+                    continue    # the parent's point
+                points.add(int_origin_key(d, m))
             else:
-                points.add(key)
+                n_infinity += 1
     if radius == 0:
         return points, n_infinity
     # frontier is now the sphere of radius L-1
     columns = [_third_column(g) for g in moves]
     for m, skip in frontier:
+        finite = m[16] or m[17]
         for k, column in enumerate(columns):
-            if k == skip:
+            if k == skip or (finite and fixes[k]):
                 continue
             key = int_origin_key(d, int_mul_column(d, m, column))
             if key is not None:

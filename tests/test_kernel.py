@@ -9,9 +9,12 @@ check must agree with x* H x computed from the rows of the matrix.
 ``ball`` must list exactly the elements of a plain breadth-first search
 that forms every product, while forming fewer products itself.
 ``orbit_points`` must give the origin images of ``ball`` while forming full
-products in its last sphere only for images at Infinity, and ``key_approx``
-must give the floats of ``BoundaryPoint.approx`` bit for bit."""
+products in its last sphere only for images at Infinity, and skipping the
+columns and keys of products by moves that fix the origin. ``key_rows``
+must render the floats of ``BoundaryPoint.approx`` bit for bit, in any
+order of the keys."""
 
+import random
 from functools import cache, reduce
 
 import pytest
@@ -22,7 +25,7 @@ from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
     INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul, int_mul_column,
-    _qmul, int_origin_key, key_approx, orbit_points,
+    _qmul, int_origin_key, key_rows, orbit_points,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import _TAU_SQ, UNITS, QuadInt, QuadRat, units
@@ -323,6 +326,15 @@ def test_ball_matches_plain_bfs(d, gens):
 MAX_PRODUCTS_AT_RADIUS_4 = {1: 2248, 3: 2003, 7: 5905}
 
 
+# int_mul_column and int_origin_key calls of orbit_points at radius 4 over
+# each hybrid of _hybrids(); forming the column and the key of every
+# product of the last sphere, and the key of every inner element, gave
+# (1834, 2155), (3806, 4240), (1624, 1910), (2718, 3088) and (5112, 5768)
+ORBIT_CALLS_AT_RADIUS_4 = {"1-plain": (1392, 1617), "1-primed": (2588, 2852),
+                           "3-plain": (1024, 1192), "3-primed": (1917, 2159),
+                           "7-plain": (3590, 4053)}
+
+
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_ball_skips_known_repeats(d, monkeypatch):
     count = 0
@@ -382,17 +394,35 @@ def test_orbit_points_multiply_out_only_images_at_infinity(d, gens, monkeypatch)
     assert len(last) >= new_at_infinity
 
 
-def _float_bits(z: complex) -> tuple[str, str]:
-    return z.real.hex(), z.imag.hex()
+@pytest.mark.parametrize("d,gens", _hybrids())
+def test_orbit_points_skip_moves_that_fix_the_origin(d, gens, request, monkeypatch):
+    calls = {"int_mul_column": 0, "int_origin_key": 0}
+
+    def counting(name):
+        f = getattr(cxhyp, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cxhyp, name, counting(name))
+    orbit_points(d, gens, 4)
+    assert (calls["int_mul_column"], calls["int_origin_key"]) \
+        == ORBIT_CALLS_AT_RADIUS_4[request.node.callspec.id]
 
 
 @pytest.mark.parametrize("d,variant,radius", [(7, "plain", 4), (1, "primed", 3)])
-def test_key_approx_matches_boundary_point(d, variant, radius):
+def test_key_rows_match_boundary_point(d, variant, radius):
     cat = get_catalog(d)
     gens = {**cat.hybrid, **(cat.hybrid_primed if variant == "primed" else {})}
-    keys = orbit_points(d, [cat.int_env[n] for n in gens], radius)[0]
+    keys = sorted(orbit_points(d, [cat.int_env[n] for n in gens], radius)[0])
     assert keys
-    for key in keys:
-        z, t = key_approx(d, key)
-        ref_z, ref_t = BoundaryPoint.from_key(d, key).approx()
-        assert _float_bits(z) == _float_bits(ref_z) and t.hex() == ref_t.hex()
+    shuffled = random.Random(0).sample(keys, len(keys))
+    for order in (keys, shuffled):
+        expected = []
+        for key in order:
+            z, t = BoundaryPoint.from_key(d, key).approx()
+            expected.append("%.15g,%.15g,%.15g" % (z.real, z.imag, t))
+        assert list(key_rows(d, order)) == expected
