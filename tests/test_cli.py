@@ -146,6 +146,44 @@ def test_verify_failed_premise_fails_its_claims(monkeypatch, capsys):
     assert "certification failure" not in captured.out + captured.err
 
 
+_THEOREM_34 = {"theorem-3.4", "proposition-6.2", "proposition-6.3"}
+
+
+@pytest.mark.parametrize("d, function, claims", [
+    (1, "verify_word_identities", {"theorem-4.5"}),
+    (1, "verify_normality", {"theorem-4.5"}),
+    (7, "verify_word_identities", {"theorem-5.5"}),
+    (7, "verify_normality", {"theorem-5.5"}),
+    (3, "lemma31_index_bound", _THEOREM_34),
+    (3, "verify_word_identities", _THEOREM_34),
+    (3, "lemma36_relations", {"corollary-3.12"}),
+])
+def test_verify_premises_of_each_claim(d, function, claims, monkeypatch, capsys):
+    # the real report of one premise gains a failing row under its own id;
+    # exactly the claims resting on it fail, and every other claim passes
+    real = getattr(certify, function)
+
+    def failing(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.add(report.checks[0].check_id, "injected failure", False)
+        return report
+
+    monkeypatch.setattr(certify, function, failing)
+    assert run(["verify", "--d", str(d)]) == 1
+    captured = capsys.readouterr()
+    rows = [line[2:].split(": ")[0].split(" ") for line in captured.out.splitlines()
+            if line.startswith("- [")]
+    status = {}
+    for mark, check_id in rows:
+        if check_id.startswith(("theorem-", "proposition-", "corollary-")):
+            status.setdefault(check_id, set()).add(mark)
+    assert claims <= set(status)
+    assert status == {c: {"[FAIL]" if c in claims else "[PASS]"} for c in status}
+    # stderr names the claims and the one injected row
+    (injected,) = {line.split(": ")[2] for line in captured.err.splitlines()} - claims
+    assert injected.startswith("lemma-")
+
+
 def test_verify_wrong_index_is_a_failed_row(monkeypatch, capsys):
     index_two = fpgroups.todd_coxeter(catalog.get_catalog(1).quotient_presentation())
     assert index_two.index == 2
