@@ -1,6 +1,7 @@
 """Theorem-level verification: normality reports, quotient indices for
-d in {1, 7}, and the infiniteness certificate for d = 3 via an exact
-Euclidean representation of the (2,3,6) triangle group.
+d in {1, 7}, the infiniteness certificate for d = 3 via an exact
+Euclidean representation of the (2,3,6) triangle group, and the claims of
+``verify`` with their premises (verify_reports).
 
 A coset enumeration of an infinite group only overflows, which proves
 nothing, so infiniteness is certified by representation: the quotient of
@@ -9,8 +10,7 @@ by exact Euclidean motions over O_3, and a witness word maps to a nonzero
 translation.
 
 Each function computes and returns its report; a failed check is a row
-that fails, never an exception. Which claim rests on which check is
-cli.RESTS_ON.
+that fails, never an exception.
 """
 
 from __future__ import annotations
@@ -122,25 +122,27 @@ SUBST_PQR_TO_ABC = {"P": "a b", "Q": "b", "R": "c"}
 
 
 # presentation: G on generators a, b, c; kill_list: the generators sent to
-# the identity; images: name -> EuclideanMotion of the surviving generators;
-# witness_image and each of relator_images: an EuclideanMotion
+# the identity; images: name -> EuclideanMotion of the surviving generators
 class InfinitenessCertificate(namedtuple(
-        "InfinitenessCertificate",
-        "presentation kill_list images witness_word witness_image relator_images")):
+        "InfinitenessCertificate", "presentation kill_list images witness_word")):
     __slots__ = ()
 
-    def validate(self) -> bool:
-        """True iff, re-derived from the images, every relator maps to the
-        identity and the witness to a nonzero translation, as stored."""
-        names = self.presentation.names()
+    def image(self, word: Word) -> EuclideanMotion:
+        """The motion a word over the presentation's generators maps to."""
         one = EuclideanMotion.identity()
-        gens = [one if n in self.kill_list else self.images[n] for n in names]
-        relators = tuple(eval_word(rel, gens, one) for rel in self.presentation.relators)
-        witness = eval_word(parse_word(self.witness_word, names), gens, one)
-        return (all(img.is_identity() for img in relators)
-                and relators == self.relator_images
-                and witness.is_nontrivial_translation()
-                and witness == self.witness_image)
+        gens = [one if n in self.kill_list else self.images[n]
+                for n in self.presentation.names()]
+        return eval_word(word, gens, one)
+
+    @property
+    def witness_image(self) -> EuclideanMotion:
+        return self.image(parse_word(self.witness_word, self.presentation.names()))
+
+    def validate(self) -> bool:
+        """True iff every relator maps to the identity and the witness to a
+        nonzero translation."""
+        return (all(self.image(rel).is_identity() for rel in self.presentation.relators)
+                and self.witness_image.is_nontrivial_translation())
 
 
 def triangle_236_certificate() -> InfinitenessCertificate:
@@ -153,19 +155,7 @@ def triangle_236_certificate() -> InfinitenessCertificate:
         "a": EuclideanMotion(zeta6, QuadInt.zero(3)),
         "b": EuclideanMotion(QuadInt(3, -1, 0), QuadInt(3, 1, 0)),
     }
-    one = EuclideanMotion.identity()
-    gens = [images["a"], images["b"], one]
-    relator_images = tuple(eval_word(rel, gens, one) for rel in G_ABC.relators)
-    witness = "a^3 b"
-    witness_image = eval_word(parse_word(witness, G_ABC.names()), gens, one)
-    return InfinitenessCertificate(
-        presentation=G_ABC,
-        kill_list=("c",),
-        images=images,
-        witness_word=witness,
-        witness_image=witness_image,
-        relator_images=relator_images,
-    )
+    return InfinitenessCertificate(G_ABC, ("c",), images, "a^3 b")
 
 
 def _substitute(w: Word, images: list[Word]) -> Word:
@@ -192,12 +182,10 @@ def verify_tietze_substitution() -> Report:
         report.add("substitution-inverse", f"{name} round-trips through (a,b,c)", ok)
 
     cert = triangle_236_certificate()
-    one = EuclideanMotion.identity()
-    gens = [cert.images["a"], cert.images["b"], one]
     quotient = cat.quotient_presentation()
     for k, rel in enumerate(quotient.relators):
         # push the relator through P -> ab, Q -> b, R -> c, then to motions
-        img = eval_word(_substitute(rel, to_abc), gens, one)
+        img = cert.image(_substitute(rel, to_abc))
         report.add("relator-dies", f"quotient relator #{k} maps to the identity motion",
                    img.is_identity(), witness=str(img) if not img.is_identity() else "")
     return report
@@ -433,3 +421,54 @@ def hybrid_abelianization_bounds() -> Report:
                " forces infinite index (finite-index transfer of Lemma 3.11)",
                conclusion)
     return report
+
+
+# -- the claims of verify --------------------------------------------------
+
+def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]:
+    """The reports of ``verify --d d``, in order. A claim row passes only if
+    its own check passes and so do the reports it rests on: theorems 4.5
+    and 5.5 on the word identities and normality, theorem 3.4 and
+    propositions 6.2 and 6.3 on these and lemma 3.1, corollary 3.12 on
+    lemma 3.6."""
+    words, normal = verify_word_identities(d), verify_normality(d)
+    premises = words.passed and normal.passed
+    if d == 3:
+        lemma31 = lemma31_index_bound()
+        premises = premises and lemma31.passed
+    idx = index_report(d, max_cosets=max_cosets)
+    r = Report(f"index d={d}")
+    theorem = f"theorem-{'4.5' if d == 1 else '5.5'}"
+    if idx.outcome == "finite":
+        expected = {1: 2, 7: 1}[d]       # the order theorems 4.5 and 5.5 state
+        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}"
+              + ("" if idx.index == expected else f", expected {expected}"),
+              idx.index == expected and premises,
+              witness=f"complete coset table, {idx.table.index} cosets")
+    elif idx.outcome == "overflowed":
+        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) is undecided: coset "
+              f"enumeration overflowed the cap of {max_cosets} cosets", False)
+    else:
+        infinite = idx.outcome == "infinite" and premises
+        r.add("theorem-3.4", "H(3) has infinite index (Euclidean certificate)",
+              infinite, witness=str(idx.certificate.witness_image))
+        # corollaries of the certificate and of the verified normality
+        r.add("proposition-6.2", "normal + lattice limit set => full limit set "
+              "(logical corollary of the verified normality)", infinite)
+        r.add("proposition-6.3", "infinite index + full limit set => "
+              "geometrically infinite (F5 fails)", infinite)
+    reports = [words, normal, r]
+    if d == 3:
+        lemma36, abel = lemma36_relations(), hybrid_abelianization_bounds()
+        *rows, cor312 = abel.checks      # the last row, corollary 3.12
+        abel.checks = [*rows, cor312._replace(passed=cor312.passed and lemma36.passed)]
+        reports += [lemma31, lemma36, abel, primed_d3_closure()]
+    if d == 1:
+        reports.append(primed_d1_equality(max_cosets=max_cosets))
+    flags = get_catalog(d).flags
+    if flags:
+        f = Report(f"corrected readings d={d}")
+        for note in flags:
+            f.add("typo-correction", note, True)
+        reports.append(f)
+    return reports

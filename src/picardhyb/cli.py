@@ -21,80 +21,10 @@ from .fpgroups import DEFAULT_MAX_COSETS, abelianization, format_word
 from .search import find_word
 
 
-# the rows each claim rests on: a row passes only if its own check passes
-# and every row it rests on passes (and is present) in the same run
-RESTS_ON = {
-    "theorem-4.5": ("lemma-4.3", "lemma-4.4"),
-    "theorem-5.5": ("lemma-5.3", "lemma-5.4"),
-    "theorem-3.4": ("lemma-3.2", "lemma-3.3", "lemma-3.1"),
-    "proposition-6.2": ("lemma-3.3", "theorem-3.4"),
-    "proposition-6.3": ("theorem-3.4", "proposition-6.2"),
-    "corollary-3.12": ("lemma-3.6",),
-}
-
-
-def _reports_for(d: int, max_cosets: int) -> list[certify.Report]:
-    reports = [certify.verify_word_identities(d), certify.verify_normality(d)]
-    idx = certify.index_report(d, max_cosets=max_cosets)
-    r = certify.Report(f"index d={d}")
-    theorem = f"theorem-{'4.5' if d == 1 else '5.5'}"
-    if idx.outcome == "finite":
-        expected = {1: 2, 7: 1}[d]       # the order theorems 4.5 and 5.5 state
-        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}"
-              + ("" if idx.index == expected else f", expected {expected}"),
-              idx.index == expected,
-              witness=f"complete coset table, {idx.table.index} cosets")
-    elif idx.outcome == "overflowed":
-        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) is undecided: coset "
-              f"enumeration overflowed the cap of {max_cosets} cosets", False)
-    else:
-        infinite = idx.outcome == "infinite"
-        r.add("theorem-3.4", "H(3) has infinite index (Euclidean certificate)",
-              infinite, witness=str(idx.certificate.witness_image))
-        # corollaries of the certificate and the rows named in RESTS_ON
-        r.add("proposition-6.2", "normal + lattice limit set => full limit set "
-              "(logical corollary of the verified normality)", infinite)
-        r.add("proposition-6.3", "infinite index + full limit set => "
-              "geometrically infinite (F5 fails)", infinite)
-    reports.append(r)
-    if d == 3:
-        reports.append(certify.lemma31_index_bound())
-        reports.append(certify.lemma36_relations())
-        reports.append(certify.hybrid_abelianization_bounds())
-        reports.append(certify.primed_d3_closure())
-    if d == 1:
-        reports.append(certify.primed_d1_equality(max_cosets=max_cosets))
-    flags = cat_mod.get_catalog(d).flags
-    if flags:
-        f = certify.Report(f"corrected readings d={d}")
-        for note in flags:
-            f.add("typo-correction", note, True)
-        reports.append(f)
-    return reports
-
-
-def _apply_premises(reports: list[certify.Report]) -> None:
-    """Fail each row unless every row it rests on, directly or through
-    RESTS_ON again, is present and passes."""
-    own: dict[str, bool] = {}
-    for rep in reports:
-        for c in rep.checks:
-            own[c.check_id] = own.get(c.check_id, True) and c.passed
-
-    def premises_hold(check_id: str) -> bool:
-        return all(own.get(p, False) and premises_hold(p) for p in RESTS_ON.get(check_id, ()))
-
-    for rep in reports:
-        rep.checks = [c._replace(passed=c.passed and premises_hold(c.check_id))
-                      for c in rep.checks]
-
-
 def cmd_verify(args) -> int:
-    reports = _reports_for(args.d, args.max_cosets)
-    _apply_premises(reports)
     scope = args.scope
     selected = []
-    for rep in reports:
+    for rep in certify.verify_reports(args.d, args.max_cosets):
         checks = [c for c in rep.checks if scope == "all" or c.check_id == scope]
         if checks:
             selected.append(certify.Report(rep.title, checks))

@@ -71,7 +71,8 @@ def test_triangle_certificate_rejects_a_wrong_witness():
     cert = triangle_236_certificate()
     # a^6 maps to the identity, not to a translation
     assert not cert._replace(witness_word="a^6").validate()
-    assert not cert._replace(witness_image=EuclideanMotion.identity()).validate()
+    # with b sent to the identity, (a b)^3 and the witness are the half-turn a^3
+    assert not cert._replace(images={**cert.images, "b": EuclideanMotion.identity()}).validate()
 
 
 def test_tietze_substitution():

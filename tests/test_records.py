@@ -38,8 +38,7 @@ RECORDS = {
     SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
     CheckResult: (("check_id", "description", "passed", "witness"), {"witness": ""}),
     EuclideanMotion: (("alpha", "beta"), {}),
-    InfinitenessCertificate: (("presentation", "kill_list", "images", "witness_word",
-                               "witness_image", "relator_images"), {}),
+    InfinitenessCertificate: (("presentation", "kill_list", "images", "witness_word"), {}),
     IndexResult: (("d", "outcome", "index", "table", "certificate"),
                   {"index": None, "table": None, "certificate": None}),
     Catalog: (("d", "fuchsian", "picard", "presentation", "hybrid", "hybrid_primed",
@@ -70,7 +69,7 @@ def _instances():
         SearchResult((1, 2), 2, False),
         CheckResult("id", "description", True),
         EuclideanMotion(w, one),
-        InfinitenessCertificate(None, (), {}, "", None, ()),
+        InfinitenessCertificate(None, (), {}, ""),
         IndexResult(1, "finite", 2),
         Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), {}, {}, (), ()),
     ]
