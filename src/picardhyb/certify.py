@@ -16,6 +16,7 @@ that fails, never an exception.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .exactring import QuadInt
 from .catalog import get_catalog
@@ -369,11 +370,16 @@ def partial_hybrid_presentation(primed: bool = False) -> Presentation:
     return Presentation(3, relators, ("E1p" if primed else "E1", "U1", "U2"))
 
 
+@lru_cache(maxsize=None)
 def commutator_subgroup_table() -> CosetTable:
     """Coset table of [Gamma(3), Gamma(3)], enumerated by Todd-Coxeter
     (fpgroups.derived_subgroup_table); a word dies in Gamma(3)^ab iff it
     fixes coset 0. hybrid_abelianization_bounds checks the table against
-    the Smith normal form."""
+    the Smith normal form.
+
+    Enumerated once and shared, like get_catalog: callers only read the
+    table. A test that patches the engines behind it must call
+    commutator_subgroup_table.cache_clear()."""
     return derived_subgroup_table(get_catalog(3).presentation)
 
 

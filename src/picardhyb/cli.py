@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from . import catalog as cat_mod
@@ -53,10 +54,21 @@ def cmd_orbit(args) -> int:
     # the origin's images under the projectively deduplicated word ball
     # of radius L
     keys, n_infinity = orbit_points(args.d, [cat.int_env[n] for n in names], args.max_depth)
-    rows = ["re_z,im_z,t", *key_rows(args.d, sorted(keys)),
-            f"# points_at_infinity={n_infinity}"]
-    _write(args.out, "\n".join(rows) + "\n")
+    keys = sorted(keys)     # drops the set
+    _write(args.out, _orbit_csv(args.d, keys, n_infinity))
     return 0
+
+
+ROW_BLOCK = 4096    # CSV rows the orbit export formats and writes at a time
+
+
+def _orbit_csv(d: int, keys: list, n_infinity: int):
+    """The orbit CSV text of the sorted keys, in blocks of ROW_BLOCK rows."""
+    yield "re_z,im_z,t\n"
+    rows = key_rows(d, keys)
+    while block := list(islice(rows, ROW_BLOCK)):
+        yield "\n".join(block) + "\n"
+    yield f"# points_at_infinity={n_infinity}\n"
 
 
 def cmd_search(args) -> int:
@@ -128,14 +140,16 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to path, or to stdout; exit 2 if path cannot be written."""
+def _write(path: str | None, text) -> None:
+    """Write text, a string or an iterable of strings, to path, or to
+    stdout; exit 2 if path cannot be written."""
+    chunks = [text] if isinstance(text, str) else text
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -45,6 +45,12 @@ ancestor. When m sends the origin to Infinity, so does m*g, but m*g may
 still be a new element, so that product keeps the full product and key
 and the count of elements at Infinity stays exact.
 
+``int_inv`` is memoized: an inverse is a pure function of d and the
+tuple x, and the command-line verbs invert only generator matrices, which
+the catalog's own word checks have inverted already. The memo is bounded
+(``INV_CACHE_SIZE``), because a library caller may invert many distinct
+matrices.
+
 Everything here is exact: no floating point enters any decision.
 """
 
@@ -53,7 +59,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, sqrt
 
 from .exactring import (
@@ -429,9 +435,15 @@ def _cofactors(d: int, x: IntMat) -> tuple[list[tuple[int, int]], tuple[int, int
     return cof, (da, db)
 
 
+INV_CACHE_SIZE = 256    # the inverses int_inv keeps (see the module docstring)
+
+
+@lru_cache(maxsize=INV_CACHE_SIZE)
 def int_inv(d: int, x: IntMat) -> IntMat:
     """The inverse of x: its adjugate times conj(det x), because a unit
-    det x has inverse conj(det x); ValueError unless N(det x) = 1."""
+    det x has inverse conj(det x); ValueError unless N(det x) = 1.
+    Memoized: lru_cache keeps no exception, so a non-unit det x raises on
+    every call."""
     c0, c1 = _TAU_SQ[d]
     cof, (da, db) = _cofactors(d, x)
     conj_det = (da + c1 * db, -db)      # conj(a + b*tau) = (a + c1*b) - b*tau
@@ -550,15 +562,18 @@ def _move_table(d: int, gens: list[IntMat]) -> tuple[list[IntMat], list[int], li
         raise ValueError("generator list is empty")
     moves: list[IntMat] = []
     letters: list[int] = []
+    undo_keys: list[IntMat] = []     # per move, the key of its inverse
     index: dict[IntMat, int] = {}    # move key -> position in moves
     for i, x in enumerate(gens, start=1):
-        for letter, m in ((i, x), (-i, int_inv(d, x))):
-            key = int_key(d, m)
+        x_inv = int_inv(d, x)
+        x_key, inv_key = int_key(d, x), int_key(d, x_inv)
+        for letter, m, key, inverse_key in ((i, x, x_key, inv_key), (-i, x_inv, inv_key, x_key)):
             if key not in index:
                 index[key] = len(moves)
                 moves.append(m)
                 letters.append(letter)
-    return moves, [index[int_key(d, int_inv(d, m))] for m in moves], letters
+                undo_keys.append(inverse_key)
+    return moves, [index[key] for key in undo_keys], letters
 
 
 def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],

@@ -7,8 +7,10 @@ PU(2,1). The search forms no product whose class it already knows: it
 takes the moves of cxhyp's ball (one per projective class among the
 generators and their inverses), skips the move that undoes a word's last
 letter and drops a product whose key its side has reached, so no key is
-expanded twice on a side. The height prune reads the key, not the product.
-Every returned word is re-verified by evaluation before return.
+expanded twice on a side. The height prune reads the key, not the product,
+and only in an expansion where a proven bound on the key's height can
+exceed the cap. Every returned word is re-verified by evaluation before
+return.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .cxhyp import INT_ID, IntMat, _move_table, int_height, int_key, int_mul, in
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import canonical_rep, proj_eq  # noqa: F401
 from .fpgroups import Word, free_reduce
+
+
+# the bits a key can gain per letter beyond the height of the letter's move:
+# 4 for the product, 1 for the unit multiple that makes it a key
+LETTER_BITS = 5
 
 
 class SearchResult(namedtuple("SearchResult", "word depth_searched pruned_by_height")):
@@ -42,7 +49,18 @@ def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10
 
     The target and the generators are kernel matrices over O_d (cxhyp's
     IntMat), the generators with a unit determinant (ValueError
-    otherwise)."""
+    otherwise).
+
+    A key reached in n letters from a start of height h0 (the identity's
+    key, or the target's) has an int_height of at most
+    h0 + n * (max int_height(moves) + LETTER_BITS), so the heights are
+    only read in an expansion where that bound exceeds max_coeff_bits:
+    - each coefficient of an entry of m*g is a sum of three terms, each at
+      most 3 |m-coefficient| |g-coefficient| because |c0| <= 2 and
+      |c1| <= 1 for d in {1, 3, 7}, so it has at most h(m) + h(g) + 4 bits;
+    - a unit multiple adds at most 1 bit (the d=3 units w and 1+w mix the
+      two coefficients);
+    - each new key is the key of (a parent's key) * (a move)."""
     if max_depth < 0 or max_coeff_bits <= 0:
         raise ValueError("search bounds must be positive")
     moves, undo, letters = _move_table(d, gens)
@@ -57,6 +75,8 @@ def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10
     ident_key = int_key(d, INT_ID)
     if ident_key == target_key:
         return SearchResult((), 0, False)
+    starts = (int_height(ident_key), int_height(target_key))
+    letter_bits = max(map(int_height, moves)) + LETTER_BITS
 
     # per side, key -> first word found (forward: key(eval(w)); backward:
     # key(target * eval(w)^-1)), and the states the last expansion added as
@@ -72,6 +92,7 @@ def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10
         # no state of the last expansion is expanded, so it only checks for
         # meets, and keeps the met keys so that a meet uses its key's first word
         last = depths[0] + depths[1] + 1 == max_depth
+        capped = starts[side] + (depths[side] + 1) * letter_bits > max_coeff_bits
         new = []
         meets = []
         met = set()
@@ -84,7 +105,7 @@ def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10
                 key = int_key(d, int_mul(d, m, gm))
                 if key in mine or key in met:
                     continue
-                if int_height(key) > max_coeff_bits:
+                if capped and int_height(key) > max_coeff_bits:
                     pruned = True
                     continue
                 word = (g,) + w if side else w + (g,)

@@ -97,7 +97,8 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in REPORT_FUNCTIONS:
+    # the commutator table's enumeration, which two d=3 reports read
+    for name in (*REPORT_FUNCTIONS, "derived_subgroup_table"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
     seen = []
     word_key = catalog.Catalog.word_key
@@ -110,11 +111,13 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     called = set()
     for d in ("1", "3", "7"):
         calls.clear()
+        certify.commutator_subgroup_table.cache_clear()
         assert run(["verify", "--d", d]) == 0
         assert calls and set(calls.values()) == {1}, (d, calls)
+        assert ("derived_subgroup_table" in calls) == (d == "3")
         called |= set(calls)
     capsys.readouterr()
-    assert called == set(REPORT_FUNCTIONS)
+    assert called == {*REPORT_FUNCTIONS, "derived_subgroup_table"}
     assert seen and len(seen) == len(set(seen))
 
 

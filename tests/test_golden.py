@@ -12,12 +12,15 @@ depth-5 and d=1 primed orbits were recorded with the integer kernel's
 plain ball, before it skipped the products it knows are repeats. The
 depth-0 and depth-2 orbits were recorded while orbit still multiplied out
 the last sphere of its ball and formatted each row through BoundaryPoint.
+The orbit digests must also hold when the CSV is written in blocks of
+other sizes than cli.ROW_BLOCK.
 """
 
 import hashlib
 
 import pytest
 
+from picardhyb import cli
 from picardhyb.cli import main
 
 GOLDEN = [
@@ -73,3 +76,12 @@ def test_golden_stdout(argv, code, sha, capsys):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("argv,code,sha", [g for g in GOLDEN if g[0].startswith("orbit")],
+                         ids=[g[0] for g in GOLDEN if g[0].startswith("orbit")])
+def test_orbit_stdout_is_independent_of_the_row_block(argv, code, sha, block, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "ROW_BLOCK", block)
+    test_golden_stdout(argv, code, sha, capsys)

@@ -6,6 +6,8 @@ Heisenberg origin both ways, and Catalog.word_key must agree with the
 canonical representative of Catalog.eval_word. int_key must be the least
 unit multiple of any nonzero tuple. The kernel's Siegel-form
 check must agree with x* H x computed from the rows of the matrix.
+The move table must invert each generator once, and a non-unit
+determinant must raise on every call of the memoized inverse.
 ``ball`` must list exactly the elements of a plain breadth-first search
 that forms every product, while forming fewer products itself.
 ``orbit_points`` must give the origin images of ``ball`` while forming full
@@ -25,7 +27,7 @@ from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
     INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul, int_mul_column,
-    _qmul, int_origin_key, key_rows, orbit_points,
+    _move_table, _qmul, int_origin_key, key_rows, orbit_points,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import _TAU_SQ, UNITS, QuadInt, QuadRat, units
@@ -83,11 +85,11 @@ def test_inverse_matches_mat(case):
 
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_inverse_rejects_non_unit_determinant(d):
-    with pytest.raises(ValueError):
-        int_inv(d, int_mat(Mat.identity(d).scale(2)))
     singular = Mat.from_entries(d, ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        int_inv(d, int_mat(singular))
+    # int_inv is memoized, and must not remember a failure as a result
+    for m in (Mat.identity(d).scale(2), Mat.identity(d).scale(2), singular, singular):
+        with pytest.raises(ValueError):
+            int_inv(d, int_mat(m))
 
 
 def _preserves_siegel_form(m: Mat) -> bool:
@@ -313,6 +315,34 @@ def _plain_bfs(d: int, gens: list[tuple], radius: int) -> list[tuple]:
         elements = elements + new
         frontier = new
     return elements
+
+
+def _generator_sets():
+    """The ring and the kernel generators of each catalog's Picard and
+    hybrid generators."""
+    for d in (1, 3, 7):
+        cat = get_catalog(d)
+        for pool in ("picard", "hybrid"):
+            yield pytest.param(d, [cat.int_env[n] for n in getattr(cat, pool)],
+                               id=f"{d}-{pool}")
+
+
+@pytest.mark.parametrize("d,gens", _generator_sets())
+def test_move_table_inverts_each_generator_once(d, gens, monkeypatch):
+    calls = 0
+    cofactors = cxhyp._cofactors
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cofactors(*args)
+
+    monkeypatch.setattr(cxhyp, "_cofactors", counting)
+    int_inv.cache_clear()
+    moves, undo, _letters = _move_table(d, gens)
+    assert calls == len(gens)
+    for m, k in zip(moves, undo):
+        assert int_key(d, moves[k]) == int_key(d, int_inv(d, m))
 
 
 @pytest.mark.parametrize("d,gens", _hybrids())

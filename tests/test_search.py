@@ -1,6 +1,7 @@
 """Bidirectional word search: recovery of known words, minimality against a
 plain breadth-first search, honest exhaustion reporting, results pinned for
-every catalog element, and a bound on the products one search forms."""
+every catalog element, a bound on the products one search forms, and the
+height bound that lets a search skip reading heights."""
 
 import os
 import random
@@ -9,12 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import picardhyb
 from picardhyb import search
 from picardhyb.catalog import get_catalog
-from picardhyb.cxhyp import INT_ID, Mat, int_inv, int_key, int_mat, int_mul, proj_eq
-from picardhyb.search import find_word
+from picardhyb.cxhyp import (
+    INT_ID, Mat, _move_table, int_height, int_inv, int_key, int_mat, int_mul, proj_eq,
+)
+from picardhyb.search import LETTER_BITS, find_word
 from picardhyb.fpgroups import eval_word, format_word
 
 
@@ -307,3 +311,64 @@ def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
     monkeypatch.setattr(search, "int_mul", counting_mul)
     assert find_word(1, cat.int_env["E1"], _kernel(cat, cat.picard), max_depth=12).found
     assert count <= 560
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_find_word_reads_heights_only_for_its_bound(d, monkeypatch):
+    # no key of a depth-12 search can reach the 512-bit cap, so the search
+    # reads the heights of its two start keys and of its moves only
+    heights = []
+
+    def counting_height(x):
+        heights.append(x)
+        return int_height(x)
+
+    cat = get_catalog(d)
+    gens = _kernel(cat, cat.picard)
+    monkeypatch.setattr(search, "int_height", counting_height)
+    assert find_word(d, cat.int_env["E1"], gens, max_depth=12).found
+    assert len(heights) == 2 + len(_move_table(d, gens)[0])
+
+
+@st.composite
+def ring_and_two_matrices(draw):
+    """A ring and two integer tuples, each with coefficients of at most h
+    bits for its own h, often the extremes +-(2^h - 1)."""
+    def matrix():
+        top = 2 ** draw(st.integers(1, 40)) - 1
+        coefficient = st.one_of(st.sampled_from((top, -top)), st.integers(-top, top))
+        return tuple(draw(coefficient) for _ in range(18))
+    return draw(st.sampled_from((1, 3, 7))), matrix(), matrix()
+
+
+_M = 2 ** 8 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_two_matrices())
+# d=7, where tau^2 = tau - 2: each entry's first coefficient is
+# 3 * (M + 2 * M * M) = 9 M^2, which has 8 + 8 + 4 bits
+@example((7, (_M,) * 18, (_M, -_M) * 9))
+def test_a_letter_adds_at_most_letter_bits(case):
+    d, m, g = case
+    product = int_mul(d, m, g)
+    assume(any(product))
+    assert int_height(int_key(d, product)) <= int_height(m) + int_height(g) + LETTER_BITS
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_search_keys_stay_within_the_height_bound(d):
+    # random words over each catalog's moves, keyed letter by letter as
+    # find_word keys its states, from the identity and from every target
+    rng = random.Random(d)
+    cat = get_catalog(d)
+    for pool in ("picard", "hybrid"):
+        moves = _move_table(d, _kernel(cat, getattr(cat, pool)))[0]
+        letter_bits = max(map(int_height, moves)) + LETTER_BITS
+        for start in (INT_ID, *cat.int_env.values()):
+            for _ in range(4):
+                key = int_key(d, start)
+                h0 = int_height(key)
+                for n in range(1, 31):
+                    key = int_key(d, int_mul(d, key, rng.choice(moves)))
+                    assert int_height(key) <= h0 + n * letter_bits
