@@ -6,7 +6,7 @@ and isometry classification."""
 from .exactring import QuadInt, QuadRat, RingMismatchError, units
 from .cxhyp import (
     BoundaryPoint, IsometryClass, Mat, ProjIsom, boundary_action,
-    canonical_rep, classify, heis_translation, proj_eq,
+    canonical_rep, classify, proj_eq,
 )
 from .catalog import Catalog, get_catalog
 from .fpgroups import (

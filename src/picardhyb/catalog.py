@@ -28,7 +28,9 @@ from .cxhyp import (
 # not called here: bound as a module attribute because the benchmark's
 # smoke check expects its tracer to patch it under this name
 from .cxhyp import canonical_rep  # noqa: F401
-from .fpgroups import Presentation, Word, eval_word, parse_word, quotient_by_normal_gens
+from .fpgroups import (
+    Presentation, Word, eval_word, format_word, parse_word, quotient_by_normal_gens,
+)
 
 
 class CatalogError(AssertionError):
@@ -123,7 +125,7 @@ class Catalog(namedtuple("Catalog", "d fuchsian picard presentation hybrid hybri
         return int_key(self.d, self.word_matrix(text, names))
 
     def picard_word(self, text: str) -> Word:
-        return parse_word(text, self.presentation.names())
+        return parse_word(text, self.presentation.gen_names)
 
     def hybrid_words(self) -> tuple[Word, ...]:
         """The word-identity words: the hybrid generators over the Picard ones."""
@@ -367,12 +369,12 @@ def _validate(cat: Catalog) -> Catalog:
            or [n for n, x in cat.int_env.items() if not int_is_unitary(cat.d, x)])
     if bad:
         raise CatalogError(f"3x3 matrix {bad[0]} does not preserve the Siegel form")
-    gens = [cat.int_env[n] for n in cat.presentation.names()]
+    gens = [cat.int_env[n] for n in cat.presentation.gen_names]
     ident = int_key(cat.d, INT_ID)
     for rel in cat.presentation.relators:
         if int_key(cat.d, int_word(cat.d, rel, gens)) != ident:
-            raise CatalogError(
-                f"relator does not evaluate to a unit multiple of Id over O_{cat.d}")
+            raise CatalogError(f"relator {format_word(rel, cat.presentation.gen_names)} "
+                               f"does not evaluate to a unit multiple of Id over O_{cat.d}")
     return cat
 
 

@@ -132,12 +132,12 @@ class InfinitenessCertificate(namedtuple(
         """The motion a word over the presentation's generators maps to."""
         one = EuclideanMotion.identity()
         gens = [one if n in self.kill_list else self.images[n]
-                for n in self.presentation.names()]
+                for n in self.presentation.gen_names]
         return eval_word(word, gens, one)
 
     @property
     def witness_image(self) -> EuclideanMotion:
-        return self.image(parse_word(self.witness_word, self.presentation.names()))
+        return self.image(parse_word(self.witness_word, self.presentation.gen_names))
 
     def validate(self) -> bool:
         """True iff every relator maps to the identity and the witness to a
@@ -175,7 +175,7 @@ def verify_tietze_substitution() -> Report:
     cat = get_catalog(3)
 
     abc_names = ("a", "b", "c")
-    pqr_names = cat.presentation.names()
+    pqr_names = cat.presentation.gen_names
     to_abc = [parse_word(SUBST_PQR_TO_ABC[n], abc_names) for n in pqr_names]
     to_pqr = [parse_word(SUBST_ABC_TO_PQR[n], pqr_names) for n in abc_names]
     for i, name in enumerate(pqr_names):

@@ -107,12 +107,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
-    by_name = {f"picard-{d}": cat_mod.get_catalog(d).presentation for d in (1, 3, 7)}
+    by_name = {f"picard-{d}": d for d in (1, 3, 7)}
     if args.presentation not in by_name:
         print(f"unknown presentation {args.presentation!r}; "
               f"choose from {sorted(by_name)}", file=sys.stderr)
         return 2
-    inv = abelianization(by_name[args.presentation])
+    inv = abelianization(cat_mod.get_catalog(by_name[args.presentation]).presentation)
     _write(args.out, f"{args.presentation}: {inv}\n")
     return 0
 
@@ -130,7 +130,7 @@ def cmd_dump(args) -> int:
         for name, m in group.items():
             lines.append(f"{name} = {m}")
     lines.append("## presentation relators")
-    names = cat.presentation.names()
+    names = cat.presentation.gen_names
     for r in cat.presentation.relators:
         lines.append(format_word(r, names))
     if cat.flags:

@@ -281,25 +281,6 @@ def key_rows(d: int, keys):
         yield "%s%.15g" % (head, tn / td * half_power)
 
 
-def heis_translation(z: QuadRat | QuadInt, s: QuadRat | QuadInt) -> Mat:
-    """Heisenberg translation matrix with horizontal part z and s = it/2.
-
-    s must be purely imaginary; the top-right entry is -|z|^2/2 + s, which
-    must be expressible over Q(i sqrt d) (it always is for QuadRat input).
-    """
-    z = QuadRat.of(z)
-    s = QuadRat.of(s)
-    if s.real_part() != 0:
-        raise ValueError(f"s = {s} is not purely imaginary")
-    d = z.d
-    top_right = QuadRat.of_fraction(d, -z.norm() / 2) + s
-    one, zero = QuadRat.one(d), QuadRat.zero(d)
-    return Mat.from_entries(d, (
-        (one, -z.conj(), top_right),
-        (zero, one, z),
-        (zero, zero, one)))
-
-
 def boundary_action(m: Mat, p: BoundaryPoint) -> BoundaryPoint:
     """Apply the projective action of m to a boundary point."""
     if m.d != p.d:
@@ -518,13 +499,12 @@ def int_height(x: IntMat) -> int:
     return max(map(abs, x)).bit_length()
 
 
-def int_origin_key(d: int, x: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The key() of boundary_action(x, BoundaryPoint.origin(d)), from the
-    third column (p, q, r) of x, or None when that image is Infinity: the
-    origin lifts to (0, 0, 1), so z = q/r. x is an IntMat or its third
-    column alone, 6 ints. ValueError if the image leaves the boundary."""
+def int_origin_key(d: int, column: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The key() of boundary_action(x, BoundaryPoint.origin(d)) from the
+    third column (p, q, r) of x, 6 ints, or None when that image is Infinity:
+    the origin lifts to (0, 0, 1), so z = q/r. ValueError if it leaves the boundary."""
     c0, c1 = _TAU_SQ[d]
-    pa, pb, qa, qb, ra, rb = x if len(x) == 6 else _third_column(x)
+    pa, pb, qa, qb, ra, rb = column
     if ra == 0 and rb == 0:
         return None
     # conj(a + b*tau) = (a + c1*b) - b*tau and N(a + b*tau) = a^2 + c1*ab - c0*b^2
@@ -625,7 +605,7 @@ def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int
             if m[16] or m[17]:
                 if skip >= 0 and fixes[skip]:
                     continue    # the parent's point
-                points.add(int_origin_key(d, m))
+                points.add(int_origin_key(d, _third_column(m)))
             else:
                 n_infinity += 1
     if radius == 0:

@@ -227,16 +227,13 @@ class QuadRat(namedtuple("QuadRat", "num den")):
         q = Fraction(q)
         return QuadRat(QuadInt.of_int(d, q.numerator), q.denominator)
 
+    # a QuadRat combines only with a QuadRat (Mat.from_entries converts)
     def _coerce(self, other):
-        if isinstance(other, QuadRat):
-            if other.d != self.d:
-                raise RingMismatchError(f"cannot mix O_{self.d} and O_{other.d}")
-            return other
-        if isinstance(other, QuadInt):
-            return QuadRat(self.num._coerce(other), 1)
-        if isinstance(other, int):
-            return QuadRat(QuadInt.of_int(self.d, other), 1)
-        return NotImplemented
+        if not isinstance(other, QuadRat):
+            return NotImplemented
+        if other.d != self.d:
+            raise RingMismatchError(f"cannot mix O_{self.d} and O_{other.d}")
+        return other
 
     def __add__(self, other) -> "QuadRat":
         other = self._coerce(other)
@@ -244,16 +241,11 @@ class QuadRat(namedtuple("QuadRat", "num den")):
             return NotImplemented
         return QuadRat(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "QuadRat":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return QuadRat(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __rsub__(self, other) -> "QuadRat":
-        return (-self) + other
 
     def __neg__(self) -> "QuadRat":
         return QuadRat(-self.num, self.den)
@@ -264,7 +256,9 @@ class QuadRat(namedtuple("QuadRat", "num den")):
             return NotImplemented
         return QuadRat(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
+    # tuple's repetition would turn 2 * x into a plain 4-tuple
+    def __rmul__(self, other):
+        return NotImplemented
 
     def __truediv__(self, other) -> "QuadRat":
         other = self._coerce(other)

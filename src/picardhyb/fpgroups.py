@@ -73,11 +73,6 @@ class Presentation(namedtuple("Presentation", "ngens relators gen_names")):
     def _make(cls, fields):
         return cls(*fields)
 
-    def names(self) -> tuple[str, ...]:
-        if self.gen_names is not None:
-            return self.gen_names
-        return tuple(chr(ord("a") + i) for i in range(self.ngens))
-
 
 def quotient_by_normal_gens(p: Presentation, extra) -> Presentation:
     """Append the given words as relators (kill their normal closure);

@@ -37,7 +37,7 @@ def test_criterion_1_form_preservation():
                   + list(cat.hybrid_primed.values())):
             assert int_is_unitary(d, int_mat(m))
         ident = Mat.identity(d, 3)
-        names = cat.presentation.names()
+        names = cat.presentation.gen_names
         env = dict(cat.picard)
         for r in cat.presentation.relators:
             acc = Mat.identity(d, 3)

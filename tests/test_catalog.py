@@ -10,9 +10,9 @@ from picardhyb.catalog import (
     Catalog, CatalogError, _validate, cayley, cayley_transform, embed,
     get_catalog,
 )
-from picardhyb.cxhyp import Mat, int_is_unitary, int_key, int_mat, proj_eq
+from picardhyb.cxhyp import INT_ID, Mat, int_is_unitary, int_key, int_mat, proj_eq
 from picardhyb.exactring import QuadRat
-from picardhyb.fpgroups import format_word
+from picardhyb.fpgroups import format_word, quotient_by_normal_gens
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
@@ -26,7 +26,7 @@ def test_catalog_loads_and_validates(d):
 def test_relators_evaluate_to_unit_identity(d):
     cat = get_catalog(d)
     env = dict(cat.picard)
-    names = cat.presentation.names()
+    names = cat.presentation.gen_names
     ident = Mat.identity(d, 3)
     for r in cat.presentation.relators:
         m = cat.eval_word(format_word(r, names), env)
@@ -192,3 +192,25 @@ def test_validate_rejects_a_corrupted_generator(d, corrupt):
     bad2 = cat._replace(fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
     with pytest.raises(CatalogError, match=f"2x2 generator {name2} does not"):
         _validate(bad2)
+
+
+def test_validate_rejects_a_relator_that_is_not_the_identity():
+    # T = 1 is false in Gamma(1), and every form check still holds, so only
+    # the relator check can reject this catalog
+    cat = get_catalog(1)
+    bad = cat._replace(presentation=quotient_by_normal_gens(
+        cat.presentation, [cat.picard_word("T")]))
+    with pytest.raises(CatalogError, match="^relator T does not evaluate"):
+        _validate(bad)
+
+
+def test_ring_3_rejects_a_primed_generator_that_is_not_a_square_root(monkeypatch):
+    monkeypatch.setattr(Catalog, "word_matrix", lambda self, text, names=None: INT_ID)
+    with pytest.raises(CatalogError, match=r"^\(E1'\)\^2 is not E1"):
+        catalog._catalog_d3()
+
+
+def test_ring_7_rejects_a_failed_minus_id_cross_check(monkeypatch):
+    monkeypatch.setattr(catalog, "proj_eq", lambda a, b: False)
+    with pytest.raises(CatalogError, match=r"^iota_1\(-Id\) = iota_2\(B\) cross-check"):
+        catalog._catalog_d7()

@@ -182,7 +182,7 @@ def test_partial_hybrid_presentations_are_the_lemma36_relations():
         names = ("E1p" if primed else "E1", "U1", "U2")
         words = tuple(parse_word(t.replace("E1", e1), names) for t in texts)
         p = partial_hybrid_presentation(primed)
-        assert p.relators == words and p.names() == names
+        assert p.relators == words and p.gen_names == names
     assert abelianization(partial_hybrid_presentation(False)) == AbelianInvariants(0, (3, 3, 6))
     assert abelianization(partial_hybrid_presentation(True)) == AbelianInvariants(0, (3, 6, 6))
 

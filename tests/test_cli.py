@@ -310,6 +310,15 @@ def test_abelianize_cmd(tmp_path):
 
 def test_abelianize_unknown(capsys):
     assert run(["abelianize", "--presentation", "nope"]) == 2
+    assert capsys.readouterr().err == ("unknown presentation 'nope'; choose from "
+                                       "['picard-1', 'picard-3', 'picard-7']\n")
+
+
+def test_abelianize_builds_only_the_catalog_it_prints(capsys):
+    catalog.get_catalog.cache_clear()
+    assert run(["abelianize", "--presentation", "picard-3"]) == 0
+    assert capsys.readouterr().out == "picard-3: Z/6\n"
+    assert catalog.get_catalog.cache_info().currsize == 1
 
 
 def test_dump_cmd(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
     BoundaryPoint, IsometryClass, Mat, boundary_action, canonical_rep,
-    classify, goldman_f, heis_translation, int_is_unitary, int_mat, proj_eq,
+    classify, goldman_f, int_is_unitary, int_mat, proj_eq,
     projective_order,
 )
 from picardhyb.exactring import QuadInt, QuadRat, units
@@ -135,29 +135,26 @@ def test_classify_conjugation_invariant():
 
 
 def test_heis_translation_classification():
+    # vertical: U1, the translation by it/2 = i*sqrt(d); horizontal:
+    # [[1, -conj z, -|z|^2/2 + s], [0, 1, z], [0, 0, 1]] with z = 1+i, s = i
+    # for d=1 and z = 1, s = i*sqrt(d)/2 for d = 3, 7 (for d=7 this is T1)
+    t = {d: QuadInt.tau(d) for d in (1, 3, 7)}
+    horizontal = {
+        1: ((1, -1 + t[1], -1 + t[1]), (0, 1, 1 + t[1]), (0, 0, 1)),
+        3: ((1, -1, t[3]), (0, 1, 1), (0, 0, 1)),
+        7: ((1, -1, t[7] - 1), (0, 1, 1), (0, 0, 1)),
+    }
     for d in (1, 3, 7):
-        s = QuadRat.of(QuadInt.sqrt_minus_d(d))
-        vertical = heis_translation(QuadRat.zero(d), s)
+        vertical = get_catalog(d).hybrid["U1"]
         assert classify(d, int_mat(vertical)) is IsometryClass.UNIPOTENT_2_STEP
-        # integral translations: -|z|^2/2 + s is -1 + i for d=1 and
-        # (-1 + i*sqrt(d))/2 in O_d for d = 3, 7
-        if d == 1:
-            z, s = QuadRat.of(QuadInt(1, 1, 1)), QuadRat.of(QuadInt.tau(1))
-        else:
-            z, s = QuadRat.one(d), QuadRat(QuadInt.sqrt_minus_d(d), 2)
-        horizontal = heis_translation(z, s)
-        assert classify(d, int_mat(horizontal)) is IsometryClass.UNIPOTENT_3_STEP
-
-
-def test_heis_translation_rejects_real_s():
-    with pytest.raises(ValueError):
-        heis_translation(QuadRat.one(3), QuadRat.one(3))
+        m = Mat.from_entries(d, horizontal[d])
+        assert classify(d, int_mat(m)) is IsometryClass.UNIPOTENT_3_STEP
+    assert Mat.from_entries(7, horizontal[7]) == get_catalog(7).picard["T1"]
 
 
 def test_boundary_action_translation():
     d = 3
-    s = QuadRat.of(QuadInt.sqrt_minus_d(d))  # i*sqrt(3) = it/2, t = 2*sqrt(3)
-    m = heis_translation(QuadRat.zero(d), s)
+    m = get_catalog(d).hybrid["U1"]   # it/2 = i*sqrt(3), t = 2*sqrt(3)
     p = boundary_action(m, BoundaryPoint.origin(d))
     assert not p.at_infinity
     z, t = p.approx()

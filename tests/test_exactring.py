@@ -101,6 +101,16 @@ def test_ring_mismatch_raises():
         QuadRat.of(QuadInt.tau(1)) * QuadRat.of(QuadInt.tau(7))
 
 
+def test_quadrat_combines_only_with_quadrat():
+    x = QuadRat.one(3)
+    for other in (1, QuadInt.tau(3)):
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x,
+                   lambda: x / other):
+            with pytest.raises(TypeError):
+                op()
+
+
 @pytest.mark.parametrize("d", DS)
 @settings(max_examples=40, deadline=None)
 @given(st.data())

@@ -1,6 +1,19 @@
-"""Golden stdout of all six verbs: exit code and sha256 of the exact bytes
-written, so a change of arithmetic kernel or word evaluator cannot move a
-single character of the output.
+"""Golden stdout of all six verbs: exit code and the exact bytes written,
+so a change of arithmetic kernel or word evaluator cannot move a single
+character of the output.
+
+The small outputs (verify, dump, classify and abelianize, each under
+5 KB) are stored as text in tests/golden/ and compared as text, so a
+moved byte shows as a diff. The orbit and search outputs (up to 150 KB)
+are pinned by the sha256 of their bytes. GOLDEN keeps a digest for every
+output, and test_golden_files_hold_the_recorded_digests holds each text
+file to it, so a file cannot drift from the output it was recorded from.
+
+A deliberate change of the verify output has one procedure: update the
+text file and its digest in GOLDEN, re-record benchmarks/expected.json
+(which pins the verify digests) with ``benchmarks/run.py
+--record-expected`` in a change that may touch benchmarks/, and show the
+diff of the text file in CHANGES.md.
 
 The two d=1 searches differ only in the height bound: at 3 bits the search
 prunes (``pruned_by_height`` true), at 4 bits it does not, which pins the
@@ -17,6 +30,7 @@ other sizes than cli.ROW_BLOCK.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -71,11 +85,40 @@ GOLDEN = [
 ]
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# argv -> the file in GOLDEN_DIR that holds its exact stdout
+GOLDEN_FILES = {
+    "verify --d 1": "verify-d1.txt",
+    "verify --d 3": "verify-d3.txt",
+    "verify --d 7": "verify-d7.txt",
+    "verify --d 1 --format json": "verify-d1-json.txt",
+    "dump --d 1": "dump-d1.txt",
+    "dump --d 3": "dump-d3.txt",
+    "dump --d 7": "dump-d7.txt",
+    "classify --d 7 --element A1": "classify-d7-A1.txt",
+    "abelianize --presentation picard-3": "abelianize-picard-3.txt",
+}
+
+
+def _golden_text(argv: str) -> str:
+    return (GOLDEN_DIR / GOLDEN_FILES[argv]).read_bytes().decode()
+
+
 @pytest.mark.parametrize("argv,code,sha", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_stdout(argv, code, sha, capsys):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == sha
+    if argv in GOLDEN_FILES:
+        assert out == _golden_text(argv)
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_golden_files_hold_the_recorded_digests():
+    digests = {argv: sha for argv, _code, sha in GOLDEN}
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN_FILES.values())
+    for argv in GOLDEN_FILES:
+        assert hashlib.sha256(_golden_text(argv).encode()).hexdigest() == digests[argv], argv
 
 
 @pytest.mark.parametrize("block", [1, 7])
