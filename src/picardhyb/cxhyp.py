@@ -23,6 +23,11 @@ already in the set of seen keys, so the elements and their order stay
 those of the plain breadth-first search over all moves. The word search
 takes its moves from the same table.
 
+The ball keeps each element m as its key u*m, u a unit. The key times a
+move g is u*(m*g), which has the key, the zero entries and the origin
+image (z = q/r and p/r) of m*g. So ``ball`` returns keys, and it and
+``orbit_points`` form the keys and points of the elements themselves.
+
 ``orbit_points`` runs the same breadth-first loop to radius L-1 only. The
 image of the Heisenberg origin under m depends only on the third column of
 m, because the origin lifts to (0, 0, 1). Every element of the sphere of
@@ -558,11 +563,10 @@ def _move_table(d: int, gens: list[IntMat]) -> tuple[list[IntMat], list[int], li
 
 def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
              radius: int):
-    """The spheres of radius 0 to radius in breadth-first order, each a
-    list of (element, position of the move that undoes its last move).
-    Adds the key of every element to seen."""
-    seen.add(int_key(d, INT_ID))
-    frontier = [(INT_ID, -1)]
+    """The spheres of radius 0 to radius in breadth-first order, each a list of
+    (key of an element, position of the move that undoes its last move); adds each key to seen."""
+    frontier = [(int_key(d, INT_ID), -1)]
+    seen.add(frontier[0][0])
     yield frontier
     for _ in range(radius):
         new = []
@@ -570,19 +574,18 @@ def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
             for k, g in enumerate(moves):
                 if k == skip:
                     continue
-                nm = int_mul(d, m, g)
-                key = int_key(d, nm)
+                key = int_key(d, int_mul(d, m, g))
                 if key not in seen:
                     seen.add(key)
-                    new.append((nm, undo[k]))
+                    new.append((key, undo[k]))
         frontier = new
         yield frontier
 
 
 def ball(d: int, gens: list[IntMat], radius: int) -> list[IntMat]:
-    """The projectively distinct elements of word length <= radius over
-    gens and their inverses, in breadth-first order from the identity.
-    Products known to be repeats are skipped (see the module docstring)."""
+    """The int_keys of the projectively distinct elements of word length
+    <= radius over gens and their inverses, in breadth-first order from the
+    identity. Products known to be repeats are skipped (see the module docstring)."""
     moves, undo, _letters = _move_table(d, gens)
     return [m for sphere in _spheres(d, moves, undo, set(), radius) for m, _k in sphere]
 

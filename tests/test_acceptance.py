@@ -32,7 +32,7 @@ def test_criterion_1_form_preservation():
     for d in (1, 3, 7):
         cat = get_catalog(d)
         for m in cat.fuchsian.values():
-            assert int_is_unitary(d, int_mat(cayley(embed(1, m))))
+            assert int_is_unitary(d, cayley(embed(1, m)))
         for m in (list(cat.picard.values()) + list(cat.hybrid.values())
                   + list(cat.hybrid_primed.values())):
             assert int_is_unitary(d, int_mat(m))

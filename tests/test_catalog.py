@@ -7,10 +7,11 @@ import pytest
 
 from picardhyb import catalog
 from picardhyb.catalog import (
-    Catalog, CatalogError, _validate, cayley, cayley_transform, embed,
-    get_catalog,
+    J, J_INV, Catalog, CatalogError, _validate, cayley, embed, get_catalog,
 )
-from picardhyb.cxhyp import INT_ID, Mat, int_is_unitary, int_key, int_mat, proj_eq
+from picardhyb.cxhyp import (
+    INT_ID, Mat, int_is_unitary, int_key, int_mat, int_mul, mat_from_int, proj_eq,
+)
 from picardhyb.exactring import QuadRat
 from picardhyb.fpgroups import format_word, quotient_by_normal_gens
 
@@ -57,10 +58,15 @@ def test_conjugation_identities(d):
         assert proj_eq(lhs, rhs), (ci.lemma, ci.lhs)
 
 
+# the Cayley transform J as the paper writes it, independent of catalog.J
+J_ROWS = ((1, 1, 0), (0, 1, -1), (1, 1, -1))
+
+
 def test_cayley_transform_integral():
+    # J and J^-1 are integral kernel constants, inverse to each other in every ring
     for d in (1, 3, 7):
-        j = cayley_transform(d)
-        assert j.is_integral() and j.inverse().is_integral()
+        assert int_mul(d, J, J_INV) == INT_ID
+        assert mat_from_int(d, J) == Mat.from_entries(d, J_ROWS)
 
 
 def test_embed_preserves_form():
@@ -68,7 +74,7 @@ def test_embed_preserves_form():
         cat = get_catalog(d)
         for m in cat.fuchsian.values():
             for slot in (1, 2):
-                assert int_is_unitary(d, int_mat(cayley(embed(slot, m))))
+                assert int_is_unitary(d, cayley(embed(slot, m)))
 
 
 def test_embed_rejects_bad_input():
@@ -106,7 +112,7 @@ def test_d7_cross_checks():
     minus_id = Mat.identity(7, 2).scale(-1)
     lhs = cayley(embed(1, minus_id))
     rhs = cayley(embed(2, cat.fuchsian["B"]))
-    assert proj_eq(lhs, rhs)
+    assert int_key(7, lhs) == int_key(7, rhs)
     assert lhs != rhs
 
 
@@ -127,7 +133,7 @@ def test_kernel_build_matches_mat(d):
     # the catalog conjugates and evaluates on the integer kernel; the Mat
     # products J^-1 iota(m) J and Catalog.eval_word are the reference
     cat = get_catalog(d)
-    j = cayley_transform(d)
+    j = Mat.from_entries(d, J_ROWS)
     j_inv = j.inverse()
     disk = {**cat.fuchsian, "-Id": Mat.identity(d, 2).scale(-1)}
     expected = {name: j_inv * embed(slot, disk[m]) * j
@@ -137,7 +143,7 @@ def test_kernel_build_matches_mat(d):
     assert {**cat.hybrid, **cat.hybrid_primed} == expected
     for m in disk.values():
         for slot in (1, 2):
-            assert cayley(embed(slot, m)) == j_inv * embed(slot, m) * j
+            assert cayley(embed(slot, m)) == int_mat(j_inv * embed(slot, m) * j)
 
 
 # the hybrid matrices the paper displays, which each ring's catalog compares
@@ -152,7 +158,7 @@ def test_ring_rejects_a_construction_that_differs_from_its_display(monkeypatch, 
     victim = embed(slot, get_catalog(d).fuchsian[m])
     real = catalog.cayley
     monkeypatch.setattr(catalog, "cayley",
-                        lambda x: _bumped(real(x)) if x == victim else real(x))
+                        lambda x: _bumped_int(real(x)) if x == victim else real(x))
     with pytest.raises(CatalogError, match=f"^displayed matrix {name} differs"):
         getattr(catalog, f"_catalog_d{d}")()
 
@@ -175,6 +181,11 @@ def _bumped(m: Mat) -> Mat:
     return Mat.from_entries(m.d, rows)
 
 
+def _bumped_int(x: tuple) -> tuple:
+    """The kernel tuple x with 1 added to its top-left entry."""
+    return (x[0] + 1, *x[1:])
+
+
 def _halved(m: Mat) -> Mat:
     return m.scale(QuadRat.of_fraction(m.d, Fraction(1, 2)))
 
@@ -192,6 +203,26 @@ def test_validate_rejects_a_corrupted_generator(d, corrupt):
     bad2 = cat._replace(fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
     with pytest.raises(CatalogError, match=f"2x2 generator {name2} does not"):
         _validate(bad2)
+
+
+# Mat views the build makes: one per hybrid and primed generator (and E1'
+# for d=3); the Cayley conjugation itself makes none
+MAT_VIEWS = {1: 6, 3: 7, 7: 6}
+
+
+@pytest.mark.parametrize("d", (1, 3, 7))
+def test_build_makes_each_mat_view_once(d, monkeypatch):
+    calls = 0
+    real = catalog.mat_from_int
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(catalog, "mat_from_int", counting)
+    catalog.get_catalog.__wrapped__(d)
+    assert calls == MAT_VIEWS[d]
 
 
 def test_validate_rejects_a_relator_that_is_not_the_identity():

@@ -37,7 +37,7 @@ def test_forms_preserved():
         for m in list(cat.picard.values()) + list(cat.hybrid.values()):
             assert int_is_unitary(d, int_mat(m))
         for m in cat.fuchsian.values():
-            assert int_is_unitary(d, int_mat(cayley(embed(1, m))))
+            assert int_is_unitary(d, cayley(embed(1, m)))
 
 
 def _random_words(d, count, length, seed):

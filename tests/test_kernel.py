@@ -9,7 +9,8 @@ check must agree with x* H x computed from the rows of the matrix.
 The move table must invert each generator once, and a non-unit
 determinant must raise on every call of the memoized inverse.
 ``ball`` must list exactly the elements of a plain breadth-first search
-that forms every product, while forming fewer products itself.
+that forms every product, as their keys, while forming fewer products
+itself, and every state of its spheres must be a key.
 ``orbit_points`` must give the origin images of ``ball`` while forming full
 products in its last sphere only for images at Infinity, and skipping the
 columns and keys of products by moves that fix the origin. ``key_rows``
@@ -283,7 +284,7 @@ def test_ball_matches_mat_reference(d):
                     new.append(m * g)
         reference = reference + new
         frontier = new
-    assert ball(d, [int_mat(m) for m in mats], 2) == [int_mat(m) for m in reference]
+    assert ball(d, [int_mat(m) for m in mats], 2) == [int_key(d, int_mat(m)) for m in reference]
 
 
 def _hybrids():
@@ -299,7 +300,7 @@ def _hybrids():
 
 def _plain_bfs(d: int, gens: list[tuple], radius: int) -> list[tuple]:
     """Breadth-first ball over all 2k moves: every product is formed and
-    looked up in one set of every key seen."""
+    looked up in one set of every key seen. Returns the key of each element."""
     moves = [y for g in gens for y in (g, int_inv(d, g))]
     seen = {int_key(d, INT_ID)}
     elements = frontier = [INT_ID]
@@ -314,7 +315,7 @@ def _plain_bfs(d: int, gens: list[tuple], radius: int) -> list[tuple]:
                     new.append(xy)
         elements = elements + new
         frontier = new
-    return elements
+    return [int_key(d, x) for x in elements]
 
 
 def _generator_sets():
@@ -379,6 +380,13 @@ def test_ball_skips_known_repeats(d, monkeypatch):
     monkeypatch.setattr(cxhyp, "int_mul", counting_mul)
     ball(d, gens, 4)
     assert count <= MAX_PRODUCTS_AT_RADIUS_4[d]
+
+
+@pytest.mark.parametrize("d,gens", _hybrids())
+def test_ball_states_are_keys(d, gens):
+    moves, undo, _letters = _move_table(d, gens)
+    for sphere in cxhyp._spheres(d, moves, undo, set(), 3):
+        assert all(int_key(d, m) == m for m, _k in sphere)
 
 
 def test_ball_rejects_no_generators():
