@@ -21,7 +21,7 @@ the same element. And it skips the move that undoes an element's last
 move, because that product is the element's parent. Either product is
 already in the set of seen keys, so the elements and their order stay
 those of the plain breadth-first search over all moves. The word search
-takes its moves from the same table.
+takes both its moves and its step (``_step``) from the ball.
 
 The ball keeps each element m as its key u*m, u a unit. The key times a
 move g is u*(m*g), which has the key, the zero entries and the origin
@@ -545,62 +545,69 @@ def _move_table(d: int, gens: list[IntMat]) -> tuple[list[IntMat], list[int], li
     letter: i for gens[i - 1], -i for its inverse."""
     if not gens:
         raise ValueError("generator list is empty")
-    moves: list[IntMat] = []
-    letters: list[int] = []
-    undo_keys: list[IntMat] = []     # per move, the key of its inverse
-    index: dict[IntMat, int] = {}    # move key -> position in moves
+    table: dict[IntMat, tuple] = {}    # move key -> (move, letter, key of its inverse)
     for i, x in enumerate(gens, start=1):
         x_inv = int_inv(d, x)
         x_key, inv_key = int_key(d, x), int_key(d, x_inv)
-        for letter, m, key, inverse_key in ((i, x, x_key, inv_key), (-i, x_inv, inv_key, x_key)):
-            if key not in index:
-                index[key] = len(moves)
-                moves.append(m)
-                letters.append(letter)
-                undo_keys.append(inverse_key)
-    return moves, [index[key] for key in undo_keys], letters
+        table.setdefault(x_key, (x, i, inv_key))
+        table.setdefault(inv_key, (x_inv, -i, x_key))
+    index = {key: k for k, key in enumerate(table)}
+    moves, letters, undo_keys = zip(*table.values())
+    return list(moves), [index[key] for key in undo_keys], list(letters)
 
 
-def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: set[IntMat],
-             radius: int):
+def _step(d: int, frontier: list, mats: list[IntMat], undo: list[int], order, seen: dict,
+          keep=None) -> list:
+    """One breadth-first step: each state (key, skip) of frontier times mats[k],
+    for each k in order but skip, gives the state (key of the product, undo[k])
+    if seen lacks that key and keep (if given) accepts it; seen maps it to k."""
+    new = []
+    for m, skip in frontier:
+        for k in order:
+            if k == skip:
+                continue
+            key = int_key(d, int_mul(d, m, mats[k]))
+            if key not in seen and (keep is None or keep(key)):
+                seen[key] = k
+                new.append((key, undo[k]))
+    return new
+
+
+def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: dict, radius: int):
     """The spheres of radius 0 to radius in breadth-first order, each a list of
-    (key of an element, position of the move that undoes its last move); adds each key to seen."""
+    (key of an element, position of the move that undoes its last move); maps
+    each key in seen to the position of its last move."""
     frontier = [(int_key(d, INT_ID), -1)]
-    seen.add(frontier[0][0])
+    seen[frontier[0][0]] = -1
     yield frontier
     for _ in range(radius):
-        new = []
-        for m, skip in frontier:
-            for k, g in enumerate(moves):
-                if k == skip:
-                    continue
-                key = int_key(d, int_mul(d, m, g))
-                if key not in seen:
-                    seen.add(key)
-                    new.append((key, undo[k]))
-        frontier = new
+        frontier = _step(d, frontier, moves, undo, range(len(moves)), seen)
         yield frontier
 
 
 def ball(d: int, gens: list[IntMat], radius: int) -> list[IntMat]:
     """The int_keys of the projectively distinct elements of word length
     <= radius over gens and their inverses, in breadth-first order from the
-    identity. Products known to be repeats are skipped (see the module docstring)."""
+    identity; ValueError for a negative radius. Repeats are skipped (see the module docstring)."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     moves, undo, _letters = _move_table(d, gens)
-    return [m for sphere in _spheres(d, moves, undo, set(), radius) for m, _k in sphere]
+    return [m for sphere in _spheres(d, moves, undo, {}, radius) for m, _k in sphere]
 
 
 def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int, ...]], int]:
     """The int_origin_key of every element of ball(d, gens, radius) that
     keeps the Heisenberg origin finite, and the number of elements that
-    send it to Infinity. The last sphere is formed as columns only, and
-    products by moves that fix the origin form no key (see the module
-    docstring)."""
+    send it to Infinity; ValueError for a negative radius. The last sphere
+    is formed as columns only, and products by moves that fix the origin
+    form no key (see the module docstring)."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
     moves, undo, _letters = _move_table(d, gens)
     # the moves whose third column is (0, 0, r): each fixes the origin, and
     # so does the move that undoes it
     fixes = [not (g[4] or g[5] or g[10] or g[11]) for g in moves]
-    seen: set[IntMat] = set()
+    seen: dict[IntMat, int] = {}
     points = set()
     n_infinity = 0
     for frontier in _spheres(d, moves, undo, seen, max(radius - 1, 0)):
@@ -626,7 +633,7 @@ def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int
                 continue
             key = int_key(d, int_mul(d, m, moves[k]))
             if key not in seen:
-                seen.add(key)
+                seen[key] = k
                 n_infinity += 1
     return points, n_infinity
 

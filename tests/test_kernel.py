@@ -13,7 +13,8 @@ that forms every product, as their keys, while forming fewer products
 itself, and every state of its spheres must be a key.
 ``orbit_points`` must give the origin images of ``ball`` while forming full
 products in its last sphere only for images at Infinity, and skipping the
-columns and keys of products by moves that fix the origin. ``key_rows``
+columns and keys of products by moves that fix the origin. Both reject a
+negative radius. ``key_rows``
 must render the floats of ``BoundaryPoint.approx`` bit for bit, in any
 order of the keys."""
 
@@ -385,13 +386,20 @@ def test_ball_skips_known_repeats(d, monkeypatch):
 @pytest.mark.parametrize("d,gens", _hybrids())
 def test_ball_states_are_keys(d, gens):
     moves, undo, _letters = _move_table(d, gens)
-    for sphere in cxhyp._spheres(d, moves, undo, set(), 3):
+    for sphere in cxhyp._spheres(d, moves, undo, {}, 3):
         assert all(int_key(d, m) == m for m, _k in sphere)
 
 
 def test_ball_rejects_no_generators():
     with pytest.raises(ValueError, match="generator list is empty"):
         ball(1, [], 2)
+
+
+@pytest.mark.parametrize("f", [ball, orbit_points])
+def test_ball_and_orbit_reject_a_negative_radius(f):
+    cat = get_catalog(3)
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        f(3, [cat.int_env[n] for n in cat.hybrid], -1)
 
 
 def _reference_orbit(d: int, gens: list[tuple], radius: int) -> tuple[set, int]:

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import picardhyb
-from picardhyb import search
+from picardhyb import cxhyp, search
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
-    INT_ID, Mat, _move_table, int_height, int_inv, int_key, int_mat, int_mul, proj_eq,
+    INT_ID, Mat, _move_table, _step, int_height, int_inv, int_key, int_mat, int_mul, int_word,
+    proj_eq,
 )
 from picardhyb.search import LETTER_BITS, find_word
-from picardhyb.fpgroups import eval_word, format_word
+from picardhyb.fpgroups import eval_word, format_word, free_reduce
 
 
 def _kernel(cat, names):
@@ -297,9 +298,11 @@ def test_find_word_matches_pinned_results(d):
 
 def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
     # one move per projective class, no product back to the parent and no
-    # known key expanded again: 542 products, where a search over every
-    # generator and inverse that re-expands known keys forms 1,072 (the
-    # re-check of the found word multiplies in cxhyp.int_word, uncounted)
+    # known key expanded again: 552 products (cxhyp._step's, plus one per
+    # letter to read back the words of the meeting key), where a search over
+    # every generator and inverse that re-expands known keys forms 1,072;
+    # the re-check of the found word in cxhyp.int_word forms one per letter,
+    # which is not counted
     count = 0
 
     def counting_mul(*args):
@@ -308,9 +311,108 @@ def test_find_word_forms_no_product_of_a_known_class(monkeypatch):
         return int_mul(*args)
 
     cat = get_catalog(1)
+    monkeypatch.setattr(cxhyp, "int_mul", counting_mul)
     monkeypatch.setattr(search, "int_mul", counting_mul)
-    assert find_word(1, cat.int_env["E1"], _kernel(cat, cat.picard), max_depth=12).found
-    assert count <= 560
+    res = find_word(1, cat.int_env["E1"], _kernel(cat, cat.picard), max_depth=12)
+    assert res.found
+    assert count - len(res.word) <= 560
+
+
+def test_last_step_stores_only_keys_that_meet(monkeypatch):
+    # pinned (None, 7, False): the last step finds no meet, so it adds no
+    # key to its side's table
+    added = []
+
+    def recording_step(d, frontier, mats, undo, order, seen, keep=None):
+        before = len(seen)
+        new = _step(d, frontier, mats, undo, order, seen, keep)
+        added.append(len(seen) - before)
+        return new
+
+    cat = get_catalog(1)
+    monkeypatch.setattr(search, "_step", recording_step)
+    res = find_word(1, cat.int_env["E1"], _kernel(cat, cat.picard), max_depth=7)
+    assert res == (None, 7, False)
+    assert len(added) == 7 and all(added[:-1]) and added[-1] == 0
+
+
+def _reference_find_word(d, target, gens, max_depth, max_coeff_bits):
+    """The word-storing search that find_word replaced: each state carries
+    its word, each frontier is sorted by word, and the met keys of the last
+    expansion are kept in a set of their own."""
+    moves, undo, letters = _move_table(d, gens)
+    steps = (list(zip(letters, moves)), [(g, moves[j]) for g, j in zip(letters, undo)])
+    target_key = int_key(d, target)
+    ident_key = int_key(d, INT_ID)
+    if ident_key == target_key:
+        return search.SearchResult((), 0, False)
+    starts = (int_height(ident_key), int_height(target_key))
+    letter_bits = max(map(int_height, moves)) + LETTER_BITS
+    tables = ({ident_key: ()}, {target_key: ()})
+    frontiers = [[((), ident_key, -1)], [((), target_key, -1)]]
+    depths = [0, 0]
+    pruned = False
+    while depths[0] + depths[1] < max_depth and (frontiers[0] or frontiers[1]):
+        side = 0 if (depths[0] <= depths[1] and frontiers[0]) or not frontiers[1] else 1
+        mine, theirs = tables[side], tables[1 - side]
+        last = depths[0] + depths[1] + 1 == max_depth
+        capped = starts[side] + (depths[side] + 1) * letter_bits > max_coeff_bits
+        new, meets, met = [], [], set()
+        for w, m, skip in sorted(frontiers[side]):
+            for k, (g, gm) in enumerate(steps[side]):
+                if k == skip:
+                    continue
+                key = int_key(d, int_mul(d, m, gm))
+                if key in mine or key in met:
+                    continue
+                if capped and int_height(key) > max_coeff_bits:
+                    pruned = True
+                    continue
+                word = (g,) + w if side else w + (g,)
+                if key in theirs:
+                    met.add(key)
+                    joined = free_reduce(theirs[key] + word if side else word + theirs[key])
+                    meets.append((len(joined), joined))
+                if not last:
+                    mine[key] = word
+                    new.append((word, key, undo[k]))
+        depths[side] += 1
+        frontiers[side] = new
+        if meets:
+            return search.SearchResult(min(meets)[1], depths[0] + depths[1], pruned)
+    return search.SearchResult(None, depths[0] + depths[1], pruned)
+
+
+def _assert_matches_reference(d, names, word, max_depth, max_coeff_bits):
+    cat = get_catalog(d)
+    gens = _kernel(cat, names)
+    target = int_word(d, word, gens)
+    assert find_word(d, target, gens, max_depth=max_depth, max_coeff_bits=max_coeff_bits) \
+        == _reference_find_word(d, target, gens, max_depth, max_coeff_bits)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_find_word_matches_the_word_storing_search(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        d = rng.choice((1, 3, 7))
+        cat = get_catalog(d)
+        pool = cat.picard if rng.random() < 0.5 else cat.hybrid
+        names = rng.sample(sorted(pool), rng.randint(1, min(3, len(pool))))
+        letters = [g for i in range(1, len(names) + 1) for g in (i, -i)]
+        word = [rng.choice(letters) for _ in range(rng.randint(0, 9))]
+        _assert_matches_reference(d, names, word, rng.randint(0, 10),
+                                  rng.choice((3, 4, 5, 6, 8, 512)))
+
+
+# two of 3,000 random cases, the only ones among them whose word changes
+# when side 1's new states are not sorted by first letter
+@pytest.mark.parametrize("case", [
+    (1, ("U1", "E2", "U2", "E1"), (-3, -1, 3, 1, -4, 1, 3, -2, 4), 6, 6),
+    (7, ("B2", "A1", "U1", "U2", "B1", "A2"), (1, -4, 5, -6, 4, 6), 7, 512),
+])
+def test_find_word_breaks_ties_as_the_word_storing_search(case):
+    _assert_matches_reference(*case)
 
 
 @pytest.mark.parametrize("d", [1, 3])
