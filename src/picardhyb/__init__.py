@@ -16,7 +16,7 @@ from .fpgroups import (
 )
 from .search import SearchResult, find_word
 from .certify import (
-    EuclideanMotion, InfinitenessCertificate, IndexResult,
+    InfinitenessCertificate, IndexResult,
     hybrid_abelianization_bounds, index_report, lemma31_index_bound,
     triangle_236_certificate, verify_normality,
 )

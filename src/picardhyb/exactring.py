@@ -148,9 +148,6 @@ class QuadInt(namedtuple("QuadInt", "d a b")):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return not self.is_zero() and self.norm() == 1
-
     # -- real / imaginary decomposition -----------------------------------
 
     def real_part(self) -> Fraction:

@@ -41,8 +41,8 @@ def _inverse(x):
 def eval_word(w: Word, gens, one, mul=operator.mul, inv=_inverse):
     """The product of the letters of w from left to right, starting from
     one: letter +k is gens[k - 1] and -k its inverse. By default any
-    element type with ``*`` and ``.inverse()`` will do (matrices, Euclidean
-    motions); ``mul`` and ``inv`` replace them for the integer kernel of
+    element type with ``*`` and ``.inverse()`` will do (the reference
+    ``Mat``); ``mul`` and ``inv`` replace them for the integer kernel of
     cxhyp, whose ``int_word`` passes ``partial(int_mul, d)`` and a table of
     the inverses the word needs."""
     result = one

@@ -71,7 +71,8 @@ def find_word(d: int, target: IntMat, gens: list[IntMat], *, max_depth: int = 10
       two coefficients);
     - each new key is the key of (a parent's key) * (a move)."""
     if max_depth < 0 or max_coeff_bits <= 0:
-        raise ValueError("search bounds must be positive")
+        raise ValueError("max_depth must be at least 0 and max_coeff_bits at least 1, "
+                         f"got {max_depth} and {max_coeff_bits}")
     moves, undo, letters = _move_table(d, gens)
 
     # side 0 grows words by appending the letter of move k (right-multiplying

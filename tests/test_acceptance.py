@@ -11,7 +11,8 @@ from picardhyb.cxhyp import (
 )
 from picardhyb.certify import (
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
-    lemma31_index_bound, verify_normality, verify_word_identities,
+    lemma31_index_bound, motion, render_motion, verify_normality,
+    verify_word_identities,
 )
 from picardhyb.fpgroups import (
     AbelianInvariants, Presentation, abelianization, eval_word, parse_word,
@@ -91,8 +92,8 @@ def test_criterion_5_infiniteness_certificate():
     assert res.outcome == "infinite"
     cert = res.certificate
     assert cert.validate()
-    assert cert.witness_image.is_nontrivial_translation()
-    assert str(cert.witness_image) == "z -> (1)*z + (-1)"
+    assert cert.witness_image == motion((1, 0), (-1, 0))     # z -> z - 1
+    assert render_motion(cert.witness_image) == "z -> (1)*z + (-1)"
     assert lemma31_index_bound().passed
     _report(5, "d=3 Euclidean infiniteness certificate validates",
             time.monotonic() - t0, 5)

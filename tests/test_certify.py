@@ -1,20 +1,23 @@
 """Theorem-level reports: normality, indices, the Euclidean infiniteness
-certificate and the abelianization chain."""
+certificate and the abelianization chain, and for each decision a test
+that corrupts one input and checks that exactly its rows turn [FAIL]."""
 
 import random
 
 import pytest
 
 from picardhyb import catalog, certify
+from picardhyb.catalog import WordIdentity
 from picardhyb.certify import (
-    EuclideanMotion, PRIMED_D1_WORD, Report,
+    PRIMED_D1_WORD, Report,
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
-    lemma31_index_bound, lemma36_relations, partial_hybrid_presentation,
-    primed_d1_equality, primed_d3_closure, triangle_236_certificate,
+    lemma31_index_bound, lemma36_relations, motion, partial_hybrid_presentation,
+    primed_d1_equality, primed_d3_closure, render_motion, triangle_236_certificate,
     verify_normality, verify_primed_d1_word, verify_tietze_substitution,
     verify_word_identities,
 )
-from picardhyb.exactring import QuadInt
+from picardhyb.cxhyp import INT_ID, int_inv, int_mul, int_word
+from picardhyb.exactring import QuadInt, units
 from picardhyb.fpgroups import AbelianInvariants, abelianization, parse_word, todd_coxeter
 
 
@@ -60,11 +63,9 @@ def test_index_d3_is_infinite_with_certificate():
 def test_triangle_certificate():
     cert = triangle_236_certificate()
     assert cert.validate()
-    motion = cert.witness_image
-    assert motion.is_nontrivial_translation()
     # witness is the unit translation z -> z - 1
-    assert motion.alpha == QuadInt.one(3)
-    assert motion.beta == QuadInt.of_int(3, -1)
+    assert cert.witness_image == motion((1, 0), (-1, 0))
+    assert render_motion(cert.witness_image) == "z -> (1)*z + (-1)"
 
 
 def test_triangle_certificate_rejects_a_wrong_witness():
@@ -72,7 +73,11 @@ def test_triangle_certificate_rejects_a_wrong_witness():
     # a^6 maps to the identity, not to a translation
     assert not cert._replace(witness_word="a^6").validate()
     # with b sent to the identity, (a b)^3 and the witness are the half-turn a^3
-    assert not cert._replace(images={**cert.images, "b": EuclideanMotion.identity()}).validate()
+    assert not cert._replace(images={**cert.images, "b": INT_ID}).validate()
+    # a^3 is the half-turn about 0, not a translation
+    assert not cert._replace(witness_word="a^3").validate()
+    # b a^3 is the translation z -> z + 1
+    assert cert._replace(witness_word="b a^3").validate()
 
 
 def test_tietze_substitution():
@@ -111,41 +116,33 @@ def test_primed_d3_rows_read_the_commutator_table(monkeypatch):
         assert "H'(3) generator P dies in Gamma(3)^ab" in failed
 
 
+def _motion(alpha: QuadInt, beta: QuadInt):
+    return motion(alpha[1:], beta[1:])
+
+
 def test_euclidean_motion_group_laws():
+    # the matrices multiply and invert as the motions compose:
+    # (a1, b1) o (a2, b2) is z -> a1 a2 z + (a1 b2 + b1)
     rng = random.Random(7)
-    w = QuadInt.tau(3)
-    pool = [EuclideanMotion(QuadInt.one(3) + w, QuadInt(3, rng.randint(-3, 3),
-                                                        rng.randint(-3, 3)))
+    pool = [(rng.choice(units(3)), QuadInt(3, rng.randint(-3, 3), rng.randint(-3, 3)))
             for _ in range(8)]
-    pool.append(EuclideanMotion.identity())
-    for a in pool:
-        assert (a * a.inverse()).is_identity()
-        for b in pool:
-            for c in pool:
-                lhs = (a * b) * c
-                rhs = a * (b * c)
-                assert lhs.alpha == rhs.alpha and lhs.beta == rhs.beta
+    for a1, b1 in pool:
+        x = _motion(a1, b1)
+        assert int_inv(3, x) == _motion(a1.conj(), -(a1.conj() * b1))
+        for a2, b2 in pool:
+            assert int_mul(3, x, _motion(a2, b2)) == _motion(a1 * a2, a1 * b2 + b1)
 
 
 def test_euclidean_motion_orders():
-    w = QuadInt.tau(3)
-    zeta6 = QuadInt.one(3) + w          # primitive 6th root of unity
-    rot = EuclideanMotion(zeta6, QuadInt.zero(3))
-    powers = [rot]
-    while not powers[-1].is_identity():
-        powers.append(powers[-1] * rot)
-    assert len(powers) == 6
-    trans = EuclideanMotion(QuadInt.one(3), QuadInt.one(3))
-    assert trans.is_nontrivial_translation() and not rot.is_nontrivial_translation()
+    rot = motion((1, 1), (0, 0))        # by 1 + w, a primitive 6th root of unity
+    assert [k for k in range(1, 13) if int_word(3, (1,) * k, [rot]) == INT_ID] == [6, 12]
+    half_turn = triangle_236_certificate().images["b"]
+    assert half_turn != INT_ID and int_mul(3, half_turn, half_turn) == INT_ID
 
 
-def test_euclidean_motion_replace_runs_the_constructor_checks():
-    two = QuadInt.of_int(3, 2)
-    with pytest.raises(ValueError) as made:
-        EuclideanMotion(two, QuadInt.zero(3))
-    with pytest.raises(ValueError) as replaced:
-        EuclideanMotion.identity()._replace(alpha=two)
-    assert str(replaced.value) == str(made.value) == "alpha = 2 is not a unit of O_3"
+def test_a_motion_with_a_non_unit_alpha_has_no_inverse():
+    with pytest.raises(ValueError, match="^the determinant is not a unit of O_d$"):
+        int_inv(3, motion((2, 0), (0, 0)))
 
 
 def test_commutator_subgroup_table():
@@ -208,3 +205,68 @@ def test_report_failure_is_a_failed_row():
     assert not r.passed
     assert "FAIL" in r.as_markdown()
     assert r.as_dict()["checks"][0]["passed"] is False
+
+
+# -- one corrupted input per decision --------------------------------------
+#
+# Each test below corrupts one input of a report and checks that exactly
+# the rows that decide on it turn [FAIL] and every other row still passes.
+
+def _serve(monkeypatch, cat):
+    """Make certify read cat for every ring."""
+    monkeypatch.setattr(certify, "get_catalog", lambda d: cat)
+
+
+def _failed(report: Report) -> list[str]:
+    return [c.description for c in report.checks if not c.passed]
+
+
+def test_substitution_rows_fail_on_a_wrong_substitution(monkeypatch):
+    # b is an involution, so every relator still dies under Q -> b^-1
+    monkeypatch.setitem(certify.SUBST_PQR_TO_ABC, "Q", "b^-1")
+    assert _failed(verify_tietze_substitution()) == ["Q round-trips through (a,b,c)"]
+    assert index_report(3).outcome == "undecided"
+
+
+def test_relator_rows_fail_on_a_relator_that_survives(monkeypatch):
+    # killing P too: P -> a b, z -> -(1 + w) z + (1 + w), a rotation of order 3
+    cat = catalog.get_catalog(3)
+    _serve(monkeypatch, cat._replace(
+        word_identities=(*cat.word_identities, WordIdentity("lemma-3.2", "P", "P"))))
+    report = verify_tietze_substitution()
+    assert _failed(report) == ["quotient relator #8 maps to the identity motion"]
+    assert report.checks[-1].witness == "z -> (-1-w)*z + (1+w)"
+    assert index_report(3).outcome == "undecided"
+
+
+def test_word_identity_rows_fail_on_a_corrupted_catalog(monkeypatch):
+    cat = catalog.get_catalog(3)
+    _serve(monkeypatch, cat._replace(hybrid={**cat.hybrid, "U1": cat.hybrid["U2"]}))
+    assert _failed(verify_word_identities(3)) == ["U1 = Q^2"]
+
+
+def test_primed_d3_square_row_fails_on_a_corrupted_catalog(monkeypatch):
+    cat = catalog.get_catalog(3)
+    _serve(monkeypatch, cat._replace(hybrid_primed={"E1p": cat.hybrid["E1"]}))
+    assert _failed(primed_d3_closure()) == ["(E1')^2 = E1"]
+
+
+def test_corollary46_rows_fail_on_a_corrupted_catalog(monkeypatch):
+    cat = catalog.get_catalog(1)
+    _serve(monkeypatch, cat._replace(
+        hybrid_primed={**cat.hybrid_primed, "R1": cat.hybrid_primed["R2"]}))
+    report = primed_d1_equality()
+    assert len(report.checks) == 8
+    assert _failed(report) == [
+        "E1^2 E2 R1 is a unit scalar (so the order-4 element lies in the plain hybrid)",
+        "R2^-1 R1^-2 = E1 (so the plain hybrid lies in the primed one)",
+        "R2^-2 R1^-1 = E2 (so the plain hybrid lies in the primed one)",
+        "the order-4 word over I0, Q, T is verified",
+    ]
+
+
+def test_lemma36_rows_fail_on_a_corrupted_catalog(monkeypatch):
+    cat = catalog.get_catalog(3)
+    _serve(monkeypatch, cat._replace(hybrid={**cat.hybrid, "E1": cat.hybrid["U1"]}))
+    assert _failed(lemma36_relations()) == [
+        f"{t} = 1" for t in certify.LEMMA36_RELATORS if t != "(U1 U2)^3"]

@@ -15,6 +15,7 @@ import picardhyb
 
 from picardhyb import catalog, certify, cli, cxhyp, fpgroups
 from picardhyb.cli import main
+from picardhyb.exactring import QuadInt, QuadRat
 
 
 def run(args):
@@ -287,15 +288,28 @@ KERNEL_VERBS = (
 )
 
 
+# the ring operations of QuadInt and QuadRat: +, -, *, /, negation, conj, norm
+RING_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__neg__", "conj", "norm")
+
+
 def test_no_verb_converts_a_mat_after_set_up(monkeypatch, capsys):
+    # nor runs ring arithmetic: after the catalogs are built, every verb
+    # computes on the integer kernel alone
     for d in (1, 3, 7):
         assert catalog.get_catalog(d).int_env
 
     def refuse(m):
         raise AssertionError(f"converted a Mat to the kernel: {m}")
 
+    def refuse_arithmetic(x, *other):
+        raise AssertionError(f"ring arithmetic on {x!r}")
+
     monkeypatch.setattr(cxhyp, "int_mat", refuse)
     monkeypatch.setattr(catalog, "int_mat", refuse)
+    for ring in (QuadInt, QuadRat):
+        for name in RING_OPERATIONS:
+            monkeypatch.setattr(ring, name, refuse_arithmetic, raising=False)
     for argv in KERNEL_VERBS:
         assert run(argv) == 0, argv
     capsys.readouterr()

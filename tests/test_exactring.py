@@ -69,7 +69,7 @@ def test_render_parse_round_trip(d, data):
 def test_unit_groups(d, count):
     us = units(d)
     assert len(us) == count
-    assert all(u.is_unit() and u.norm() == 1 for u in us)
+    assert all(u.norm() == 1 for u in us)
     # closed under multiplication
     keys = {(u.a, u.b) for u in us}
     for u in us:

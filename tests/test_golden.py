@@ -3,7 +3,7 @@ so a change of arithmetic kernel or word evaluator cannot move a single
 character of the output.
 
 The small outputs (verify, dump, classify and abelianize, each under
-5 KB) are stored as text in tests/golden/ and compared as text, so a
+8 KB) are stored as text in tests/golden/ and compared as text, so a
 moved byte shows as a diff. The orbit and search outputs (up to 150 KB)
 are pinned by the sha256 of their bytes. GOLDEN keeps a digest for every
 output, and test_golden_files_hold_the_recorded_digests holds each text
@@ -72,6 +72,11 @@ GOLDEN = [
      "986cd1daa3643a8ab2f0f58ee806891cefa59e90a83b29ac6b200d780a53778a"),
     ("verify --d 1 --format json", 0,
      "a2bca6142639e86aee7445c90d980d8fac955b97f0ba75c15ea312433f65a7be"),
+    # the d=3 file holds the theorem-3.4 witness, the image of a^3 b
+    ("verify --d 3 --format json", 0,
+     "fbbdd18948c583d6925121337776dce9fbaf88f25390825ec38e0474e54d523d"),
+    ("verify --d 7 --format json", 0,
+     "3403d8995e9bc8b33d730ed2301143efff061b9a46af5f004aa2bf7691e18b96"),
     ("dump --d 1", 0,
      "54a66d7bfd45ecb206c415bae7a0354d4b841b8d7d884688c0084a922567a73d"),
     ("dump --d 3", 0,
@@ -92,6 +97,8 @@ GOLDEN_FILES = {
     "verify --d 3": "verify-d3.txt",
     "verify --d 7": "verify-d7.txt",
     "verify --d 1 --format json": "verify-d1-json.txt",
+    "verify --d 3 --format json": "verify-d3-json.txt",
+    "verify --d 7 --format json": "verify-d7-json.txt",
     "dump --d 1": "dump-d1.txt",
     "dump --d 3": "dump-d3.txt",
     "dump --d 7": "dump-d7.txt",

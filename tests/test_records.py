@@ -15,7 +15,7 @@ import pytest
 
 from picardhyb.catalog import Catalog, ConjugationIdentity, WordIdentity, get_catalog
 from picardhyb.certify import (
-    CheckResult, EuclideanMotion, IndexResult, InfinitenessCertificate,
+    CheckResult, IndexResult, InfinitenessCertificate,
 )
 from picardhyb.cxhyp import BoundaryPoint, Mat, ProjIsom
 from picardhyb.exactring import QuadInt, QuadRat
@@ -37,7 +37,6 @@ RECORDS = {
     ConjugationIdentity: (("lemma", "lhs", "rhs"), {}),
     SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
     CheckResult: (("check_id", "description", "passed", "witness"), {"witness": ""}),
-    EuclideanMotion: (("alpha", "beta"), {}),
     InfinitenessCertificate: (("presentation", "kill_list", "images", "witness_word"), {}),
     IndexResult: (("d", "outcome", "index", "table", "certificate"),
                   {"index": None, "table": None, "certificate": None}),
@@ -55,7 +54,6 @@ def test_fields_and_defaults(record):
 
 
 def _instances():
-    w, one = QuadInt(3, 0, 1), QuadInt.one(3)
     return [
         QuadInt(1, 2, 3),
         QuadRat(QuadInt(1, 2, 4), 6),
@@ -68,7 +66,6 @@ def _instances():
         ConjugationIdentity("lemma", "E1", "E2"),
         SearchResult((1, 2), 2, False),
         CheckResult("id", "description", True),
-        EuclideanMotion(w, one),
         InfinitenessCertificate(None, (), {}, ""),
         IndexResult(1, "finite", 2),
         Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), {}, {}, (), ()),
@@ -135,14 +132,6 @@ def test_presentation_checks_on_replace():
         p._replace(gen_names=("a",))
 
 
-def test_euclidean_motion_checks_on_replace():
-    w, one = QuadInt(3, 0, 1), QuadInt.one(3)
-    m = EuclideanMotion(w, one)
-    assert m._replace(beta=w) == (w, w)
-    with pytest.raises(ValueError):
-        m._replace(alpha=QuadInt(3, 2, 0))
-
-
 def test_make_runs_the_checks():
     with pytest.raises(ValueError):
         QuadInt._make((2, 0, 0))
@@ -152,8 +141,6 @@ def test_make_runs_the_checks():
     assert Presentation._make((2, [(1, -1, 2)], None)).relators == ((2,),)
     with pytest.raises(ValueError):
         Presentation._make((1, [(2,)], None))
-    with pytest.raises(ValueError):
-        EuclideanMotion._make((QuadInt(3, 2, 0), QuadInt.one(3)))
     with pytest.raises(TypeError):
         QuadInt._make((1, 2))
 

@@ -108,11 +108,13 @@ def test_unsound_word_raises_under_optimize():
     assert proc.stdout == "raised: search returned an unsound word\n"
 
 
-@pytest.mark.parametrize("bounds", ({"max_depth": -1}, {"max_coeff_bits": 0}),
+@pytest.mark.parametrize("bounds, got", (({"max_depth": -1}, "-1 and 512"),
+                                         ({"max_coeff_bits": 0}, "10 and 0")),
                          ids=("max_depth", "max_coeff_bits"))
-def test_find_word_rejects_bounds_out_of_range(bounds):
+def test_find_word_rejects_bounds_out_of_range(bounds, got):
     gens = [get_catalog(3).int_env["P"]]
-    with pytest.raises(ValueError, match="^search bounds must be positive$"):
+    message = f"max_depth must be at least 0 and max_coeff_bits at least 1, got {got}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         find_word(3, int_mat(Mat.identity(3, 3)), gens, **bounds)
 
 
