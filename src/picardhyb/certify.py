@@ -212,6 +212,31 @@ def lemma31_index_bound() -> Report:
 
 # -- indices ---------------------------------------------------------------
 
+def coset_table_holds(table: CosetTable, p: Presentation, subgens) -> bool:
+    """Whether table proves [G : H] >= table.index for the group G of p and
+    the subgroup H of the words subgens, from the table alone: every column
+    is a permutation of the cosets paired with its inverse column, the
+    action is transitive, every relator fixes every coset and every word of
+    subgens fixes coset 0. Then G acts on the cosets, transitively, and H
+    lies in the stabilizer of coset 0, whose index is table.index (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 5)."""
+    rows, cosets = table.table, list(range(table.index))
+    if not rows or any(len(row) != 2 * p.ngens for row in rows):
+        return False
+    for c in range(0, 2 * p.ngens, 2):
+        if sorted(row[c] for row in rows) != cosets or any(
+                rows[row[c]][c + 1] != alpha for alpha, row in enumerate(rows)):
+            return False
+    reached, todo = {0}, [0]
+    while todo:
+        new = set(rows[todo.pop()]) - reached
+        reached |= new
+        todo += new
+    return (len(reached) == len(rows)
+            and all(table.act_word(alpha, r) == alpha for r in p.relators for alpha in cosets)
+            and all(table.act_word(0, w) == 0 for w in subgens))
+
+
 # outcome: "finite" | "infinite" | "undecided" | "overflowed"; index: an int
 # or None; table: a CosetTable or None; certificate: an
 # InfinitenessCertificate or None
@@ -311,7 +336,8 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
     table = todd_coxeter(cat.presentation, subgens, max_cosets=max_cosets)
     report.add("corollary-4.6", "adjoining the order-4 element leaves a "
                "quotient of order 2, not 1: H'(1) = H(1) (corrected reading)",
-               table.complete and table.index == 2)
+               table.complete and table.index == 2
+               and coset_table_holds(table, cat.presentation, subgens))
     return report
 
 
@@ -405,7 +431,8 @@ def hybrid_abelianization_bounds() -> Report:
 def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]:
     """The reports of ``verify --d d``, in order. A claim row passes only if
     its own check passes and so do the reports it rests on: theorems 4.5
-    and 5.5 on the word identities and normality, theorem 3.4 and
+    and 5.5 on the word identities, normality and the coset table's own
+    check (coset_table_holds), theorem 3.4 and
     propositions 6.2 and 6.3 on these and lemma 3.1, corollary 3.12 on
     lemma 3.6."""
     words, normal = verify_word_identities(d), verify_normality(d)
@@ -418,9 +445,11 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
     theorem = f"theorem-{'4.5' if d == 1 else '5.5'}"
     if idx.outcome == "finite":
         expected = {1: 2, 7: 1}[d]       # the order theorems 4.5 and 5.5 state
+        cat = get_catalog(d)
         r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}"
               + ("" if idx.index == expected else f", expected {expected}"),
-              idx.index == expected and premises,
+              idx.index == expected and premises
+              and coset_table_holds(idx.table, cat.presentation, cat.hybrid_words()),
               witness=f"complete coset table, {idx.table.index} cosets")
     elif idx.outcome == "overflowed":
         r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) is undecided: coset "

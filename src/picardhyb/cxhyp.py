@@ -8,7 +8,8 @@ determinant, and so is every word in them. The hot loops (the orbit
 certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
 as a flat tuple of 18 Python ints (an ``IntMat``), with its product,
 inverse, word evaluation, canonical projective key, coefficient height and
-the key of the image of the Heisenberg origin, all in integers. Every
+the key of the image of the Heisenberg origin (``int_origin_key(d, x,
+column)``, the point of x times a column), all in integers. Every
 kernel function takes the ring d and ``IntMat``s, ``classify`` and
 ``projective_order`` included; ``int_mat`` converts a ``Mat`` once, and
 the catalog's ``int_env`` is where the command-line verbs get theirs.
@@ -33,9 +34,11 @@ image of the Heisenberg origin under m depends only on the third column of
 m, because the origin lifts to (0, 0, 1). Every element of the sphere of
 radius L is m*g with m in the sphere of radius L-1 and g a move other than
 the one that undoes m's last move, so the last sphere's points are the
-origin images of the columns m*(third column of g), and no 3x3 product is
-needed. A column that repeats an earlier element only adds a point that is
-already in the set. The one count that needs distinct elements is that of
+origin images of the columns m*(third column of g), which int_origin_key
+forms from m and that column in one call, and no 3x3 product is needed.
+An inner element m is the call with the column E3 = (0, 0, 1). A column
+that repeats an earlier element only adds a point that is already in the
+set. The one count that needs distinct elements is that of
 the images at Infinity, so only those products are multiplied out in full
 and counted when their key is new.
 
@@ -269,11 +272,15 @@ class BoundaryPoint(namedtuple("BoundaryPoint", "d at_infinity z t_coeff",
 
 def key_rows(d: int, keys):
     """The CSV row "re_z,im_z,t" (each %.15g) of BoundaryPoint.from_key(d,
-    key).approx() for each int_origin_key key, without building the point:
-    the float operations of QuadInt.approx, QuadRat.approx and
-    BoundaryPoint.approx in the same order, so the floats are identical.
-    The "re_z,im_z," text is formed once for each run of keys with equal
-    z, which sorted keys put side by side."""
+    key).approx() for each int_origin_key key, without building the point
+    or a complex. The floats are those of QuadInt.approx, QuadRat.approx and
+    BoundaryPoint.approx bit for bit: those form the parts of z in the same
+    order, but as a complex divided by den. CPython divides a complex by a
+    real as by a complex with a zero imaginary part, so each part of that
+    quotient is this part over den plus a signed zero, and the zeros never
+    change a sign: neither (2*za + zb*c1)/2 nor zb*cn/cd*root is -0.0, and
+    den > 0. The "re_z,im_z," text is formed once for each run of keys
+    with equal z, which sorted keys put side by side."""
     c1 = _TAU_SQ[d][1]
     cn, cd = _TAU_ISQRTD[d]
     root, half_power = sqrt(d), d ** 0.5
@@ -281,8 +288,7 @@ def key_rows(d: int, keys):
     for za, zb, den, tn, td in keys:
         if (za, zb, den) != last:
             last = za, zb, den
-            z = (complex((2 * za + zb * c1) / 2) + 1j * (zb * cn / cd) * root) / den
-            head = "%.15g,%.15g," % (z.real, z.imag)
+            head = "%.15g,%.15g," % ((2 * za + zb * c1) / 2 / den, zb * cn / cd * root / den)
         yield "%s%.15g" % (head, tn / td * half_power)
 
 
@@ -365,29 +371,6 @@ def int_mul(d: int, x: IntMat, y: IntMat) -> IntMat:
         a6 * q1 + b6 * p1 + a7 * q4 + b7 * p4 + a8 * q7 + b8 * p7 + c1 * s7,
         a6 * p2 + a7 * p5 + a8 * p8 + c0 * s8,
         a6 * q2 + b6 * p2 + a7 * q5 + b7 * p5 + a8 * q8 + b8 * p8 + c1 * s8,
-    )
-
-
-# the third column of an IntMat, as the 6 ints (pa, pb, qa, qb, ra, rb)
-_third_column = operator.itemgetter(4, 5, 10, 11, 16, 17)
-
-
-def int_mul_column(d: int, x: IntMat, y: tuple[int, ...]) -> tuple[int, ...]:
-    """The column x*y of a column y = (p0 + q0*tau, p1 + q1*tau, p2 + q2*tau):
-    int_mul's third column when y is the third column of a matrix."""
-    c0, c1 = _TAU_SQ[d]
-    (a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8) = x
-    p0, q0, p1, q1, p2, q2 = y
-    s0 = b0 * q0 + b1 * q1 + b2 * q2
-    s1 = b3 * q0 + b4 * q1 + b5 * q2
-    s2 = b6 * q0 + b7 * q1 + b8 * q2
-    return (
-        a0 * p0 + a1 * p1 + a2 * p2 + c0 * s0,
-        a0 * q0 + b0 * p0 + a1 * q1 + b1 * p1 + a2 * q2 + b2 * p2 + c1 * s0,
-        a3 * p0 + a4 * p1 + a5 * p2 + c0 * s1,
-        a3 * q0 + b3 * p0 + a4 * q1 + b4 * p1 + a5 * q2 + b5 * p2 + c1 * s1,
-        a6 * p0 + a7 * p1 + a8 * p2 + c0 * s2,
-        a6 * q0 + b6 * p0 + a7 * q1 + b7 * p1 + a8 * q2 + b8 * p2 + c1 * s2,
     )
 
 
@@ -504,14 +487,34 @@ def int_height(x: IntMat) -> int:
     return max(map(abs, x)).bit_length()
 
 
-def int_origin_key(d: int, column: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The key() of boundary_action(x, BoundaryPoint.origin(d)) from the
-    third column (p, q, r) of x, 6 ints, or None when that image is Infinity:
-    the origin lifts to (0, 0, 1), so z = q/r. ValueError if it leaves the boundary."""
+# the third column of INT_ID, (0, 0, 1), as int_origin_key takes a column:
+# the lift of the Heisenberg origin
+E3 = (0, 0, 0, 0, 1, 0)
+
+
+def int_origin_key(d: int, x: IntMat, column: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The key() of boundary_action(x*g, BoundaryPoint.origin(d)), or None when
+    that image is Infinity, from the third column of g as the 6 ints
+    (e0, f0, e1, f1, e2, f2), entry k being ek + fk*tau; E3 for g = Id. The
+    origin lifts to (0, 0, 1), so its image lifts to the column
+    x*column = (p, q, r), and z = q/r. Infinity is known from r alone, before
+    p and q are formed. ValueError if the image leaves the boundary."""
     c0, c1 = _TAU_SQ[d]
-    pa, pb, qa, qb, ra, rb = column
+    (a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6, a7, b7, a8, b8) = x
+    e0, f0, e1, f1, e2, f2 = column
+    # the rows of x times the column, r first, as int_mul forms them; t is
+    # the sum of the tau*tau terms
+    t = b6 * f0 + b7 * f1 + b8 * f2
+    ra = a6 * e0 + a7 * e1 + a8 * e2 + c0 * t
+    rb = a6 * f0 + b6 * e0 + a7 * f1 + b7 * e1 + a8 * f2 + b8 * e2 + c1 * t
     if ra == 0 and rb == 0:
         return None
+    t = b0 * f0 + b1 * f1 + b2 * f2
+    pa = a0 * e0 + a1 * e1 + a2 * e2 + c0 * t
+    pb = a0 * f0 + b0 * e0 + a1 * f1 + b1 * e1 + a2 * f2 + b2 * e2 + c1 * t
+    t = b3 * f0 + b4 * f1 + b5 * f2
+    qa = a3 * e0 + a4 * e1 + a5 * e2 + c0 * t
+    qb = a3 * f0 + b3 * e0 + a4 * f1 + b4 * e1 + a5 * f2 + b5 * e2 + c1 * t
     # conj(a + b*tau) = (a + c1*b) - b*tau and N(a + b*tau) = a^2 + c1*ab - c0*b^2
     ca, cb = ra + c1 * rb, -rb
     norm_r = ra * ra + c1 * ra * rb - c0 * rb * rb
@@ -615,19 +618,19 @@ def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int
             if m[16] or m[17]:
                 if skip >= 0 and fixes[skip]:
                     continue    # the parent's point
-                points.add(int_origin_key(d, _third_column(m)))
+                points.add(int_origin_key(d, m, E3))
             else:
                 n_infinity += 1
     if radius == 0:
         return points, n_infinity
     # frontier is now the sphere of radius L-1
-    columns = [_third_column(g) for g in moves]
+    columns = [g[4:6] + g[10:12] + g[16:] for g in moves]
     for m, skip in frontier:
         finite = m[16] or m[17]
         for k, column in enumerate(columns):
             if k == skip or (finite and fixes[k]):
                 continue
-            key = int_origin_key(d, int_mul_column(d, m, column))
+            key = int_origin_key(d, m, column)
             if key is not None:
                 points.add(key)
                 continue

@@ -30,6 +30,13 @@ def free_reduce(w) -> Word:
     return tuple(out)
 
 
+def _check_letters(w: Word, ngens: int, what: str) -> None:
+    """ValueError unless every letter of w is +k or -k with 1 <= k <= ngens."""
+    for g in w:
+        if not 0 < abs(g) <= ngens:
+            raise ValueError(f"{what} uses the letter {g}, outside +-1..+-{ngens}")
+
+
 def invert_word(w: Word) -> Word:
     return tuple(-g for g in reversed(w))
 
@@ -62,8 +69,8 @@ class Presentation(namedtuple("Presentation", "ngens relators gen_names")):
         relators = tuple(free_reduce(r) for r in relators)
         if any(not r for r in relators):
             raise ValueError("relators must be nonempty after free reduction")
-        if any(abs(g) > ngens for r in relators for g in r):
-            raise ValueError("relator uses an out-of-range generator")
+        for r in relators:
+            _check_letters(r, ngens, "a relator")
         if gen_names is not None and len(gen_names) != ngens:
             raise ValueError("gen_names length mismatch")
         return tuple.__new__(cls, (ngens, relators, gen_names))
@@ -133,6 +140,7 @@ def parse_word(text: str, names) -> Word:
 
 
 def format_word(w: Word, names) -> str:
+    _check_letters(w, len(names), "the word")
     if not w:
         return "1"
     parts = []
@@ -176,6 +184,7 @@ class CosetTable:
         return self.status == "complete"
 
     def act(self, alpha: int, g: int) -> int:
+        _check_letters((g,), self.ngens, "a coset action")
         return self.table[alpha][_col(g)]
 
     def act_word(self, alpha: int, w: Word) -> int:
@@ -276,6 +285,7 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
     relator_cols = [[_col(g) for g in r] for r in p.relators]
     try:
         for w in subgens:
+            _check_letters(w, p.ngens, "a subgroup word")
             scan_and_fill(rep(0), [_col(g) for g in free_reduce(w)])
         alpha = 0
         while alpha < len(table):

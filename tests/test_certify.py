@@ -9,7 +9,7 @@ import pytest
 from picardhyb import catalog, certify
 from picardhyb.catalog import WordIdentity
 from picardhyb.certify import (
-    PRIMED_D1_WORD, Report,
+    PRIMED_D1_WORD, Report, coset_table_holds,
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
     lemma31_index_bound, lemma36_relations, motion, partial_hybrid_presentation,
     primed_d1_equality, primed_d3_closure, render_motion, triangle_236_certificate,
@@ -18,7 +18,10 @@ from picardhyb.certify import (
 )
 from picardhyb.cxhyp import INT_ID, int_inv, int_mul, int_word
 from picardhyb.exactring import QuadInt, units
-from picardhyb.fpgroups import AbelianInvariants, abelianization, parse_word, todd_coxeter
+from picardhyb.cli import main
+from picardhyb.fpgroups import (
+    AbelianInvariants, CosetTable, Presentation, abelianization, parse_word, todd_coxeter,
+)
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
@@ -270,3 +273,102 @@ def test_lemma36_rows_fail_on_a_corrupted_catalog(monkeypatch):
     _serve(monkeypatch, cat._replace(hybrid={**cat.hybrid, "E1": cat.hybrid["U1"]}))
     assert _failed(lemma36_relations()) == [
         f"{t} = 1" for t in certify.LEMMA36_RELATORS if t != "(U1 U2)^3"]
+
+
+@pytest.mark.parametrize("corrupt, rows", (
+    (False, ["corollary-3.7"]),
+    (True, ["lemma-3.10", "corollary-3.12"]),
+), ids=["corollary-3.7", "lemma-3.10"])
+def test_partial_presentation_rows_fail_on_a_relation_dropped(monkeypatch, corrupt, rows):
+    # the plain or the primed presentation with only its first relation,
+    # (E1)^3 or (E1'^2)^3: its abelianization has free rank 2, so it is infinite
+    real = partial_hybrid_presentation
+
+    def dropped(primed=False):
+        p = real(primed)
+        return p._replace(relators=p.relators[:1]) if primed == corrupt else p
+
+    monkeypatch.setattr(certify, "partial_hybrid_presentation", dropped)
+    report = hybrid_abelianization_bounds()
+    assert [c.check_id for c in report.checks if not c.passed] == rows
+
+
+def test_gamma3_abelianization_row_fails_on_a_wrong_result(monkeypatch):
+    # Z/3 for Gamma(3)^ab: the lemma-3.8 row fails, and so does lemma 3.9,
+    # whose commutator table has 6 cosets, not 3
+    gamma3 = catalog.get_catalog(3).presentation
+
+    def wrong(p):
+        return AbelianInvariants(0, (3,)) if p == gamma3 else abelianization(p)
+
+    monkeypatch.setattr(certify, "abelianization", wrong)
+    report = hybrid_abelianization_bounds()
+    assert _failed(report) == [
+        "Gamma(3)^ab = Z/3", "[Gamma(3),Gamma(3)]^ab = Z x Z",
+        "finite H'(3)^ab inside a subgroup with infinite abelianization"
+        " forces infinite index (finite-index transfer of Lemma 3.11)"]
+
+
+def test_primed_d3_quotient_row_fails_on_a_word_outside_the_commutators(monkeypatch):
+    # P has order 3 in Gamma(3)^ab = Z/6, so killing it too leaves Z/2
+    monkeypatch.setattr(certify, "PRIMED_D3_WORDS", certify.PRIMED_D3_WORDS + ("P",))
+    failed = _failed(primed_d3_closure())
+    assert len(failed) == 2 and failed[0] == "H'(3) generator P dies in Gamma(3)^ab"
+    assert failed[1].startswith("Gamma(3)/<<H'(3)>> abelianizes to Z/6")
+
+
+# -- the coset-table check of the index rows -------------------------------
+
+def test_coset_table_check_accepts_the_tables_verify_uses():
+    cat = catalog.get_catalog(1)
+    assert coset_table_holds(index_report(1).table, cat.presentation, cat.hybrid_words())
+    subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
+    assert coset_table_holds(todd_coxeter(cat.presentation, subgens), cat.presentation, subgens)
+    cat = catalog.get_catalog(7)
+    assert coset_table_holds(index_report(7).table, cat.presentation, cat.hybrid_words())
+
+
+def test_coset_table_check_rejects_each_broken_condition():
+    # the cosets of <a> in S3 = <a, b | a^2, b^3, (a b)^2>
+    s3 = Presentation(2, [(1, 1), (2, 2, 2), (1, 2, 1, 2)])
+    table = todd_coxeter(s3, [(1,)])
+    assert table.index == 3 and coset_table_holds(table, s3, [(1,)])
+    rows = [list(r) for r in table.table]
+    rows[1][2], rows[2][2] = rows[2][2], rows[1][2]        # b's column, unpaired
+    assert not coset_table_holds(CosetTable(2, rows, "complete"), s3, [(1,)])
+    # b does not fix coset 0
+    assert not coset_table_holds(table, s3, [(1,), (2,)])
+    z2 = Presentation(1, [(1, 1)])
+    # a^2 fixes both cosets, but a's inverse column is the identity, not a^-1
+    assert not coset_table_holds(CosetTable(1, [[1, 0], [0, 1]], "complete"), z2, [])
+    # a permutation paired with its inverse, and every relator and subgroup
+    # word fixes every coset, but coset 1 is not reached from coset 0
+    assert not coset_table_holds(CosetTable(1, [[0, 0], [1, 1]], "complete"), z2, [(1,)])
+    # a is a transposition, which a^3 does not fix
+    swap = CosetTable(1, [[1, 1], [0, 0]], "complete")
+    assert coset_table_holds(swap, z2, [])
+    assert not coset_table_holds(swap, Presentation(1, [(1, 1, 1)]), [])
+    assert not coset_table_holds(CosetTable(1, [], "overflowed"), z2, [])
+
+
+@pytest.mark.parametrize("adjoined, row", (
+    (False, "- [FAIL] theorem-4.5: quotient PU(2,1,O_1)/H(1) has order 2"),
+    (True, "- [FAIL] corollary-4.6: adjoining the order-4 element"),
+), ids=["index", "adjoined"])
+def test_a_swapped_coset_table_entry_fails_its_row(monkeypatch, capsys, adjoined, row):
+    # the complete table with the two entries of one column swapped: its
+    # index and status are unchanged, so only the table's own check fails
+    primed = catalog.get_catalog(1).picard_word(PRIMED_D1_WORD)
+
+    def swapped(p, subgens=(), **kwargs):
+        table = todd_coxeter(p, subgens, **kwargs)
+        if (primed in subgens) != adjoined:
+            return table
+        rows = [list(r) for r in table.table]
+        rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+        return CosetTable(table.ngens, rows, table.status)
+
+    monkeypatch.setattr(certify, "todd_coxeter", swapped)
+    assert main(["verify", "--d", "1"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
+    assert len(failed) == 1 and failed[0].startswith(row)

@@ -101,22 +101,32 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     # the commutator table's enumeration, which two d=3 reports read
     for name in (*REPORT_FUNCTIONS, "derived_subgroup_table"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
-    seen = []
+    # each word evaluated, keyed by its text and name tuple (seen) and by its
+    # signed generator names (words), which one word has however it is
+    # written and over whichever name tuple
+    seen, words = [], Counter()
     word_key = catalog.Catalog.word_key
 
     def counting(self, text, names=None):
         seen.append((self.d, text, names))
+        names = tuple(self.int_env) if names is None else names
+        words[tuple(names[abs(g) - 1] + ("" if g > 0 else "^-1")
+                    for g in fpgroups.parse_word(text, names))] += 1
         return word_key(self, text, names)
 
     monkeypatch.setattr(catalog.Catalog, "word_key", counting)
     called = set()
     for d in ("1", "3", "7"):
         calls.clear()
+        words.clear()
         certify.commutator_subgroup_table.cache_clear()
         assert run(["verify", "--d", d]) == 0
         assert calls and set(calls.values()) == {1}, (d, calls)
         assert ("derived_subgroup_table" in calls) == (d == "3")
         called |= set(calls)
+        # a generator may be read on its own by several rows; no longer word
+        # is evaluated twice
+        assert words and all(n == 1 for w, n in words.items() if len(w) > 1), (d, words)
     capsys.readouterr()
     assert called == {*REPORT_FUNCTIONS, "derived_subgroup_table"}
     assert seen and len(seen) == len(set(seen))

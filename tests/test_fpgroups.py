@@ -177,6 +177,31 @@ def test_todd_coxeter_validates_input():
         todd_coxeter(pres(("a",), ("a^2",)), max_cosets=0)
 
 
+@pytest.mark.parametrize("letter", [0, 2, -2])
+def test_todd_coxeter_rejects_a_subgroup_letter_out_of_range(letter):
+    # relators are range-checked by Presentation, subgroup words here
+    with pytest.raises(ValueError, match=f"^a subgroup word uses the letter {letter}, "):
+        todd_coxeter(Presentation(1, [(1, 1)]), [(1,), (letter,)])
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_coset_action_rejects_a_letter_out_of_range(letter):
+    # 0 used to read the last column, the inverse of the last generator
+    table = todd_coxeter(pres(("a", "b"), ("a^2", "b^2", "(a b)^2")))
+    assert table.complete and table.index == 4
+    with pytest.raises(ValueError, match=f"^a coset action uses the letter {letter}, "):
+        table.act_word(0, (1, letter))
+    with pytest.raises(ValueError, match=f"^a coset action uses the letter {letter}, "):
+        table.act(1, letter)
+
+
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_format_word_rejects_a_letter_out_of_range(letter):
+    # 0 used to print the last name inverted, b^-1
+    with pytest.raises(ValueError, match=f"^the word uses the letter {letter}, "):
+        format_word((1, letter), ("a", "b"))
+
+
 # -- Smith normal form -----------------------------------------------------
 
 def _det(mat):

@@ -2,7 +2,8 @@
 evaluator against the Mat/QuadRat reference: random words over the Picard
 generators and their inverses, for d in {1, 3, 7}, must give the same
 product, inverse, coefficient height, projective key and image of the
-Heisenberg origin both ways, and Catalog.word_key must agree with the
+Heisenberg origin both ways, the origin key of a matrix times a column
+must be that of the product, and Catalog.word_key must agree with the
 canonical representative of Catalog.eval_word. int_key must be the least
 unit multiple of any nonzero tuple. The kernel's Siegel-form
 check must agree with x* H x computed from the rows of the matrix.
@@ -27,9 +28,9 @@ from hypothesis import example, given, settings, strategies as st
 from picardhyb import cxhyp
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
-    INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
-    int_inv, int_is_unitary, int_key, int_mat, int_mul, int_mul_column,
-    _move_table, _qmul, _third_column, int_origin_key, key_rows, orbit_points,
+    E3, INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
+    int_inv, int_is_unitary, int_key, int_mat, int_mul,
+    _move_table, _qmul, int_origin_key, key_rows, orbit_points,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import _TAU_SQ, UNITS, QuadInt, QuadRat, units
@@ -71,10 +72,6 @@ def test_product_and_height_match_mat(case):
     assert x1 == int_mat(m1)
     assert int_mul(d, int_mat(m1), int_mat(m2)) == int_mat(m1 * m2)
     assert int_height(x1) == m1.max_coeff_bits()
-    x2 = int_mat(m2)
-    third_column = (4, 5, 10, 11, 16, 17)
-    assert int_mul_column(d, x1, tuple(x2[k] for k in third_column)) == tuple(
-        int_mul(d, x1, x2)[k] for k in third_column)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +221,7 @@ def test_origin_image_matches_boundary_action(case):
     d, (w,) = case
     m = _eval(d, w)
     p = boundary_action(m, BoundaryPoint.origin(d))
-    key = int_origin_key(d, _third_column(int_mat(m)))
+    key = int_origin_key(d, int_mat(m), E3)
     assert p == (BoundaryPoint.infinity(d) if key is None else BoundaryPoint.from_key(d, key))
 
 
@@ -235,7 +232,7 @@ def test_origin_key_matches_boundary_action(case):
     d, (w,) = case
     m = _eval(d, w)
     p = boundary_action(m, BoundaryPoint.origin(d))
-    key = int_origin_key(d, _third_column(int_mat(m)))
+    key = int_origin_key(d, int_mat(m), E3)
     assert (key is None) == p.at_infinity
     assert p.at_infinity or key == p.key()
 
@@ -243,7 +240,7 @@ def test_origin_key_matches_boundary_action(case):
 def test_origin_image_reaches_infinity():
     # I0 swaps the origin and the point at infinity
     m = get_catalog(1).picard["I0"]
-    assert int_origin_key(1, _third_column(int_mat(m))) is None
+    assert int_origin_key(1, int_mat(m), E3) is None
     assert boundary_action(m, BoundaryPoint.origin(1)).at_infinity
 
 
@@ -253,10 +250,43 @@ def test_origin_image_off_the_boundary_raises(d):
     # (0, 0, 1) to (1, 0, 1), which is not a null vector of the form
     m = Mat.from_entries(d, ((1, 0, 1), (0, 1, 0), (0, 0, 1)))
     x = int_mat(m)
-    for image in (lambda: int_origin_key(d, _third_column(x)),
+    for image in (lambda: int_origin_key(d, x, E3),
                   lambda: boundary_action(m, BoundaryPoint.origin(d))):
         with pytest.raises(ValueError, match="image left the boundary"):
             image()
+
+
+def _origin_image(image):
+    """The key image() returns, None for Infinity, or "off" if it raises the
+    off-boundary ValueError."""
+    try:
+        p = image()
+    except ValueError as e:
+        assert str(e) == "image left the boundary"
+        return "off"
+    if isinstance(p, BoundaryPoint):
+        return None if p.at_infinity else p.key()
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_origin_key_of_a_column_matches_the_product(d):
+    # x times the third column of g, against the key of the product x*g
+    # and the Mat reference; the last g is off the boundary: it sends the
+    # origin's lift (0, 0, 1) to (1, 0, 1), which is not a null vector
+    off = Mat.from_entries(d, ((1, 0, 1), (0, 1, 0), (0, 0, 1)))
+    rng = random.Random(d)
+    outcomes = set()
+    for length in [0, 1] + [rng.randint(2, MAX_WORD) for _ in range(10)]:
+        m = _eval(d, [rng.randrange(len(_moves(d))) for _ in range(length)])
+        x = int_mat(m)
+        for g in (*_moves(d), off):
+            y = int_mat(g)
+            key = _origin_image(lambda: int_origin_key(d, x, y[4:6] + y[10:12] + y[16:]))
+            assert key == _origin_image(lambda: int_origin_key(d, int_mul(d, x, y), E3))
+            assert key == _origin_image(lambda: boundary_action(m * g, BoundaryPoint.origin(d)))
+            outcomes.add(key if key in (None, "off") else "finite")
+    assert outcomes == {"finite", None, "off"}
 
 
 def test_conversion_rejects_non_integral():
@@ -358,13 +388,11 @@ def test_ball_matches_plain_bfs(d, gens):
 MAX_PRODUCTS_AT_RADIUS_4 = {1: 2248, 3: 2003, 7: 5905}
 
 
-# int_mul_column and int_origin_key calls of orbit_points at radius 4 over
-# each hybrid of _hybrids(); forming the column and the key of every
-# product of the last sphere, and the key of every inner element, gave
-# (1834, 2155), (3806, 4240), (1624, 1910), (2718, 3088) and (5112, 5768)
-ORBIT_CALLS_AT_RADIUS_4 = {"1-plain": (1392, 1617), "1-primed": (2588, 2852),
-                           "3-plain": (1024, 1192), "3-primed": (1917, 2159),
-                           "7-plain": (3590, 4053)}
+# int_origin_key calls of orbit_points at radius 4 over each hybrid of
+# _hybrids(); forming the key of every product of the last sphere, and of
+# every inner element, gave 2155, 4240, 1910, 3088 and 5768
+ORBIT_CALLS_AT_RADIUS_4 = {"1-plain": 1617, "1-primed": 2852, "3-plain": 1192,
+                           "3-primed": 2159, "7-plain": 4053}
 
 
 @pytest.mark.parametrize("d", [1, 3, 7])
@@ -403,7 +431,7 @@ def test_ball_and_orbit_reject_a_negative_radius(f):
 
 
 def _reference_orbit(d: int, gens: list[tuple], radius: int) -> tuple[set, int]:
-    keys = [int_origin_key(d, _third_column(x)) for x in ball(d, gens, radius)]
+    keys = [int_origin_key(d, x, E3) for x in ball(d, gens, radius)]
     return set(keys) - {None}, keys.count(None)
 
 
@@ -436,35 +464,34 @@ def test_orbit_points_multiply_out_only_images_at_infinity(d, gens, monkeypatch)
     # last one, a product is formed only when the origin goes to Infinity,
     # and at least once for each element of the last sphere that sends it there
     assert len(products) < full
-    assert all(int_origin_key(d, _third_column(x)) is None for x in last)
+    assert all(int_origin_key(d, x, E3) is None for x in last)
     assert len(last) >= new_at_infinity
 
 
 @pytest.mark.parametrize("d,gens", _hybrids())
 def test_orbit_points_skip_moves_that_fix_the_origin(d, gens, request, monkeypatch):
-    calls = {"int_mul_column": 0, "int_origin_key": 0}
+    calls = 0
+    origin_key = cxhyp.int_origin_key
 
-    def counting(name):
-        f = getattr(cxhyp, name)
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return origin_key(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return f(*args)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(cxhyp, name, counting(name))
+    monkeypatch.setattr(cxhyp, "int_origin_key", counting)
     orbit_points(d, gens, 4)
-    assert (calls["int_mul_column"], calls["int_origin_key"]) \
-        == ORBIT_CALLS_AT_RADIUS_4[request.node.callspec.id]
+    assert calls == ORBIT_CALLS_AT_RADIUS_4[request.node.callspec.id]
 
 
-@pytest.mark.parametrize("d,variant,radius", [(7, "plain", 4), (1, "primed", 3)])
+@pytest.mark.parametrize("d,variant,radius", [(1, "plain", 3), (1, "primed", 3),
+                                               (3, "plain", 3), (3, "primed", 3),
+                                               (7, "plain", 4)])
 def test_key_rows_match_boundary_point(d, variant, radius):
     cat = get_catalog(d)
     gens = {**cat.hybrid, **(cat.hybrid_primed if variant == "primed" else {})}
     keys = sorted(orbit_points(d, [cat.int_env[n] for n in gens], radius)[0])
-    assert keys
+    # rows with z = 0: the origin and some of its vertical translates
+    assert (0, 0, 1, 0, 1) in keys and sum(k[:2] == (0, 0) for k in keys) > 1
     shuffled = random.Random(0).sample(keys, len(keys))
     for order in (keys, shuffled):
         expected = []
