@@ -18,7 +18,7 @@ Two corrected readings are stored with flags (surfaced in reports):
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .exactring import SUPPORTED_D, QuadInt, QuadRat
 from .cxhyp import (
@@ -82,31 +82,27 @@ class ConjugationIdentity(namedtuple("ConjugationIdentity", "lemma lhs rhs")):
 
 
 # fuchsian: name -> 2x2 disk-model Mat; picard: name -> 3x3 Siegel-model
-# Mat, with presentation the presentation of PU(2,1,O_d) on them; hybrid and
-# hybrid_primed (d=1, 3): name -> Mat of the plain and primed hybrid
-# generators; word_identities and conjugation_identities: tuples of the
-# records above; flags: the corrected-typo notes
-class Catalog(namedtuple("Catalog", "d fuchsian picard presentation hybrid hybrid_primed "
+# Mat as the paper prints it, with presentation the presentation of
+# PU(2,1,O_d) on them; hybrid and hybrid_primed (d=1, 3): the names of the
+# plain and primed hybrid generators; int_env: name -> IntMat of every 3x3
+# generator, the Picard ones first, the one table the kernel reads;
+# word_identities and conjugation_identities: tuples of the records above;
+# flags: the corrected-typo notes
+class Catalog(namedtuple("Catalog", "d fuchsian picard presentation hybrid hybrid_primed int_env "
                          "word_identities conjugation_identities flags", defaults=((),))):
-    # no __slots__: the cached int_env lives in the instance dict, so a
-    # _replace copy starts without one and builds its own
+    __slots__ = ()
 
     def env(self) -> dict[str, Mat]:
-        """Combined name -> matrix namespace (Picard plus hybrid)."""
-        return {**self.picard, **self.hybrid, **self.hybrid_primed}
+        """The Mat view of int_env (Picard plus hybrid)."""
+        return {n: mat_from_int(self.d, x) for n, x in self.int_env.items()}
 
     def eval_word(self, text: str, env: dict[str, Mat] | None = None) -> Mat:
         """The reference Mat evaluator: the word text over env (env() by default)."""
         env = self.env() if env is None else env
         return eval_word(parse_word(text, list(env)), list(env.values()), Mat.identity(self.d))
 
-    @cached_property
-    def int_env(self) -> dict[str, IntMat]:
-        """env() on the integer kernel of cxhyp."""
-        return {n: int_mat(m) for n, m in self.env().items()}
-
     def word_matrix(self, text: str, names: tuple[str, ...] | None = None) -> IntMat:
-        """The kernel matrix of the word text over the given names of env()
+        """The kernel matrix of the word text over the given names of int_env
         (all of them by default)."""
         table = self.int_env
         names = tuple(table) if names is None else names
@@ -142,18 +138,22 @@ def _build(d: int, fuchsian: dict[str, Mat], picard: dict[str, Mat],
     that constructions names by (slot, name), "-Id" being the negated 2x2
     identity; the names in primed go to the primed hybrid, the others to the
     plain one, in table order. Every displayed matrix (as the paper prints
-    it) must equal its construction on the kernel; the Mats are made once."""
+    it) must equal its construction on the kernel. Every 3x3 generator is
+    converted to the kernel once, and only the kernel table keeps the hybrids."""
     disk = {**fuchsian, "-Id": _mat(d, ((-1, 0), (0, -1)))}
     built = {name: cayley(embed(slot, disk[m])) for name, (slot, m) in constructions.items()}
     for name, m in displayed.items():
         if int_mat(m) != built[name]:
             raise CatalogError(
                 f"displayed matrix {name} differs from its embed/cayley construction")
+    bad = [n for n, m in picard.items() if not m.is_integral()]
+    if bad:
+        raise CatalogError(f"3x3 matrix {bad[0]} does not have its entries in O_{d}")
     names = tuple(picard)
     return Catalog(d, fuchsian, picard,
                    Presentation(len(names), tuple(parse_word(t, names) for t in relators), names),
-                   hybrid={n: mat_from_int(d, x) for n, x in built.items() if n not in primed},
-                   hybrid_primed={n: mat_from_int(d, built[n]) for n in primed},
+                   hybrid=tuple(n for n in built if n not in primed), hybrid_primed=primed,
+                   int_env={**{n: int_mat(m) for n, m in picard.items()}, **built},
                    word_identities=word_identities, conjugation_identities=conjugations,
                    flags=flags)
 
@@ -216,7 +216,7 @@ def _catalog_d3() -> Catalog:
     x = cat.word_matrix("P^2 (R Q^2) P^-2", tuple(cat.picard))
     if int_key(d, int_mul(d, x, x)) != int_key(d, cat.int_env["E1"]):
         raise CatalogError("(E1')^2 is not E1 projectively")
-    return cat._replace(hybrid_primed={"E1p": mat_from_int(d, x)})
+    return cat._replace(hybrid_primed=("E1p",), int_env={**cat.int_env, "E1p": x})
 
 
 def _catalog_d1() -> Catalog:
@@ -355,8 +355,7 @@ def _validate(cat: Catalog) -> Catalog:
     for name, m in cat.fuchsian.items():
         if not (m.is_integral() and int_is_unitary(cat.d, cayley(embed(1, m)))):
             raise CatalogError(f"2x2 generator {name} does not preserve the disk form")
-    bad = ([n for n, m in cat.env().items() if not m.is_integral()]
-           or [n for n, x in cat.int_env.items() if not int_is_unitary(cat.d, x)])
+    bad = [n for n, x in cat.int_env.items() if not int_is_unitary(cat.d, x)]
     if bad:
         raise CatalogError(f"3x3 matrix {bad[0]} does not preserve the Siegel form")
     gens = [cat.int_env[n] for n in cat.presentation.gen_names]

@@ -119,16 +119,15 @@ def cmd_abelianize(args) -> int:
 
 def cmd_dump(args) -> int:
     cat = cat_mod.get_catalog(args.d)
-    lines = [f"# catalog d={cat.d}"]
+    env, lines = cat.env(), [f"# catalog d={cat.d}"]
     for title, group in (("fuchsian 2x2", cat.fuchsian),
                          ("picard 3x3", cat.picard),
-                         ("hybrid", cat.hybrid),
-                         ("hybrid primed", cat.hybrid_primed)):
+                         ("hybrid", {n: env[n] for n in cat.hybrid}),
+                         ("hybrid primed", {n: env[n] for n in cat.hybrid_primed})):
         if not group:
             continue
         lines.append(f"## {title}")
-        for name, m in group.items():
-            lines.append(f"{name} = {m}")
+        lines.extend(f"{name} = {m}" for name, m in group.items())
     lines.append("## presentation relators")
     names = cat.presentation.gen_names
     for r in cat.presentation.relators:

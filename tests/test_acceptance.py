@@ -6,8 +6,7 @@ import time
 
 from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
-    IsometryClass, Mat, canonical_rep, classify, int_is_unitary, int_mat,
-    proj_eq, projective_order,
+    IsometryClass, Mat, canonical_rep, classify, int_is_unitary, proj_eq, projective_order,
 )
 from picardhyb.certify import (
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
@@ -34,9 +33,8 @@ def test_criterion_1_form_preservation():
         cat = get_catalog(d)
         for m in cat.fuchsian.values():
             assert int_is_unitary(d, cayley(embed(1, m)))
-        for m in (list(cat.picard.values()) + list(cat.hybrid.values())
-                  + list(cat.hybrid_primed.values())):
-            assert int_is_unitary(d, int_mat(m))
+        for x in cat.int_env.values():
+            assert int_is_unitary(d, x)
         ident = Mat.identity(d, 3)
         names = cat.presentation.gen_names
         env = dict(cat.picard)

@@ -90,15 +90,14 @@ def test_get_catalog_rejects_bad_d():
 
 
 def test_d3_primed_square_root():
-    cat = get_catalog(3)
-    e1p = cat.hybrid_primed["E1p"]
-    assert proj_eq(e1p * e1p, cat.hybrid["E1"])
+    env = get_catalog(3).env()
+    e1p = env["E1p"]
+    assert proj_eq(e1p * e1p, env["E1"])
 
 
 def test_d1_primed_order4_membership():
     cat = get_catalog(1)
-    env = dict(cat.hybrid)
-    env.update(cat.hybrid_primed)
+    env = cat.env()
     ident = Mat.identity(1, 3)
     assert proj_eq(cat.eval_word("E1^2 E2 R1", env), ident)
     assert proj_eq(cat.eval_word("E1 E2^2 R2", env), ident)
@@ -140,7 +139,8 @@ def test_kernel_build_matches_mat(d):
                 for name, (slot, m) in CONSTRUCTIONS[d].items()}
     if d == 3:
         expected["E1p"] = cat.eval_word("P^2 (R Q^2) P^-2", cat.picard)
-    assert {**cat.hybrid, **cat.hybrid_primed} == expected
+    env = cat.env()
+    assert {n: env[n] for n in cat.hybrid + cat.hybrid_primed} == expected
     for m in disk.values():
         for slot in (1, 2):
             assert cayley(embed(slot, m)) == int_mat(j_inv * embed(slot, m) * j)
@@ -192,37 +192,54 @@ def _halved(m: Mat) -> Mat:
 
 @pytest.mark.parametrize("corrupt", (_bumped, _halved))
 @pytest.mark.parametrize("d", (1, 3, 7))
-def test_validate_rejects_a_corrupted_generator(d, corrupt):
+def test_validate_rejects_a_corrupted_generator(d, corrupt, monkeypatch):
+    # a 3x3 generator bumped in the kernel table fails _validate's form
+    # check; a halved Picard literal fails _build, which converts it
     cat = get_catalog(d)
     assert _validate(cat) is cat
     name3 = next(iter(cat.picard))
-    bad3 = cat._replace(picard={**cat.picard, name3: corrupt(cat.picard[name3])})
-    with pytest.raises(CatalogError, match=f"3x3 matrix {name3} does not"):
-        _validate(bad3)
+    if corrupt is _bumped:
+        bad3 = cat._replace(int_env={**cat.int_env, name3: _bumped_int(cat.int_env[name3])})
+        with pytest.raises(CatalogError, match=f"^3x3 matrix {name3} does not preserve"):
+            _validate(bad3)
+    else:
+        real = catalog._build
+
+        def halving(d, fuchsian, picard, **kwargs):
+            return real(d, fuchsian, {**picard, name3: _halved(picard[name3])}, **kwargs)
+
+        monkeypatch.setattr(catalog, "_build", halving)
+        with pytest.raises(CatalogError, match=f"^3x3 matrix {name3} does not have"):
+            catalog._RINGS[d]()
     name2 = next(iter(cat.fuchsian))
     bad2 = cat._replace(fuchsian={**cat.fuchsian, name2: corrupt(cat.fuchsian[name2])})
     with pytest.raises(CatalogError, match=f"2x2 generator {name2} does not"):
         _validate(bad2)
 
 
-# Mat views the build makes: one per hybrid and primed generator (and E1'
-# for d=3); the Cayley conjugation itself makes none
-MAT_VIEWS = {1: 6, 3: 7, 7: 6}
+# the views a build makes between Mat and the kernel: an int_mat of each
+# Picard literal and each displayed matrix, and one in each Cayley
+# conjugation (six constructions and _validate's three 2x2 checks); no
+# mat_from_int, since the hybrids are kept as the kernel tuples built
+INT_MATS = {1: 16, 3: 16, 7: 18}
 
 
 @pytest.mark.parametrize("d", (1, 3, 7))
 def test_build_makes_each_mat_view_once(d, monkeypatch):
-    calls = 0
-    real = catalog.mat_from_int
+    calls = {"int_mat": 0, "mat_from_int": 0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(name):
+        real = getattr(catalog, name)
 
-    monkeypatch.setattr(catalog, "mat_from_int", counting)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(catalog, name, counting(name))
     catalog.get_catalog.__wrapped__(d)
-    assert calls == MAT_VIEWS[d]
+    assert calls == {"int_mat": INT_MATS[d], "mat_from_int": 0}
 
 
 def test_validate_rejects_a_relator_that_is_not_the_identity():

@@ -104,7 +104,7 @@ def test_lemma31_and_lemma36():
 ))
 def test_lemma31_rows_fail_on_a_corrupted_catalog(monkeypatch, name, other, want):
     real = catalog.get_catalog(3)
-    corrupted = real._replace(hybrid={**real.hybrid, name: real.hybrid[other]})
+    corrupted = real._replace(int_env={**real.int_env, name: real.int_env[other]})
     monkeypatch.setattr(certify, "get_catalog", lambda d: corrupted)
     report = lemma31_index_bound()
     assert [c.passed for c in report.checks] == want
@@ -202,6 +202,52 @@ def test_primed_d3_closure():
     assert primed_d3_closure().passed
 
 
+# the upper bounds of theorems 4.5 and 5.5, as words over the hybrid
+# generators: each Picard generator of d=7 (index 1), and each Picard
+# generator of d=1 times a coset representative of the transversal {1, I0}
+# (index at most 2; I0^2 is a relator)
+UPPER_BOUND_WORDS = (
+    (1, "T", "U1"),
+    (1, "Q I0^-1", "U2 E2^-1 E1 U1^-1"),
+    (1, "I0 Q", "U1 E1^-1 E2 U2^-1"),
+    (1, "I0 T I0^-1", "U2"),
+    (7, "T1", "A2 B2 A2 A1^-1 B1 A2^-1"),
+    (7, "R", "A2^-1 B1 A1^-1 A2 B1 A1^-1 B1 A2^-1 U1^-1"),
+    (7, "I", "A2^-1 A1^-1 A2 B2 A2 A1^-1 B1 A2^-1 A1^-1 A2 B2 A2"),
+)
+
+# proposition 6.2's normality the other way round, g X g^-1, for the d=3
+# generators the catalog conjugates as g^-1 X g (R is an involution)
+D3_NORMALITY_INVERSE_SIDE = (
+    ("P U1 P^-1", "U1"),
+    ("P U2 P^-1", "U2^-1 E1^-1"),
+    ("P E1 P^-1", "U1 U2"),
+    ("Q U1 Q^-1", "U1"),
+    ("Q U2 Q^-1", "E1 U1^-1"),
+    ("Q E1 Q^-1", "U1 U2"),
+)
+
+
+def _assert_holds_and_a_corruption_fails(d: int, lhs: str, rhs: str) -> None:
+    """lhs = rhs in PU(2,1) over all the names of the catalog, and not with
+    the last letter of rhs inverted."""
+    cat = catalog.get_catalog(d)
+    *head, last = rhs.split()
+    corrupted = " ".join([*head, last[:-3] if last.endswith("^-1") else f"{last}^-1"])
+    assert cat.word_key(lhs) == cat.word_key(rhs)
+    assert cat.word_key(lhs) != cat.word_key(corrupted)
+
+
+@pytest.mark.parametrize("d, lhs, rhs", UPPER_BOUND_WORDS)
+def test_index_upper_bound_words(d, lhs, rhs):
+    _assert_holds_and_a_corruption_fails(d, lhs, rhs)
+
+
+@pytest.mark.parametrize("lhs, rhs", D3_NORMALITY_INVERSE_SIDE)
+def test_d3_normality_inverse_side(lhs, rhs):
+    _assert_holds_and_a_corruption_fails(3, lhs, rhs)
+
+
 def test_report_failure_is_a_failed_row():
     r = Report("toy")
     r.add("x", "deliberately failing check", False)
@@ -244,20 +290,20 @@ def test_relator_rows_fail_on_a_relator_that_survives(monkeypatch):
 
 def test_word_identity_rows_fail_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(3)
-    _serve(monkeypatch, cat._replace(hybrid={**cat.hybrid, "U1": cat.hybrid["U2"]}))
+    _serve(monkeypatch, cat._replace(int_env={**cat.int_env, "U1": cat.int_env["U2"]}))
     assert _failed(verify_word_identities(3)) == ["U1 = Q^2"]
 
 
 def test_primed_d3_square_row_fails_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(3)
-    _serve(monkeypatch, cat._replace(hybrid_primed={"E1p": cat.hybrid["E1"]}))
+    _serve(monkeypatch, cat._replace(int_env={**cat.int_env, "E1p": cat.int_env["E1"]}))
     assert _failed(primed_d3_closure()) == ["(E1')^2 = E1"]
 
 
 def test_corollary46_rows_fail_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(1)
     _serve(monkeypatch, cat._replace(
-        hybrid_primed={**cat.hybrid_primed, "R1": cat.hybrid_primed["R2"]}))
+        int_env={**cat.int_env, "R1": cat.int_env["R2"]}))
     report = primed_d1_equality()
     assert len(report.checks) == 8
     assert _failed(report) == [
@@ -270,7 +316,7 @@ def test_corollary46_rows_fail_on_a_corrupted_catalog(monkeypatch):
 
 def test_lemma36_rows_fail_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(3)
-    _serve(monkeypatch, cat._replace(hybrid={**cat.hybrid, "E1": cat.hybrid["U1"]}))
+    _serve(monkeypatch, cat._replace(int_env={**cat.int_env, "E1": cat.int_env["U1"]}))
     assert _failed(lemma36_relations()) == [
         f"{t} = 1" for t in certify.LEMMA36_RELATORS if t != "(U1 U2)^3"]
 

@@ -304,19 +304,20 @@ RING_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__r
 
 
 def test_no_verb_converts_a_mat_after_set_up(monkeypatch, capsys):
-    # nor runs ring arithmetic: after the catalogs are built, every verb
-    # computes on the integer kernel alone
+    # in either direction, and runs no ring arithmetic: after the catalogs
+    # are built, every verb computes on the integer kernel alone
     for d in (1, 3, 7):
         assert catalog.get_catalog(d).int_env
 
-    def refuse(m):
-        raise AssertionError(f"converted a Mat to the kernel: {m}")
+    def refuse(*args):
+        raise AssertionError(f"converted between Mat and the kernel: {args}")
 
     def refuse_arithmetic(x, *other):
         raise AssertionError(f"ring arithmetic on {x!r}")
 
-    monkeypatch.setattr(cxhyp, "int_mat", refuse)
-    monkeypatch.setattr(catalog, "int_mat", refuse)
+    for module in (cxhyp, catalog):
+        monkeypatch.setattr(module, "int_mat", refuse)
+        monkeypatch.setattr(module, "mat_from_int", refuse)
     for ring in (QuadInt, QuadRat):
         for name in RING_OPERATIONS:
             monkeypatch.setattr(ring, name, refuse_arithmetic, raising=False)

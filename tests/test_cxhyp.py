@@ -34,8 +34,8 @@ def test_mat_inverse_and_det():
 def test_forms_preserved():
     for d in (1, 3, 7):
         cat = get_catalog(d)
-        for m in list(cat.picard.values()) + list(cat.hybrid.values()):
-            assert int_is_unitary(d, int_mat(m))
+        for x in cat.int_env.values():
+            assert int_is_unitary(d, x)
         for m in cat.fuchsian.values():
             assert int_is_unitary(d, cayley(embed(1, m)))
 
@@ -145,8 +145,8 @@ def test_heis_translation_classification():
         7: ((1, -1, t[7] - 1), (0, 1, 1), (0, 0, 1)),
     }
     for d in (1, 3, 7):
-        vertical = get_catalog(d).hybrid["U1"]
-        assert classify(d, int_mat(vertical)) is IsometryClass.UNIPOTENT_2_STEP
+        vertical = get_catalog(d).int_env["U1"]
+        assert classify(d, vertical) is IsometryClass.UNIPOTENT_2_STEP
         m = Mat.from_entries(d, horizontal[d])
         assert classify(d, int_mat(m)) is IsometryClass.UNIPOTENT_3_STEP
     assert Mat.from_entries(7, horizontal[7]) == get_catalog(7).picard["T1"]
@@ -154,7 +154,7 @@ def test_heis_translation_classification():
 
 def test_boundary_action_translation():
     d = 3
-    m = get_catalog(d).hybrid["U1"]   # it/2 = i*sqrt(3), t = 2*sqrt(3)
+    m = get_catalog(d).env()["U1"]   # it/2 = i*sqrt(3), t = 2*sqrt(3)
     p = boundary_action(m, BoundaryPoint.origin(d))
     assert not p.at_infinity
     z, t = p.approx()

@@ -300,7 +300,9 @@ def test_conversion_rejects_non_integral():
 
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_ball_matches_mat_reference(d):
-    mats = list(get_catalog(d).hybrid.values())
+    cat = get_catalog(d)
+    env = cat.env()
+    mats = [env[n] for n in cat.hybrid]
     moves = [m for g in mats for m in (g, g.inverse())]
     ident = Mat.identity(d)
     seen = {canonical_rep(ident).key()}
@@ -488,8 +490,8 @@ def test_orbit_points_skip_moves_that_fix_the_origin(d, gens, request, monkeypat
                                                (7, "plain", 4)])
 def test_key_rows_match_boundary_point(d, variant, radius):
     cat = get_catalog(d)
-    gens = {**cat.hybrid, **(cat.hybrid_primed if variant == "primed" else {})}
-    keys = sorted(orbit_points(d, [cat.int_env[n] for n in gens], radius)[0])
+    names = cat.hybrid + (cat.hybrid_primed if variant == "primed" else ())
+    keys = sorted(orbit_points(d, [cat.int_env[n] for n in names], radius)[0])
     # rows with z = 0: the origin and some of its vertical translates
     assert (0, 0, 1, 0, 1) in keys and sum(k[:2] == (0, 0) for k in keys) > 1
     shuffled = random.Random(0).sample(keys, len(keys))

@@ -5,15 +5,13 @@ refuses tuple ``+`` and ``*``.
 
 A record that checks its fields in ``__new__`` overrides ``_make`` to call
 it; namedtuple's ``_replace`` builds its copy with ``_make``, so it runs the
-checks too. ``Catalog`` is the one record with an instance ``__dict__``: its
-``int_env`` is a ``cached_property``, which keeps its value there, so a
-``_replace`` copy starts without one and builds its own."""
+checks too."""
 
 from fractions import Fraction
 
 import pytest
 
-from picardhyb.catalog import Catalog, ConjugationIdentity, WordIdentity, get_catalog
+from picardhyb.catalog import Catalog, ConjugationIdentity, WordIdentity
 from picardhyb.certify import (
     CheckResult, IndexResult, InfinitenessCertificate,
 )
@@ -41,7 +39,8 @@ RECORDS = {
     IndexResult: (("d", "outcome", "index", "table", "certificate"),
                   {"index": None, "table": None, "certificate": None}),
     Catalog: (("d", "fuchsian", "picard", "presentation", "hybrid", "hybrid_primed",
-               "word_identities", "conjugation_identities", "flags"), {"flags": ()}),
+               "int_env", "word_identities", "conjugation_identities", "flags"),
+              {"flags": ()}),
 }
 
 
@@ -68,7 +67,7 @@ def _instances():
         CheckResult("id", "description", True),
         InfinitenessCertificate(None, (), {}, ""),
         IndexResult(1, "finite", 2),
-        Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), {}, {}, (), ()),
+        Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), (), (), {}, (), ()),
     ]
 
 
@@ -77,23 +76,11 @@ def test_every_record_is_covered_once():
         r.__name__ for r in RECORDS)
 
 
-@pytest.mark.parametrize("x", [x for x in _instances() if not isinstance(x, Catalog)],
-                         ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("x", _instances(), ids=lambda x: type(x).__name__)
 def test_instances_have_no_dict(x):
     assert not hasattr(x, "__dict__")
     with pytest.raises(AttributeError):
         x.extra = 1
-
-
-def test_catalog_caches_int_env_per_copy():
-    cat = get_catalog(3)
-    assert cat.int_env is cat.int_env and vars(cat)["int_env"] is cat.int_env
-    copy = cat._replace(flags=())
-    assert type(copy) is Catalog and copy[:-1] == cat[:-1] and copy.flags == ()
-    assert "int_env" not in vars(copy)
-    assert copy.int_env == cat.int_env and copy.int_env is not cat.int_env
-    empty = cat._replace(hybrid={}, hybrid_primed={})
-    assert set(empty.int_env) == set(cat.picard)
 
 
 def test_defaults_apply():

@@ -147,10 +147,11 @@ def test_find_word_is_as_short_as_breadth_first_search(seed):
     for _ in range(60):
         d = rng.choice((1, 3, 7))
         cat = get_catalog(d)
-        pool = cat.picard if rng.random() < 0.5 else cat.hybrid
+        env = cat.env()
+        pool = cat.picard if rng.random() < 0.5 else {n: env[n] for n in cat.hybrid}
         gens = [pool[n] for n in rng.sample(sorted(pool), rng.randint(1, min(3, len(pool))))]
         if rng.random() < 0.2:
-            target = rng.choice(list(cat.env().values()))
+            target = rng.choice(list(env.values()))
         else:
             target = Mat.identity(d, 3)
             for _ in range(rng.randint(0, 7)):
