@@ -98,16 +98,15 @@ SUBST_ABC_TO_PQR = {"a": "P Q^-1", "b": "Q", "c": "R"}
 SUBST_PQR_TO_ABC = {"P": "a b", "Q": "b", "R": "c"}
 
 
-# presentation: G on generators a, b, c; kill_list: the generators sent to
-# the identity; images: name -> motion matrix of the surviving generators
+# presentation: G on generators a, b, c; images: name -> motion matrix of
+# each generator, INT_ID for a generator sent to the identity
 class InfinitenessCertificate(namedtuple(
-        "InfinitenessCertificate", "presentation kill_list images witness_word")):
+        "InfinitenessCertificate", "presentation images witness_word")):
     __slots__ = ()
 
     def image(self, word: Word) -> IntMat:
         """The motion matrix a word over the presentation's generators maps to."""
-        return int_word(3, word, [INT_ID if n in self.kill_list else self.images[n]
-                                  for n in self.presentation.gen_names])
+        return int_word(3, word, [self.images[n] for n in self.presentation.gen_names])
 
     @property
     def witness_image(self) -> IntMat:
@@ -124,10 +123,10 @@ class InfinitenessCertificate(namedtuple(
 def triangle_236_certificate() -> InfinitenessCertificate:
     """Kill c in G and represent the quotient as Euclidean motions:
     a -> rotation by the primitive 6th root of unity 1 + w about 0,
-    b -> half-turn about 1/2. All surviving relators map to the identity;
-    the witness a^3 b maps to the translation z -> z - 1."""
-    images = {"a": motion((1, 1), (0, 0)), "b": motion((-1, 0), (1, 0))}
-    return InfinitenessCertificate(G_ABC, ("c",), images, "a^3 b")
+    b -> half-turn about 1/2, c -> the identity. Every relator maps to
+    the identity; the witness a^3 b maps to the translation z -> z - 1."""
+    images = {"a": motion((1, 1), (0, 0)), "b": motion((-1, 0), (1, 0)), "c": INT_ID}
+    return InfinitenessCertificate(G_ABC, images, "a^3 b")
 
 
 def _substitute(w: Word, images: list[Word]) -> Word:
@@ -309,12 +308,15 @@ def verify_primed_d1_word() -> bool:
     return cat.word_key(PRIMED_D1_WORD, tuple(cat.picard)) == cat.word_key("R1")
 
 
-def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
+def primed_d1_equality(table: CosetTable) -> Report:
     """Corrected reading of the d=1 primed hybrid: the order-4 elements
     R1 = iota_1(R), R2 = iota_2(R) satisfy exact scalar identities placing
     them inside H(1), and conversely E1, E2 are words in R1, R2, so
-    H'(1) = H(1), and the cosets of H(1) with the word of R1 adjoined still
-    number 2; a coset cap too small for that enumeration fails its row."""
+    H'(1) = H(1). table is the coset table of H(1) that index_report
+    enumerated: if it is complete with 2 cosets and the word of R1 fixes
+    coset 0 as well, then H(1) <= <H(1), R1> <= Stab(0), so adjoining R1
+    leaves the index at 2 with no second enumeration; an overflowed table
+    fails that row."""
     cat = get_catalog(1)
     names = (*cat.hybrid, *cat.hybrid_primed)
     report = Report("primed hybrid d=1")
@@ -333,7 +335,6 @@ def primed_d1_equality(max_cosets: int = DEFAULT_MAX_COSETS) -> Report:
     report.add("corollary-4.6", "the order-4 word over I0, Q, T is verified",
                verify_primed_d1_word())
     subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
-    table = todd_coxeter(cat.presentation, subgens, max_cosets=max_cosets)
     report.add("corollary-4.6", "adjoining the order-4 element leaves a "
                "quotient of order 2, not 1: H'(1) = H(1) (corrected reading)",
                table.complete and table.index == 2
@@ -434,7 +435,9 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
     and 5.5 on the word identities, normality and the coset table's own
     check (coset_table_holds), theorem 3.4 and
     propositions 6.2 and 6.3 on these and lemma 3.1, corollary 3.12 on
-    lemma 3.6."""
+    lemma 3.6. Each d runs one coset enumeration: index_report's table of
+    H(1) also decides corollary 4.6's adjoining row, and d=3's is the
+    commutator table."""
     words, normal = verify_word_identities(d), verify_normality(d)
     premises = words.passed and normal.passed
     if d == 3:
@@ -470,7 +473,7 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
         abel.checks = [*rows, cor312._replace(passed=cor312.passed and lemma36.passed)]
         reports += [lemma31, lemma36, abel, primed_d3_closure()]
     if d == 1:
-        reports.append(primed_d1_equality(max_cosets=max_cosets))
+        reports.append(primed_d1_equality(idx.table))
     flags = get_catalog(d).flags
     if flags:
         f = Report(f"corrected readings d={d}")

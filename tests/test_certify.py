@@ -188,7 +188,7 @@ def test_partial_hybrid_presentations_are_the_lemma36_relations():
 
 
 def test_primed_d1_equality():
-    report = primed_d1_equality()
+    report = primed_d1_equality(index_report(1).table)
     assert report.passed
     assert verify_primed_d1_word()
     # the stored word uses an even number of I0/Q letters, i.e. it lies in
@@ -304,7 +304,7 @@ def test_corollary46_rows_fail_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(1)
     _serve(monkeypatch, cat._replace(
         int_env={**cat.int_env, "R1": cat.int_env["R2"]}))
-    report = primed_d1_equality()
+    report = primed_d1_equality(index_report(1).table)
     assert len(report.checks) == 8
     assert _failed(report) == [
         "E1^2 E2 R1 is a unit scalar (so the order-4 element lies in the plain hybrid)",
@@ -367,9 +367,11 @@ def test_primed_d3_quotient_row_fails_on_a_word_outside_the_commutators(monkeypa
 
 def test_coset_table_check_accepts_the_tables_verify_uses():
     cat = catalog.get_catalog(1)
-    assert coset_table_holds(index_report(1).table, cat.presentation, cat.hybrid_words())
+    table = index_report(1).table
+    assert coset_table_holds(table, cat.presentation, cat.hybrid_words())
+    # corollary 4.6's adjoining row reads the same table of H(1)
     subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
-    assert coset_table_holds(todd_coxeter(cat.presentation, subgens), cat.presentation, subgens)
+    assert coset_table_holds(table, cat.presentation, subgens)
     cat = catalog.get_catalog(7)
     assert coset_table_holds(index_report(7).table, cat.presentation, cat.hybrid_words())
 
@@ -397,24 +399,32 @@ def test_coset_table_check_rejects_each_broken_condition():
     assert not coset_table_holds(CosetTable(1, [], "overflowed"), z2, [])
 
 
-@pytest.mark.parametrize("adjoined, row", (
-    (False, "- [FAIL] theorem-4.5: quotient PU(2,1,O_1)/H(1) has order 2"),
-    (True, "- [FAIL] corollary-4.6: adjoining the order-4 element"),
-), ids=["index", "adjoined"])
-def test_a_swapped_coset_table_entry_fails_its_row(monkeypatch, capsys, adjoined, row):
+ADJOINING_ROW = "- [FAIL] corollary-4.6: adjoining the order-4 element"
+
+
+def _swapped_entry(p, subgens=(), **kwargs):
     # the complete table with the two entries of one column swapped: its
     # index and status are unchanged, so only the table's own check fails
-    primed = catalog.get_catalog(1).picard_word(PRIMED_D1_WORD)
+    table = todd_coxeter(p, subgens, **kwargs)
+    rows = [list(r) for r in table.table]
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+    return CosetTable(table.ngens, rows, table.status)
 
-    def swapped(p, subgens=(), **kwargs):
-        table = todd_coxeter(p, subgens, **kwargs)
-        if (primed in subgens) != adjoined:
-            return table
-        rows = [list(r) for r in table.table]
-        rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-        return CosetTable(table.ngens, rows, table.status)
 
-    monkeypatch.setattr(certify, "todd_coxeter", swapped)
+# both d=1 index rows read the one table of H(1): a swapped entry fails
+# both, and an adjoined word that moves coset 0 fails the adjoining row
+@pytest.mark.parametrize("name, value, rows", (
+    ("todd_coxeter", _swapped_entry, [
+        "- [FAIL] theorem-4.5: quotient PU(2,1,O_1)/H(1) has order 2", ADJOINING_ROW]),
+    # I0 has an odd count of I0/Q letters, so it lies outside H(1) and moves
+    # coset 0; it is also not R1
+    ("PRIMED_D1_WORD", "I0", [
+        "- [FAIL] corollary-4.6: the order-4 word over I0, Q, T is verified",
+        ADJOINING_ROW]),
+), ids=["index", "adjoined"])
+def test_a_swapped_coset_table_entry_fails_its_row(monkeypatch, capsys, name, value, rows):
+    monkeypatch.setattr(certify, name, value)
     assert main(["verify", "--d", "1"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line]
-    assert len(failed) == 1 and failed[0].startswith(row)
+    assert len(failed) == len(rows)
+    assert all(line.startswith(row) for line, row in zip(failed, rows))

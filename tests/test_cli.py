@@ -98,8 +98,9 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    # the commutator table's enumeration, which two d=3 reports read
-    for name in (*REPORT_FUNCTIONS, "derived_subgroup_table"):
+    # the coset enumerations: the table of H(1) (both d=1 index rows read
+    # it) or of H(7), and the commutator table, which two d=3 reports read
+    for name in (*REPORT_FUNCTIONS, "todd_coxeter", "derived_subgroup_table"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
     # each word evaluated, keyed by its text and name tuple (seen) and by its
     # signed generator names (words), which one word has however it is
@@ -123,12 +124,13 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
         assert run(["verify", "--d", d]) == 0
         assert calls and set(calls.values()) == {1}, (d, calls)
         assert ("derived_subgroup_table" in calls) == (d == "3")
+        assert ("todd_coxeter" in calls) == (d != "3")
         called |= set(calls)
         # a generator may be read on its own by several rows; no longer word
         # is evaluated twice
         assert words and all(n == 1 for w, n in words.items() if len(w) > 1), (d, words)
     capsys.readouterr()
-    assert called == {*REPORT_FUNCTIONS, "derived_subgroup_table"}
+    assert called == {*REPORT_FUNCTIONS, "todd_coxeter", "derived_subgroup_table"}
     assert seen and len(seen) == len(set(seen))
 
 

@@ -35,7 +35,7 @@ RECORDS = {
     ConjugationIdentity: (("lemma", "lhs", "rhs"), {}),
     SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
     CheckResult: (("check_id", "description", "passed", "witness"), {"witness": ""}),
-    InfinitenessCertificate: (("presentation", "kill_list", "images", "witness_word"), {}),
+    InfinitenessCertificate: (("presentation", "images", "witness_word"), {}),
     IndexResult: (("d", "outcome", "index", "table", "certificate"),
                   {"index": None, "table": None, "certificate": None}),
     Catalog: (("d", "fuchsian", "picard", "presentation", "hybrid", "hybrid_primed",
@@ -65,7 +65,7 @@ def _instances():
         ConjugationIdentity("lemma", "E1", "E2"),
         SearchResult((1, 2), 2, False),
         CheckResult("id", "description", True),
-        InfinitenessCertificate(None, (), {}, ""),
+        InfinitenessCertificate(None, {}, ""),
         IndexResult(1, "finite", 2),
         Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), (), (), {}, (), ()),
     ]
