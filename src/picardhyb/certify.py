@@ -9,8 +9,12 @@ PU(2,1,O_3) by the hybrid maps onto the (2,3,6) triangle group, realized
 by Euclidean motions over O_3 on the integer kernel, and a witness word
 maps to a nonzero translation.
 
-Every row that decides an equality in PU(2,1) compares the Catalog.word_key
-of both sides; a generator name and "1" are words too.
+Every row that decides an equality of two words is decided by one
+decider, _equalities: on the Catalog.word_key of both sides, which are
+equal iff the words are equal in PU(2,1), except lemma 3.1, which compares
+the exact matrices (Catalog.word_matrix); a generator name and "1" are
+words too. Every row that says an H'(3) generator dies in Gamma(3)^ab is
+decided by a second one, _primed_d3_words_die, on the commutator table.
 
 Each function computes and returns its report; a failed check is a row
 that fails, never an exception.
@@ -162,51 +166,47 @@ def verify_tietze_substitution() -> Report:
     return report
 
 
-# -- normality -------------------------------------------------------------
-#
-# The word checks compare the projective keys of words evaluated on the
-# integer kernel (Catalog.word_key).
+# -- equalities ------------------------------------------------------------
+
+def _equalities(rows, key) -> list[CheckResult]:
+    """The rows (claim, description, lhs, rhs), each passing iff key gives
+    its two sides equal values. A side is word text over every name of the
+    catalog, or a pair (text, names) over those names only; key is
+    Catalog.word_key or Catalog.word_matrix, and each distinct side is
+    evaluated once."""
+    sides = [tuple((s, None) if isinstance(s, str) else s for s in row[2:]) for row in rows]
+    values = {s: key(*s) for s in dict.fromkeys(s for pair in sides for s in pair)}
+    return [CheckResult(claim, desc, values[lhs] == values[rhs])
+            for (claim, desc, *_), (lhs, rhs) in zip(rows, sides)]
+
 
 def verify_normality(d: int) -> Report:
     """Check every paper-supplied conjugation identity exactly."""
     cat = get_catalog(d)
-    report = Report(f"normality d={d}")
-    idents = cat.conjugation_identities
-    # a word text shared by several identities is evaluated once
-    keys = {t: cat.word_key(t) for t in dict.fromkeys(
-        t for ident in idents for t in (ident.lhs, ident.rhs))}
-    for ident in idents:
-        report.add(ident.lemma, f"{ident.lhs} = {ident.rhs}",
-                   keys[ident.lhs] == keys[ident.rhs])
-    return report
+    return Report(f"normality d={d}", _equalities(
+        [(i.lemma, f"{i.lhs} = {i.rhs}", i.lhs, i.rhs) for i in cat.conjugation_identities],
+        cat.word_key))
 
 
 def verify_word_identities(d: int) -> Report:
     cat = get_catalog(d)
-    report = Report(f"word identities d={d}")
     picard, hybrid = tuple(cat.picard), tuple(cat.hybrid)
-    for wi in cat.word_identities:
-        desc = f"{wi.target} = {wi.word}" + (f" [{wi.note}]" if wi.note else "")
-        report.add(wi.lemma, desc,
-                   cat.word_key(wi.word, picard) == cat.word_key(wi.target, hybrid))
-    return report
+    return Report(f"word identities d={d}", _equalities(
+        [(wi.lemma, f"{wi.target} = {wi.word}" + (f" [{wi.note}]" if wi.note else ""),
+          (wi.word, picard), (wi.target, hybrid)) for wi in cat.word_identities],
+        cat.word_key))
 
 
 def lemma31_index_bound() -> Report:
     """The two matrix identities bounding [H(3) : H~(3)] by 4, checked
     exactly on the hybrids I_j, U_j, E_j (iota_j of -Id, U, E conjugated
-    by J, which preserves products, so the block identities hold iff these do)."""
+    by J, which preserves products, so the block identities hold iff these
+    do): on the matrices themselves, not up to a unit scalar."""
     cat = get_catalog(3)
-    report = Report("index bound [H(3):H~(3)] | 4")
-    for j in (1, 2):
-        other = 3 - j
-        lhs = cat.word_matrix(f"I{j} U{other} I{j}")
-        rhs = cat.word_matrix(f"(E{other} U{other} E{other})^-1")
-        report.add("lemma-3.1", f"iota_{j}(-Id) iota_{other}(U) iota_{j}(-Id)"
-                                f" = iota_{other}((EUE)^-1)", lhs == rhs)
-    report.add("lemma-3.1", "diagonal blocks commute",
-               cat.word_matrix("E1 I2") == cat.word_matrix("I2 E1"))
-    return report
+    rows = [("lemma-3.1", f"iota_{j}(-Id) iota_{k}(U) iota_{j}(-Id) = iota_{k}((EUE)^-1)",
+             f"I{j} U{k} I{j}", f"(E{k} U{k} E{k})^-1") for j, k in ((1, 2), (2, 1))]
+    rows.append(("lemma-3.1", "diagonal blocks commute", "E1 I2", "I2 E1"))
+    return Report("index bound [H(3):H~(3)] | 4", _equalities(rows, cat.word_matrix))
 
 
 # -- indices ---------------------------------------------------------------
@@ -269,6 +269,15 @@ def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
 PRIMED_D3_WORDS = ("P^2 (R Q^2) P^-2", "Q^2", "R Q^2 R")
 
 
+def _primed_d3_words_die(claim: str) -> list[CheckResult]:
+    """One row per PRIMED_D3_WORDS word: it dies in Gamma(3)^ab iff it
+    fixes coset 0 of the complete commutator table."""
+    cat, table = get_catalog(3), commutator_subgroup_table()
+    return [CheckResult(claim, f"H'(3) generator {text} dies in Gamma(3)^ab",
+                        table.complete and table.act_word(0, cat.picard_word(text)) == 0)
+            for text in PRIMED_D3_WORDS]
+
+
 def primed_d3_closure() -> Report:
     """Corrected reading of the d=3 primed normal closure: the H'(3)
     generator words all die in Gamma(3)^ab (they fix the subgroup coset of
@@ -276,24 +285,15 @@ def primed_d3_closure() -> Report:
     inside the commutator subgroup and the quotient of Gamma(3) by it
     surjects onto Z/6 -- it is not the trivial group."""
     cat = get_catalog(3)
-    report = Report("primed hybrid d=3")
-    report.add("section-3-closing", "(E1')^2 = E1",
-               cat.word_key("E1p E1p") == cat.word_key("E1"))
-    table = commutator_subgroup_table()
-    for text in PRIMED_D3_WORDS:
-        report.add("section-3-closing",
-                   f"H'(3) generator {text} dies in Gamma(3)^ab",
-                   table.complete and table.act_word(0, cat.picard_word(text)) == 0)
-    pres = quotient_by_normal_gens(
-        cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS))
-    ab = abelianization(pres)
-    report.add("section-3-closing",
-               "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
-               "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] "
-               "(corrected reading: the closing claim of a trivial quotient "
-               "is inconsistent with the containment in the commutator "
-               "subgroup)",
-               ab == AbelianInvariants(0, (6,)))
+    report = Report("primed hybrid d=3", [
+        *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
+        *_primed_d3_words_die("section-3-closing")])
+    ab = abelianization(quotient_by_normal_gens(
+        cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS)))
+    report.add("section-3-closing", "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
+               "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] (corrected reading: the closing "
+               "claim of a trivial quotient is inconsistent with the containment in the "
+               "commutator subgroup)", ab == AbelianInvariants(0, (6,)))
     return report
 
 
@@ -304,8 +304,10 @@ PRIMED_D1_WORD = "T^-1 I0 T^-1 Q I0 Q"
 
 
 def verify_primed_d1_word() -> bool:
+    """Whether PRIMED_D1_WORD over the Picard names is R1 in PU(2,1)."""
     cat = get_catalog(1)
-    return cat.word_key(PRIMED_D1_WORD, tuple(cat.picard)) == cat.word_key("R1")
+    return _equalities([("corollary-4.6", PRIMED_D1_WORD, (PRIMED_D1_WORD, tuple(cat.picard)),
+                         "R1")], cat.word_key)[0].passed
 
 
 def primed_d1_equality(table: CosetTable) -> Report:
@@ -323,15 +325,14 @@ def primed_d1_equality(table: CosetTable) -> Report:
     for name in ("R1", "R2"):
         report.add("corollary-4.6", f"{name} has projective order 4",
                    projective_order(1, cat.word_matrix(name), 8) == 4)
-    one = cat.word_key("1", names)
-    for text in ("E1^2 E2 R1", "E1 E2^2 R2"):
-        report.add("corollary-4.6", f"{text} is a unit scalar (so the "
-                   "order-4 element lies in the plain hybrid)",
-                   cat.word_key(text, names) == one)
-    for lhs, rhs in (("R2^-1 R1^-2", "E1"), ("R2^-2 R1^-1", "E2")):
-        report.add("corollary-4.6", f"{lhs} = {rhs} (so the plain hybrid "
-                   "lies in the primed one)",
-                   cat.word_key(lhs, names) == cat.word_key(rhs, names))
+    report.checks += _equalities(
+        [("corollary-4.6", f"{text} is a unit scalar (so the order-4 element lies "
+          "in the plain hybrid)", (text, names), ("1", names))
+         for text in ("E1^2 E2 R1", "E1 E2^2 R2")]
+        + [("corollary-4.6", f"{lhs} = {rhs} (so the plain hybrid lies in the primed one)",
+            (lhs, names), (rhs, names))
+           for lhs, rhs in (("R2^-1 R1^-2", "E1"), ("R2^-2 R1^-1", "E2"))],
+        cat.word_key)
     report.add("corollary-4.6", "the order-4 word over I0, Q, T is verified",
                verify_primed_d1_word())
     subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
@@ -352,11 +353,8 @@ LEMMA36_RELATORS = ("E1^3", "(U1 U2)^3", "(E1 U1^-1 U2)^3", "(E1 U2 U1^-1)^3",
 
 def lemma36_relations() -> Report:
     cat = get_catalog(3)
-    report = Report("relations among E1, U1, U2")
-    ident = cat.word_key("1")
-    for text in LEMMA36_RELATORS:
-        report.add("lemma-3.6", f"{text} = 1", cat.word_key(text) == ident)
-    return report
+    return Report("relations among E1, U1, U2", _equalities(
+        [("lemma-3.6", f"{text} = 1", text, "1") for text in LEMMA36_RELATORS], cat.word_key))
 
 
 def partial_hybrid_presentation(primed: bool = False) -> Presentation:
@@ -372,8 +370,8 @@ def partial_hybrid_presentation(primed: bool = False) -> Presentation:
 def commutator_subgroup_table() -> CosetTable:
     """Coset table of [Gamma(3), Gamma(3)], enumerated by Todd-Coxeter
     (fpgroups.derived_subgroup_table); a word dies in Gamma(3)^ab iff it
-    fixes coset 0. hybrid_abelianization_bounds checks the table against
-    the Smith normal form.
+    fixes coset 0. hybrid_abelianization_bounds checks the table by itself
+    (coset_table_holds) and its index against the Smith normal form.
 
     Enumerated once and shared, like get_catalog: callers only read the
     table. A test that patches the engines behind it must call
@@ -402,28 +400,21 @@ def hybrid_abelianization_bounds() -> Report:
                ab_primed.is_finite)
 
     ab_gamma = abelianization(cat.presentation)
-    report.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}",
-               ab_gamma == AbelianInvariants(0, (6,)))
-    table = commutator_subgroup_table()
-    for text in PRIMED_D3_WORDS:
-        report.add("lemma-3.8", f"H'(3) generator {text} dies in Gamma(3)^ab",
-                   table.complete and table.act_word(0, cat.picard_word(text)) == 0)
+    report.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}", ab_gamma == AbelianInvariants(0, (6,)))
+    report.checks += _primed_d3_words_die("lemma-3.8")
 
     # the enumerated table has index |Gamma(3)^ab| (two independent engines)
-    # and commutator words fix its subgroup coset
-    table_ok = (table.complete and ab_gamma.is_finite
-                and table.index == ab_gamma.order
-                and all(table.act_word(0, cat.picard_word(t)) == 0
-                        for t in COMMUTATOR_WORDS))
+    # and passes its own check, the commutator words fixing its subgroup coset
+    table = commutator_subgroup_table()
+    table_ok = (table.complete and table.index == ab_gamma.order and coset_table_holds(
+        table, cat.presentation, [cat.picard_word(t) for t in COMMUTATOR_WORDS]))
     sub_ab = abelianization(reidemeister_schreier(cat.presentation, table))
     lemma39 = table_ok and sub_ab == AbelianInvariants(2, ())
     report.add("lemma-3.9", f"[Gamma(3),Gamma(3)]^ab = {sub_ab}", lemma39)
 
-    conclusion = ab_primed.is_finite and lemma39
-    report.add("corollary-3.12",
-               "finite H'(3)^ab inside a subgroup with infinite abelianization"
+    report.add("corollary-3.12", "finite H'(3)^ab inside a subgroup with infinite abelianization"
                " forces infinite index (finite-index transfer of Lemma 3.11)",
-               conclusion)
+               ab_primed.is_finite and lemma39)
     return report
 
 

@@ -3,6 +3,7 @@ certificate and the abelianization chain, and for each decision a test
 that corrupts one input and checks that exactly its rows turn [FAIL]."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,10 +14,10 @@ from picardhyb.certify import (
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
     lemma31_index_bound, lemma36_relations, motion, partial_hybrid_presentation,
     primed_d1_equality, primed_d3_closure, render_motion, triangle_236_certificate,
-    verify_normality, verify_primed_d1_word, verify_tietze_substitution,
+    verify_normality, verify_primed_d1_word, verify_reports, verify_tietze_substitution,
     verify_word_identities,
 )
-from picardhyb.cxhyp import INT_ID, int_inv, int_mul, int_word
+from picardhyb.cxhyp import INT_ID, int_inv, int_key, int_mul, int_word
 from picardhyb.exactring import QuadInt, units
 from picardhyb.cli import main
 from picardhyb.fpgroups import (
@@ -98,13 +99,27 @@ def test_lemma31_and_lemma36():
     assert lemma36_relations().passed
 
 
+# omega = w as a scalar matrix, a unit of O_3
+OMEGA_ID = (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1)
+
+
+# other: the name whose matrix replaces name's, or a function of int_env
+# that gives the replacement
 @pytest.mark.parametrize("name, other, want", (
     ("I1", "I2", [False, True, True]),
     ("I2", "U2", [True, False, False]),
+    # omega*E2 is E2 in PU(2,1), so it has E2's word_key, but not its
+    # matrix: lemma 3.1 is decided on exact matrices
+    pytest.param("E2", lambda env: int_mul(3, OMEGA_ID, env["E2"]), [False, True, True],
+                 id="E2-omega-E2"),
 ))
 def test_lemma31_rows_fail_on_a_corrupted_catalog(monkeypatch, name, other, want):
     real = catalog.get_catalog(3)
-    corrupted = real._replace(int_env={**real.int_env, name: real.int_env[other]})
+    value = other(real.int_env) if callable(other) else real.int_env[other]
+    if callable(other):
+        # the same element of PU(2,1) as a different matrix
+        assert value != real.int_env[name] and int_key(3, value) == int_key(3, real.int_env[name])
+    corrupted = real._replace(int_env={**real.int_env, name: value})
     monkeypatch.setattr(certify, "get_catalog", lambda d: corrupted)
     report = lemma31_index_bound()
     assert [c.passed for c in report.checks] == want
@@ -165,6 +180,20 @@ def test_lemma39_row_checks_the_commutator_table(monkeypatch):
     monkeypatch.setattr(certify, "COMMUTATOR_WORDS", certify.COMMUTATOR_WORDS + ("P",))
     failed = {c.check_id for c in hybrid_abelianization_bounds().checks if not c.passed}
     assert failed == {"lemma-3.9", "corollary-3.12"}
+
+
+def test_lemma39_row_fails_on_a_corrupted_commutator_table(monkeypatch):
+    # rows 0 and 1 of the Q^-1 column swapped: that column is no longer the
+    # inverse of Q's, though the index, the status and every commutator
+    # word's action on coset 0 stay as they were
+    table = commutator_subgroup_table()
+    rows = [list(r) for r in table.table]
+    rows[0][3], rows[1][3] = rows[1][3], rows[0][3]
+    corrupted = CosetTable(table.ngens, rows, table.status)
+    monkeypatch.setattr(certify, "commutator_subgroup_table", lambda: corrupted)
+    failed = {c.check_id for c in hybrid_abelianization_bounds().checks if not c.passed}
+    assert failed == {"lemma-3.9", "corollary-3.12"}
+    assert primed_d3_closure().passed
 
 
 def test_partial_hybrid_presentations_finite():
@@ -361,6 +390,35 @@ def test_primed_d3_quotient_row_fails_on_a_word_outside_the_commutators(monkeypa
     failed = _failed(primed_d3_closure())
     assert len(failed) == 2 and failed[0] == "H'(3) generator P dies in Gamma(3)^ab"
     assert failed[1].startswith("Gamma(3)/<<H'(3)>> abelianizes to Z/6")
+
+
+# -- one decision per claim kind -------------------------------------------
+#
+# decider: a private decider of certify; rows: the check ids of the rows of
+# verify_reports(d) it decides, with their counts; claims: the claim rows
+# that rest on those rows as premises, so flip with them
+
+@pytest.mark.parametrize("decider, d, rows, claims", (
+    ("_equalities", 1, {"lemma-4.3": 4, "lemma-4.4": 6, "corollary-4.6": 5}, ["theorem-4.5"]),
+    ("_equalities", 3, {"lemma-3.2": 3, "lemma-3.3": 9, "lemma-3.1": 3, "lemma-3.6": 6,
+                        "section-3-closing": 1},
+     ["theorem-3.4", "proposition-6.2", "proposition-6.3", "corollary-3.12"]),
+    ("_equalities", 7, {"lemma-5.3": 6, "lemma-5.4": 7}, ["theorem-5.5"]),
+    ("_primed_d3_words_die", 1, {}, []),
+    ("_primed_d3_words_die", 3, {"lemma-3.8": 3, "section-3-closing": 3}, []),
+    ("_primed_d3_words_die", 7, {}, []),
+), ids=[f"{kind}-{d}" for kind in ("equalities", "coset-0") for d in (1, 3, 7)])
+def test_each_claim_kind_has_one_decider(monkeypatch, decider, d, rows, claims):
+    # invert every verdict of the decider: exactly its rows flip, and the
+    # claims that rest on them
+    before = [c for r in verify_reports(d) for c in r.checks]
+    assert all(c.passed for c in before)
+    real = getattr(certify, decider)
+    monkeypatch.setattr(certify, decider, lambda *args: [
+        c._replace(passed=not c.passed) for c in real(*args)])
+    after = [c for r in verify_reports(d) for c in r.checks]
+    assert [c[:2] for c in after] == [c[:2] for c in before]
+    assert Counter(c.check_id for c in after if not c.passed) == Counter(rows) + Counter(claims)
 
 
 # -- the coset-table check of the index rows -------------------------------
