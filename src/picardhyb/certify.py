@@ -4,17 +4,19 @@ Euclidean representation of the (2,3,6) triangle group, and the claims of
 ``verify`` with their premises (verify_reports).
 
 A coset enumeration of an infinite group only overflows, which proves
-nothing, so infiniteness is certified by representation: the quotient of
-PU(2,1,O_3) by the hybrid maps onto the (2,3,6) triangle group, realized
-by Euclidean motions over O_3 on the integer kernel, and a witness word
-maps to a nonzero translation.
+nothing, so infiniteness is certified by representation: images of P, Q
+and R, Euclidean motions over O_3 on the integer kernel, map the quotient
+of PU(2,1,O_3) by the hybrid onto the (2,3,6) triangle group (every
+relator of the catalog's quotient presentation maps to the identity), and
+a witness word maps to a nonzero translation.
 
 Every row that decides an equality of two words is decided by one
 decider, _equalities: on the Catalog.word_key of both sides, which are
 equal iff the words are equal in PU(2,1), except lemma 3.1, which compares
 the exact matrices (Catalog.word_matrix); a generator name and "1" are
 words too. Every row that says an H'(3) generator dies in Gamma(3)^ab is
-decided by a second one, _primed_d3_words_die, on the commutator table.
+decided by a second one, _primed_d3_words_die, on the commutator table,
+and rests on that table's own check (_commutator_table_holds).
 
 Each function computes and returns its report; a failed check is a row
 that fails, never an exception.
@@ -33,8 +35,8 @@ from .cxhyp import INT_ID, IntMat, int_word, projective_order
 from .cxhyp import proj_eq  # noqa: F401
 from .fpgroups import (
     DEFAULT_MAX_COSETS, AbelianInvariants, CosetTable, Presentation, Word,
-    abelianization, derived_subgroup_table, free_reduce, invert_word,
-    parse_word, quotient_by_normal_gens, reidemeister_schreier, todd_coxeter,
+    abelianization, derived_subgroup_table, parse_word, quotient_by_normal_gens,
+    reidemeister_schreier, todd_coxeter,
 )
 
 
@@ -90,20 +92,9 @@ def render_motion(x: IntMat) -> str:
     return f"z -> ({render(QuadInt(3, *x[0:2]))})*z + ({render(QuadInt(3, *x[4:6]))})"
 
 
-# G = PU(2,1,O_3)/H~(3) after the generator change a = P Q^-1, b = Q, c = R
-G_ABC = Presentation(
-    3,
-    tuple(parse_word(t, ("a", "b", "c")) for t in
-          ("c^2", "a^6", "a c a^-1 c^-1", "(a b)^3", "(c a b)^3", "b^2")),
-    ("a", "b", "c"))
-
-# mutually inverse substitutions between the (P,Q,R) and (a,b,c) generators
-SUBST_ABC_TO_PQR = {"a": "P Q^-1", "b": "Q", "c": "R"}
-SUBST_PQR_TO_ABC = {"P": "a b", "Q": "b", "R": "c"}
-
-
-# presentation: G on generators a, b, c; images: name -> motion matrix of
-# each generator, INT_ID for a generator sent to the identity
+# presentation: the catalog's quotient presentation of PU(2,1,O_3)/H~(3)
+# on P, Q, R; images: name -> motion matrix of each generator, INT_ID for
+# a generator sent to the identity
 class InfinitenessCertificate(namedtuple(
         "InfinitenessCertificate", "presentation images witness_word")):
     __slots__ = ()
@@ -116,54 +107,40 @@ class InfinitenessCertificate(namedtuple(
     def witness_image(self) -> IntMat:
         return self.image(parse_word(self.witness_word, self.presentation.gen_names))
 
+    def _relator_rows(self) -> list[CheckResult]:
+        """One row per relator, passing iff it maps to the identity motion;
+        a failing row carries the relator's image as its witness."""
+        return [CheckResult("relator-dies", f"quotient relator #{k} maps to the identity motion",
+                            img == INT_ID, "" if img == INT_ID else render_motion(img))
+                for k, img in enumerate(map(self.image, self.presentation.relators))]
+
     def validate(self) -> bool:
         """True iff every relator maps to the identity and the witness to a
         nonzero translation."""
         w = self.witness_image
-        return (all(self.image(rel) == INT_ID for rel in self.presentation.relators)
+        return (all(c.passed for c in self._relator_rows())
                 and w[0:2] == (1, 0) and w != INT_ID)
 
 
 def triangle_236_certificate() -> InfinitenessCertificate:
-    """Kill c in G and represent the quotient as Euclidean motions:
-    a -> rotation by the primitive 6th root of unity 1 + w about 0,
-    b -> half-turn about 1/2, c -> the identity. Every relator maps to
-    the identity; the witness a^3 b maps to the translation z -> z - 1."""
-    images = {"a": motion((1, 1), (0, 0)), "b": motion((-1, 0), (1, 0)), "c": INT_ID}
-    return InfinitenessCertificate(G_ABC, images, "a^3 b")
+    """Theorem 3.4 as a homomorphism of the quotient by H~(3) onto the
+    (2,3,6) triangle group, on the catalog's own generators. In the paper's
+    reading a = P Q^-1 is the rotation z -> (1 + w) z by the primitive 6th
+    root of unity 1 + w, b = Q the half-turn about 1/2 and c = R the
+    identity; so P = a b is z -> -(1 + w) z + (1 + w). Every quotient
+    relator maps to the identity, and the witness a^3 b = (P Q^-1)^3 Q maps
+    to the translation z -> z - 1."""
+    images = {"P": motion((-1, -1), (1, 1)), "Q": motion((-1, 0), (1, 0)), "R": INT_ID}
+    return InfinitenessCertificate(get_catalog(3).quotient_presentation(), images,
+                                   "(P Q^-1)^3 Q")
 
 
-def _substitute(w: Word, images: list[Word]) -> Word:
-    """w with letter +k replaced by the word images[k - 1] and -k by its
-    inverse (not freely reduced)."""
-    return tuple(x for g in w
-                 for x in (images[g - 1] if g > 0 else invert_word(images[-g - 1])))
-
-
+# benchmarks/worker.py resolves this function by name (ENTRY_POINTS, through
+# vars()), so it keeps its name and takes no parameter
 def verify_tietze_substitution() -> Report:
-    """The paper's generator change a = P Q^-1, b = Q, c = R is checked in
-    two finite steps: the substitutions are mutually inverse on free
-    generators, and the (P,Q,R)-relators of the quotient presentation all
-    die in the Euclidean representation composed with the substitution."""
-    report = Report("tietze-substitution d=3")
-    cat = get_catalog(3)
-
-    abc_names = ("a", "b", "c")
-    pqr_names = cat.presentation.gen_names
-    to_abc = [parse_word(SUBST_PQR_TO_ABC[n], abc_names) for n in pqr_names]
-    to_pqr = [parse_word(SUBST_ABC_TO_PQR[n], pqr_names) for n in abc_names]
-    for i, name in enumerate(pqr_names):
-        ok = free_reduce(_substitute(to_abc[i], to_pqr)) == parse_word(name, pqr_names)
-        report.add("substitution-inverse", f"{name} round-trips through (a,b,c)", ok)
-
-    cert = triangle_236_certificate()
-    quotient = cat.quotient_presentation()
-    for k, rel in enumerate(quotient.relators):
-        # push the relator through P -> ab, Q -> b, R -> c, then to motions
-        img = cert.image(_substitute(rel, to_abc))
-        report.add("relator-dies", f"quotient relator #{k} maps to the identity motion",
-                   img == INT_ID, witness="" if img == INT_ID else render_motion(img))
-    return report
+    """The relator rows of the (2,3,6) certificate: each relator of the
+    quotient presentation on P, Q, R maps to the identity motion."""
+    return Report("tietze-substitution d=3", triangle_236_certificate()._relator_rows())
 
 
 # -- equalities ------------------------------------------------------------
@@ -252,12 +229,10 @@ def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
     """For d = 1, 7 the coset table of H(d) itself in PU(2,1,O_d), enumerated
     from the hybrid_words of the catalog (not of the normal closure of H(d),
     whose quotient has order [PU(2,1,O_d) : H(d)] only if H(d) is normal);
-    for d = 3 the (2,3,6) certificate, "infinite" iff it validates and the
-    generator change it uses is verified."""
+    for d = 3 the (2,3,6) certificate, "infinite" iff it validates."""
     if d == 3:
         cert = triangle_236_certificate()
-        certified = cert.validate() and verify_tietze_substitution().passed
-        return IndexResult(3, "infinite" if certified else "undecided",
+        return IndexResult(3, "infinite" if cert.validate() else "undecided",
                            certificate=cert)
     cat = get_catalog(d)
     table = todd_coxeter(cat.presentation, cat.hybrid_words(), max_cosets=max_cosets)
@@ -269,12 +244,23 @@ def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
 PRIMED_D3_WORDS = ("P^2 (R Q^2) P^-2", "Q^2", "R Q^2 R")
 
 
-def _primed_d3_words_die(claim: str) -> list[CheckResult]:
+def _commutator_table_holds() -> bool:
+    """Whether the commutator table passes its own check: it is complete,
+    its index is |Gamma(3)^ab| (two independent engines), and it passes
+    coset_table_holds with the commutator words fixing its subgroup coset."""
+    cat, table = get_catalog(3), commutator_subgroup_table()
+    return (table.complete and table.index == abelianization(cat.presentation).order
+            and coset_table_holds(table, cat.presentation,
+                                  [cat.picard_word(t) for t in COMMUTATOR_WORDS]))
+
+
+def _primed_d3_words_die(claim: str, table_ok: bool) -> list[CheckResult]:
     """One row per PRIMED_D3_WORDS word: it dies in Gamma(3)^ab iff it
-    fixes coset 0 of the complete commutator table."""
+    fixes coset 0 of the commutator table, which rests on table_ok, the
+    table's own check (_commutator_table_holds)."""
     cat, table = get_catalog(3), commutator_subgroup_table()
     return [CheckResult(claim, f"H'(3) generator {text} dies in Gamma(3)^ab",
-                        table.complete and table.act_word(0, cat.picard_word(text)) == 0)
+                        table_ok and table.act_word(0, cat.picard_word(text)) == 0)
             for text in PRIMED_D3_WORDS]
 
 
@@ -287,7 +273,7 @@ def primed_d3_closure() -> Report:
     cat = get_catalog(3)
     report = Report("primed hybrid d=3", [
         *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
-        *_primed_d3_words_die("section-3-closing")])
+        *_primed_d3_words_die("section-3-closing", _commutator_table_holds())])
     ab = abelianization(quotient_by_normal_gens(
         cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS)))
     report.add("section-3-closing", "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
@@ -362,7 +348,8 @@ def partial_hybrid_presentation(primed: bool = False) -> Presentation:
     primed variant E1 = (E1')^2 is substituted."""
     relators = [parse_word(t, ("E1", "U1", "U2")) for t in LEMMA36_RELATORS]
     if primed:
-        relators = [_substitute(r, [(1, 1), (2,), (3,)]) for r in relators]
+        relators = [tuple(x for g in r for x in ((g, g) if abs(g) == 1 else (g,)))
+                    for r in relators]
     return Presentation(3, relators, ("E1p" if primed else "E1", "U1", "U2"))
 
 
@@ -370,7 +357,7 @@ def partial_hybrid_presentation(primed: bool = False) -> Presentation:
 def commutator_subgroup_table() -> CosetTable:
     """Coset table of [Gamma(3), Gamma(3)], enumerated by Todd-Coxeter
     (fpgroups.derived_subgroup_table); a word dies in Gamma(3)^ab iff it
-    fixes coset 0. hybrid_abelianization_bounds checks the table by itself
+    fixes coset 0. _commutator_table_holds checks the table by itself
     (coset_table_holds) and its index against the Smith normal form.
 
     Enumerated once and shared, like get_catalog: callers only read the
@@ -401,14 +388,10 @@ def hybrid_abelianization_bounds() -> Report:
 
     ab_gamma = abelianization(cat.presentation)
     report.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}", ab_gamma == AbelianInvariants(0, (6,)))
-    report.checks += _primed_d3_words_die("lemma-3.8")
+    table_ok = _commutator_table_holds()
+    report.checks += _primed_d3_words_die("lemma-3.8", table_ok)
 
-    # the enumerated table has index |Gamma(3)^ab| (two independent engines)
-    # and passes its own check, the commutator words fixing its subgroup coset
-    table = commutator_subgroup_table()
-    table_ok = (table.complete and table.index == ab_gamma.order and coset_table_holds(
-        table, cat.presentation, [cat.picard_word(t) for t in COMMUTATOR_WORDS]))
-    sub_ab = abelianization(reidemeister_schreier(cat.presentation, table))
+    sub_ab = abelianization(reidemeister_schreier(cat.presentation, commutator_subgroup_table()))
     lemma39 = table_ok and sub_ab == AbelianInvariants(2, ())
     report.add("lemma-3.9", f"[Gamma(3),Gamma(3)]^ab = {sub_ab}", lemma39)
 

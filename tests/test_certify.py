@@ -72,16 +72,24 @@ def test_triangle_certificate():
     assert render_motion(cert.witness_image) == "z -> (1)*z + (-1)"
 
 
+def test_triangle_certificate_is_on_the_catalog_quotient_presentation():
+    assert triangle_236_certificate().presentation == catalog.get_catalog(3).quotient_presentation()
+
+
 def test_triangle_certificate_rejects_a_wrong_witness():
     cert = triangle_236_certificate()
-    # a^6 maps to the identity, not to a translation
-    assert not cert._replace(witness_word="a^6").validate()
-    # with b sent to the identity, (a b)^3 and the witness are the half-turn a^3
-    assert not cert._replace(images={**cert.images, "b": INT_ID}).validate()
-    # a^3 is the half-turn about 0, not a translation
-    assert not cert._replace(witness_word="a^3").validate()
-    # b a^3 is the translation z -> z + 1
-    assert cert._replace(witness_word="b a^3").validate()
+    # (P Q^-1)^6, the sixth power of the rotation, maps to the identity,
+    # not to a translation
+    assert not cert._replace(witness_word="(P Q^-1)^6").validate()
+    # with Q sent to the identity every relator still dies (P becomes a
+    # rotation of order 3), but the witness becomes P^3, the identity
+    no_q = cert._replace(images={**cert.images, "Q": INT_ID})
+    assert all(c.passed for c in no_q._relator_rows())
+    assert no_q.witness_image == INT_ID and not no_q.validate()
+    # (P Q^-1)^3 is the half-turn about 0, not a translation
+    assert not cert._replace(witness_word="(P Q^-1)^3").validate()
+    # Q (P Q^-1)^3 is the translation z -> z + 1
+    assert cert._replace(witness_word="Q (P Q^-1)^3").validate()
 
 
 def test_tietze_substitution():
@@ -151,11 +159,22 @@ def test_euclidean_motion_group_laws():
             assert int_mul(3, x, _motion(a2, b2)) == _motion(a1 * a2, a1 * b2 + b1)
 
 
+def _orders(x):
+    """The k in 1..12 with x^k the identity."""
+    return [k for k in range(1, 13) if int_word(3, (1,) * k, [x]) == INT_ID]
+
+
 def test_euclidean_motion_orders():
     rot = motion((1, 1), (0, 0))        # by 1 + w, a primitive 6th root of unity
-    assert [k for k in range(1, 13) if int_word(3, (1,) * k, [rot]) == INT_ID] == [6, 12]
-    half_turn = triangle_236_certificate().images["b"]
+    assert _orders(rot) == [6, 12]
+    half_turn = triangle_236_certificate().images["Q"]
     assert half_turn != INT_ID and int_mul(3, half_turn, half_turn) == INT_ID
+    # the paper's (2,3,6) reading: a = P Q^-1 has order 6, b = Q order 2
+    # and a b = P order 3
+    cert = triangle_236_certificate()
+    names = cert.presentation.gen_names
+    assert cert.image(parse_word("P Q^-1", names)) == rot
+    assert [_orders(cert.image(parse_word(t, names)))[0] for t in ("P Q^-1", "Q", "P")] == [6, 2, 3]
 
 
 def test_a_motion_with_a_non_unit_alpha_has_no_inverse():
@@ -175,11 +194,22 @@ def test_hybrid_abelianization_bounds():
     assert "Z x Z" in text and "Z/6" in text
 
 
+# the rows that rest on the commutator table's own check: the three
+# "dies in Gamma(3)^ab" rows of lemma 3.8 and of the section-3 closing,
+# lemma 3.9 and corollary 3.12
+TABLE_CHECK_ROWS = Counter({"lemma-3.8": 3, "lemma-3.9": 1, "corollary-3.12": 1,
+                            "section-3-closing": 3})
+
+
+def _failed_table_rows() -> Counter:
+    return Counter(c.check_id for report in (hybrid_abelianization_bounds(), primed_d3_closure())
+                   for c in report.checks if not c.passed)
+
+
 def test_lemma39_row_checks_the_commutator_table(monkeypatch):
     # P is not a commutator: its image in Gamma(3)^ab = Z/6 has order 3
     monkeypatch.setattr(certify, "COMMUTATOR_WORDS", certify.COMMUTATOR_WORDS + ("P",))
-    failed = {c.check_id for c in hybrid_abelianization_bounds().checks if not c.passed}
-    assert failed == {"lemma-3.9", "corollary-3.12"}
+    assert _failed_table_rows() == TABLE_CHECK_ROWS
 
 
 def test_lemma39_row_fails_on_a_corrupted_commutator_table(monkeypatch):
@@ -191,9 +221,8 @@ def test_lemma39_row_fails_on_a_corrupted_commutator_table(monkeypatch):
     rows[0][3], rows[1][3] = rows[1][3], rows[0][3]
     corrupted = CosetTable(table.ngens, rows, table.status)
     monkeypatch.setattr(certify, "commutator_subgroup_table", lambda: corrupted)
-    failed = {c.check_id for c in hybrid_abelianization_bounds().checks if not c.passed}
-    assert failed == {"lemma-3.9", "corollary-3.12"}
-    assert primed_d3_closure().passed
+    # the dies rows read coset 0 of the table, so they rest on its check too
+    assert _failed_table_rows() == TABLE_CHECK_ROWS
 
 
 def test_partial_hybrid_presentations_finite():
@@ -299,15 +328,8 @@ def _failed(report: Report) -> list[str]:
     return [c.description for c in report.checks if not c.passed]
 
 
-def test_substitution_rows_fail_on_a_wrong_substitution(monkeypatch):
-    # b is an involution, so every relator still dies under Q -> b^-1
-    monkeypatch.setitem(certify.SUBST_PQR_TO_ABC, "Q", "b^-1")
-    assert _failed(verify_tietze_substitution()) == ["Q round-trips through (a,b,c)"]
-    assert index_report(3).outcome == "undecided"
-
-
 def test_relator_rows_fail_on_a_relator_that_survives(monkeypatch):
-    # killing P too: P -> a b, z -> -(1 + w) z + (1 + w), a rotation of order 3
+    # killing P too: P maps to z -> -(1 + w) z + (1 + w), a rotation of order 3
     cat = catalog.get_catalog(3)
     _serve(monkeypatch, cat._replace(
         word_identities=(*cat.word_identities, WordIdentity("lemma-3.2", "P", "P"))))
@@ -369,19 +391,21 @@ def test_partial_presentation_rows_fail_on_a_relation_dropped(monkeypatch, corru
 
 
 def test_gamma3_abelianization_row_fails_on_a_wrong_result(monkeypatch):
-    # Z/3 for Gamma(3)^ab: the lemma-3.8 row fails, and so does lemma 3.9,
-    # whose commutator table has 6 cosets, not 3
+    # Z/3 for Gamma(3)^ab: the lemma-3.8 row fails, and so does the check of
+    # the commutator table, which has 6 cosets, not 3, and with it every row
+    # that reads the table
     gamma3 = catalog.get_catalog(3).presentation
 
     def wrong(p):
         return AbelianInvariants(0, (3,)) if p == gamma3 else abelianization(p)
 
     monkeypatch.setattr(certify, "abelianization", wrong)
-    report = hybrid_abelianization_bounds()
-    assert _failed(report) == [
-        "Gamma(3)^ab = Z/3", "[Gamma(3),Gamma(3)]^ab = Z x Z",
+    dies = [f"H'(3) generator {t} dies in Gamma(3)^ab" for t in certify.PRIMED_D3_WORDS]
+    assert _failed(hybrid_abelianization_bounds()) == [
+        "Gamma(3)^ab = Z/3", *dies, "[Gamma(3),Gamma(3)]^ab = Z x Z",
         "finite H'(3)^ab inside a subgroup with infinite abelianization"
         " forces infinite index (finite-index transfer of Lemma 3.11)"]
+    assert _failed(primed_d3_closure()) == dies
 
 
 def test_primed_d3_quotient_row_fails_on_a_word_outside_the_commutators(monkeypatch):

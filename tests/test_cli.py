@@ -84,7 +84,7 @@ def test_verify_coset_cap_is_a_failed_row(d, capsys):
 # the certify functions verify calls, each at most once per run
 REPORT_FUNCTIONS = (
     "verify_word_identities", "verify_normality", "index_report",
-    "verify_tietze_substitution", "lemma31_index_bound", "lemma36_relations",
+    "lemma31_index_bound", "lemma36_relations",
     "hybrid_abelianization_bounds", "primed_d3_closure", "primed_d1_equality",
 )
 
