@@ -331,83 +331,54 @@ def _standardize(ngens: int, table, parent, rep) -> CosetTable:
 def smith_normal_form(a):
     """Return (D, L, R) with L*a*R = D diagonal, divisibility chain,
     L and R unimodular. Input is a list of rows of ints (possibly empty).
+
+    The work is done on the block matrix [[a, I_m], [I_n, 0]]. A row
+    operation on its first m rows multiplies [a, I_m] on the left, and a
+    column operation on its first n columns multiplies [a; I_n] on the
+    right, so the matrix ends as [[L a R, L], [R, 0]]: the identity blocks
+    have recorded L and R.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
-    if any(len(row) != n for row in d):
+    if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    lmat = [[int(i == j) for j in range(m)] for i in range(m)]
-    rmat = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        lmat[i] = [x - q * y for x, y in zip(lmat[i], lmat[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in rmat:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        lmat[i], lmat[j] = lmat[j], lmat[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in rmat:
-            row[i], row[j] = row[j], row[i]
-
+    b = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
     t = 0
     while True:
-        # locate a pivot in the trailing submatrix
-        pivot = None
+        # the pivot: the first entry of least absolute value in the trailing block
+        p = 0
         for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+            for j, x in enumerate(b[i][t:n], t):
+                if x and (not p or abs(x) < abs(p)):
+                    p, pi, pj = x, i, j
+        if not p:
             break
-        i, j = pivot
-        if i != t:
-            swap_rows(i, t)
-        if j != t:
-            swap_cols(j, t)
-        # clear row and column t; restart whenever a smaller remainder appears
-        dirty = False
+        b[t], b[pi] = b[pi], b[t]
+        for row in b:
+            row[t], row[pj] = row[pj], row[t]
+        # clear column t and row t; start again while a remainder is nonzero
         for i in range(t + 1, m):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                row_op(i, t, q)
-                if d[i][t] != 0:
-                    dirty = True
+            q = b[i][t] // p
+            if q:  # row i -= q * row t
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
         for j in range(t + 1, n):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                col_op(j, t, q)
-                if d[t][j] != 0:
-                    dirty = True
-        if dirty:
+            q = b[t][j] // p
+            if q:  # column j -= q * column t
+                for row in b:
+                    row[j] -= q * row[t]
+        if any(b[i][t] for i in range(t + 1, m)) or any(b[t][t + 1:n]):
             continue
-        # enforce divisibility of the remaining submatrix by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row into row t
-            continue
-        if d[t][t] < 0:
-            row_op(t, t, 2)  # negate row t
-        t += 1
-
-    return d, lmat, rmat
+        # the pivot must divide the trailing block: add the first row where
+        # it does not to row t, and start again
+        i = next((i for i in range(t + 1, m) for x in b[i][t + 1:n] if x % p), None)
+        if i is not None:
+            b[t] = [x + y for x, y in zip(b[t], b[i])]
+        else:
+            if p < 0:
+                b[t] = [-x for x in b[t]]
+            t += 1
+    return [row[:n] for row in b[:m]], [row[n:] for row in b[:m]], [row[:n] for row in b[m:]]
 
 
 class AbelianInvariants(namedtuple("AbelianInvariants", "rank torsion")):
@@ -501,16 +472,11 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> Presentation:
         out = []
         c = alpha
         for g in w:
-            if g > 0:
-                key = (c, g)
-                c = table.act(c, g)
-                if key in gen_index:
-                    out.append(gen_index[key])
-            else:
-                c = table.act(c, g)
-                key = (c, -g)
-                if key in gen_index:
-                    out.append(-gen_index[key])
+            beta = table.act(c, g)
+            k = gen_index.get((c, g) if g > 0 else (beta, -g))
+            if k:
+                out.append(k if g > 0 else -k)
+            c = beta
         return free_reduce(out)
 
     relators = []

@@ -221,9 +221,33 @@ def _det(mat):
     return total
 
 
-def _mat_mul(a, b):
+def _mat_mul(a, b, ncols):
     return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))] for i in range(len(a))]
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def _assert_smith_normal_form(a):
+    """The postconditions of smith_normal_form on the m x n matrix a."""
+    m, n = len(a), len(a[0]) if a else 0
+    before = [list(row) for row in a]
+    d, lmat, rmat = smith_normal_form(a)
+    assert a == before  # the input is left unchanged
+    assert [len(row) for row in lmat] == [m] * m
+    assert [len(row) for row in rmat] == [n] * n
+    assert _mat_mul(_mat_mul(lmat, a, n), rmat, n) == d
+    assert abs(_det(lmat)) == 1
+    assert abs(_det(rmat)) == 1
+    diag = [d[i][i] for i in range(min(m, n))]
+    for i in range(m):
+        for j in range(n):
+            if i != j:
+                assert d[i][j] == 0
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        if x:
+            assert y % x == 0
+        else:
+            assert y == 0
 
 
 def test_snf_random_matrices():
@@ -231,22 +255,27 @@ def test_snf_random_matrices():
     for _ in range(100):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
-        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        d, lmat, rmat = smith_normal_form(a)
-        assert _mat_mul(_mat_mul(lmat, a), rmat) == d
-        assert abs(_det(lmat)) == 1
-        assert abs(_det(rmat)) == 1
-        diag = [d[i][i] for i in range(min(m, n))]
+        _assert_smith_normal_form([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_sparse_rank_deficient_matrices():
+    # the shape of the exponent matrices abelianization reduces: mostly
+    # 0 and +-1, with zero rows and repeated rows
+    rng = random.Random(20261020)
+    for _ in range(100):
+        m, n = rng.randint(2, 7), rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(m)]
         for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-        assert all(x >= 0 for x in diag)
-        for x, y in zip(diag, diag[1:]):
-            if x:
-                assert y % x == 0
-            else:
-                assert y == 0
+            if rng.random() < 0.2:
+                a[i] = [0] * n
+            elif rng.random() < 0.3:
+                a[i] = list(a[rng.randrange(i + 1)])
+        _assert_smith_normal_form(a)
+
+
+@pytest.mark.parametrize("a", [[], [[]], [[0, 0]], [[0], [0]]], ids=str)
+def test_snf_edge_shapes(a):
+    _assert_smith_normal_form(a)
 
 
 def test_snf_matches_sympy():

@@ -85,8 +85,13 @@ GOLDEN = [
      "f10957a25f81b3a682c347029d667a0599a6c74dce049efcfe0b2cfb76f05b7f"),
     ("classify --d 7 --element A1", 0,
      "d1e42f791b16244904794bbfa5f502e75bf1a9f15dbd01fa34420726b5d8244c"),
+    # picard-1 is the one ring with two invariant factors
+    ("abelianize --presentation picard-1", 0,
+     "6750d0361a2e16cb775a00bf474fe71fcf5e5d7bca676d7c86f48d950afbbd5f"),
     ("abelianize --presentation picard-3", 0,
      "ff5ee7b0717bcc0e7d6c2a95d6b1aa94573881fff8d395cf523ca190f9f850ab"),
+    ("abelianize --presentation picard-7", 0,
+     "444b5dda6de229be8f0741e5984efbe4369cf5c3fd425e6a96dd6ccf4f89f64c"),
 ]
 
 
@@ -103,7 +108,9 @@ GOLDEN_FILES = {
     "dump --d 3": "dump-d3.txt",
     "dump --d 7": "dump-d7.txt",
     "classify --d 7 --element A1": "classify-d7-A1.txt",
+    "abelianize --presentation picard-1": "abelianize-picard-1.txt",
     "abelianize --presentation picard-3": "abelianize-picard-3.txt",
+    "abelianize --presentation picard-7": "abelianize-picard-7.txt",
 }
 
 
