@@ -163,17 +163,15 @@ class _Overflow(Exception):
     pass
 
 
-class CosetTable:
-    """Standardized coset table; row 0 is the subgroup coset.
+class CosetTable(namedtuple("CosetTable", "ngens table status")):
+    """Standardized coset table; row 0 is the subgroup coset. The status is
+    "complete", or "overflowed" with an empty table.
 
     ``table[alpha][col(g)]`` is the coset alpha.g; columns alternate
     generator / inverse: col(+k) = 2(k-1), col(-k) = 2(k-1)+1.
     """
 
-    def __init__(self, ngens: int, table: list[list[int]], status: str):
-        self.ngens = ngens
-        self.table = table
-        self.status = status
+    __slots__ = ()
 
     @property
     def index(self) -> int:
@@ -188,8 +186,10 @@ class CosetTable:
         return self.table[alpha][_col(g)]
 
     def act_word(self, alpha: int, w: Word) -> int:
+        _check_letters(w, self.ngens, "a coset action")
+        rows = self.table
         for g in w:
-            alpha = self.act(alpha, g)
+            alpha = rows[alpha][_col(g)]
         return alpha
 
 
@@ -198,25 +198,25 @@ def _col(g: int) -> int:
 
 
 def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """HLT coset enumeration of the subgroup generated by ``subgens``.
+    """HLT coset enumeration of the subgroup generated by ``subgens``
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 5).
 
-    Returns a complete standardized table, or a table with status
-    "overflowed" once ``max_cosets`` cosets have been defined. Overflow is
-    a status, not an error.
+    Returns the complete table, standardized: its cosets are numbered in
+    breadth-first order from the subgroup coset, so it depends only on the
+    subgroup and on the order of the generators. Returns status
+    "overflowed" and an empty table once ``max_cosets`` cosets have been
+    defined, dead ones included. Overflow is a status, not an error.
     """
     if max_cosets <= 0:
         raise ValueError("max_cosets must be positive")
     ncols = 2 * p.ngens
     table: list[list[int | None]] = [[None] * ncols]
-    parent = [0]
+    parent = [0]  # a live coset is its own parent; a dead one points to a smaller coset
 
     def rep(k: int) -> int:
-        r = k
-        while parent[r] != r:
-            r = parent[r]
-        while parent[k] != r:
-            parent[k], k = r, parent[k]
-        return r
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
 
     def define(alpha: int, c: int) -> int:
         if len(table) >= max_cosets:
@@ -229,33 +229,29 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
         return beta
 
     def coincidence(a: int, b: int) -> None:
-        q: deque[int] = deque()
-
-        def merge(x: int, y: int) -> None:
+        # each pair is merged when it is popped: the larger coset dies into
+        # the smaller, and its row moves there, queueing the pairs it forces
+        pairs = deque([(a, b)])
+        while pairs:
+            x, y = pairs.popleft()
             x, y = rep(x), rep(y)
-            if x != y:
-                x, y = min(x, y), max(x, y)
-                parent[y] = x
-                q.append(y)
-
-        merge(a, b)
-        while q:
-            gamma = q.popleft()
-            row = table[gamma]
-            for c in range(ncols):
-                delta = row[c]
+            if x == y:
+                continue
+            if x > y:
+                x, y = y, x
+            parent[y] = x
+            for c, delta in enumerate(table[y]):
                 if delta is None:
                     continue
-                row[c] = None
                 table[delta][c ^ 1] = None
-                mu, nu = rep(gamma), rep(delta)
-                if table[mu][c] is not None:
-                    merge(nu, table[mu][c])
-                elif table[nu][c ^ 1] is not None:
-                    merge(mu, table[nu][c ^ 1])
+                delta = rep(delta)
+                if table[x][c] is not None:
+                    pairs.append((table[x][c], delta))
+                elif table[delta][c ^ 1] is not None:
+                    pairs.append((x, table[delta][c ^ 1]))
                 else:
-                    table[mu][c] = nu
-                    table[nu][c ^ 1] = mu
+                    table[x][c] = delta
+                    table[delta][c ^ 1] = x
 
     def scan_and_fill(alpha: int, cols: list[int]) -> None:
         f, i = alpha, 0
@@ -264,15 +260,12 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
             while i <= j and table[f][cols[i]] is not None:
                 f = table[f][cols[i]]
                 i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
             while j >= i and table[b][cols[j] ^ 1] is not None:
                 b = table[b][cols[j] ^ 1]
                 j -= 1
             if j < i:
-                coincidence(f, b)
+                if f != b:
+                    coincidence(f, b)
                 return
             if j == i:
                 table[f][cols[i]] = b
@@ -286,44 +279,28 @@ def todd_coxeter(p: Presentation, subgens=(), max_cosets: int = DEFAULT_MAX_COSE
     try:
         for w in subgens:
             _check_letters(w, p.ngens, "a subgroup word")
-            scan_and_fill(rep(0), [_col(g) for g in free_reduce(w)])
-        alpha = 0
-        while alpha < len(table):
-            if rep(alpha) == alpha:
-                for cols in relator_cols:
+            scan_and_fill(0, [_col(g) for g in free_reduce(w)])
+        # the table grows while it is iterated: each coset in the order of
+        # definition, skipped once dead
+        for alpha, row in enumerate(table):
+            for cols in relator_cols:
+                if parent[alpha] == alpha:
                     scan_and_fill(alpha, cols)
-                    if rep(alpha) != alpha:
-                        break
-                if rep(alpha) == alpha:
-                    for c in range(ncols):
-                        if table[alpha][c] is None:
-                            define(alpha, c)
-            alpha += 1
+            for c, beta in enumerate(row):
+                if parent[alpha] == alpha and beta is None:
+                    define(alpha, c)
     except _Overflow:
         return CosetTable(p.ngens, [], "overflowed")
 
-    return _standardize(p.ngens, table, parent, rep)
-
-
-def _standardize(ngens: int, table, parent, rep) -> CosetTable:
-    """Renumber live cosets in breadth-first discovery order."""
-    ncols = 2 * ngens
-    start = rep(0)
-    number = {start: 0}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        alpha = order[qi]
-        qi += 1
-        for c in range(ncols):
-            beta = table[alpha][c]
-            assert beta is not None, "incomplete row in completed table"
-            beta = rep(beta)
+    # standardize: number the live cosets in breadth-first order from coset 0
+    order, number = [0], {0: 0}
+    for alpha in order:
+        for beta in table[alpha]:
             if beta not in number:
                 number[beta] = len(order)
                 order.append(beta)
-    new_table = [[number[rep(table[alpha][c])] for c in range(ncols)] for alpha in order]
-    return CosetTable(ngens, new_table, "complete")
+    return CosetTable(p.ngens, [[number[beta] for beta in table[alpha]] for alpha in order],
+                      "complete")
 
 
 # -- Smith normal form and abelianization ---------------------------------

@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from picardhyb.catalog import get_catalog
+from picardhyb.certify import coset_table_holds
 from picardhyb.fpgroups import (
     AbelianInvariants, Presentation, abelianization,
     derived_subgroup_table, format_word, free_reduce, invert_word,
@@ -170,6 +172,62 @@ def test_todd_coxeter_overflow_is_a_status():
     fib = pres(("a", "b"), ("a^2 b^-3",))  # infinite group
     t = todd_coxeter(fib, max_cosets=50)
     assert t.status == "overflowed" and not t.complete
+
+
+# the definition order of HLT decides where a cap overflows, and the cap is
+# what verify --max-cosets shows: the first cap at which the index table of
+# H(d) is complete
+@pytest.mark.parametrize("d, cap, index", [(1, 73, 2), (7, 523, 1)])
+def test_todd_coxeter_first_complete_cap_of_the_index_tables(d, cap, index):
+    cat = get_catalog(d)
+    assert todd_coxeter(cat.presentation, cat.hybrid_words(), cap - 1).status == "overflowed"
+    table = todd_coxeter(cat.presentation, cat.hybrid_words(), cap)
+    assert table.complete and table.index == index
+
+
+def _random_presentation(rng):
+    """1-3 generators, a power relator on each, up to two more random
+    relators, and up to two random subgroup words."""
+    n = rng.randint(1, 3)
+    letters = [g for k in range(1, n + 1) for g in (k, -k)]
+
+    def word(longest):
+        return tuple(rng.choice(letters) for _ in range(rng.randint(1, longest)))
+
+    relators = [(k,) * rng.randint(2, 5) for k in range(1, n + 1)]
+    relators += [r for r in (word(8) for _ in range(rng.randint(0, 2))) if free_reduce(r)]
+    return Presentation(n, relators), [word(6) for _ in range(rng.randint(0, 2))]
+
+
+def _loop_at_coset_0(table, rng):
+    """A random walk from coset 0, then back along the breadth-first tree
+    of the table: a word that fixes coset 0."""
+    letters = [g for k in range(1, table.ngens + 1) for g in (k, -k)]
+    path = {0: ()}
+    for alpha in range(table.index):
+        for g in letters:
+            path.setdefault(table.act(alpha, g), path[alpha] + (g,))
+    w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+    return w + invert_word(path[table.act_word(0, w)])
+
+
+def test_standardized_table_depends_only_on_the_subgroup():
+    rng = random.Random(20261020)
+    complete = 0
+    for _ in range(300):
+        p, subgens = _random_presentation(rng)
+        table = todd_coxeter(p, subgens, 300)
+        if not table.complete:
+            continue
+        complete += 1
+        assert coset_table_holds(table, p, subgens), (p, subgens)
+        # breadth-first: read row by row, the cosets first appear in order
+        first_seen = dict.fromkeys([0, *(beta for row in table.table for beta in row)])
+        assert list(first_seen) == list(range(table.index)), (p, subgens)
+        # the same subgroup on other generators gives the same table
+        other = [*reversed(subgens), _loop_at_coset_0(table, rng)]
+        assert todd_coxeter(p, other, 300).table == table.table, (p, subgens)
+    assert complete >= 200  # 220 of the 300 at this seed
 
 
 def test_todd_coxeter_validates_input():

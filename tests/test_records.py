@@ -17,7 +17,7 @@ from picardhyb.certify import (
 )
 from picardhyb.cxhyp import BoundaryPoint, Mat, ProjIsom
 from picardhyb.exactring import QuadInt, QuadRat
-from picardhyb.fpgroups import AbelianInvariants, Presentation
+from picardhyb.fpgroups import AbelianInvariants, CosetTable, Presentation
 from picardhyb.search import SearchResult
 
 # _fields and _field_defaults of every record, as recorded before the records
@@ -31,6 +31,7 @@ RECORDS = {
                     {"at_infinity": False, "z": None, "t_coeff": Fraction(0)}),
     Presentation: (("ngens", "relators", "gen_names"), {}),
     AbelianInvariants: (("rank", "torsion"), {}),
+    CosetTable: (("ngens", "table", "status"), {}),
     WordIdentity: (("lemma", "target", "word", "note"), {"note": None}),
     ConjugationIdentity: (("lemma", "lhs", "rhs"), {}),
     SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
@@ -61,6 +62,7 @@ def _instances():
         BoundaryPoint.infinity(3),
         Presentation(2, [(1, 2, -2, 1)]),
         AbelianInvariants(1, (2,)),
+        CosetTable(1, [[1, 1], [0, 0]], "complete"),
         WordIdentity("lemma", "E1", "P Q"),
         ConjugationIdentity("lemma", "E1", "E2"),
         SearchResult((1, 2), 2, False),
