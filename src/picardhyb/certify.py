@@ -16,7 +16,9 @@ equal iff the words are equal in PU(2,1), except lemma 3.1, which compares
 the exact matrices (Catalog.word_matrix); a generator name and "1" are
 words too. Every row that says an H'(3) generator dies in Gamma(3)^ab is
 decided by a second one, _primed_d3_words_die, on the commutator table,
-and rests on that table's own check (_commutator_table_holds).
+and rests on that table's own check. The two reports that read the table
+are built together (_commutator_table_reports), which enumerates the table
+and checks it once.
 
 Each function computes and returns its report; a failed check is a row
 that fails, never an exception.
@@ -25,7 +27,6 @@ that fails, never an exception.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .exactring import QuadInt, render
 from .catalog import get_catalog
@@ -244,21 +245,11 @@ def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
 PRIMED_D3_WORDS = ("P^2 (R Q^2) P^-2", "Q^2", "R Q^2 R")
 
 
-def _commutator_table_holds() -> bool:
-    """Whether the commutator table passes its own check: it is complete,
-    its index is |Gamma(3)^ab| (two independent engines), and it passes
-    coset_table_holds with the commutator words fixing its subgroup coset."""
-    cat, table = get_catalog(3), commutator_subgroup_table()
-    return (table.complete and table.index == abelianization(cat.presentation).order
-            and coset_table_holds(table, cat.presentation,
-                                  [cat.picard_word(t) for t in COMMUTATOR_WORDS]))
-
-
-def _primed_d3_words_die(claim: str, table_ok: bool) -> list[CheckResult]:
+def _primed_d3_words_die(claim: str, table: CosetTable, table_ok: bool) -> list[CheckResult]:
     """One row per PRIMED_D3_WORDS word: it dies in Gamma(3)^ab iff it
     fixes coset 0 of the commutator table, which rests on table_ok, the
-    table's own check (_commutator_table_holds)."""
-    cat, table = get_catalog(3), commutator_subgroup_table()
+    table's own check."""
+    cat = get_catalog(3)
     return [CheckResult(claim, f"H'(3) generator {text} dies in Gamma(3)^ab",
                         table_ok and table.act_word(0, cat.picard_word(text)) == 0)
             for text in PRIMED_D3_WORDS]
@@ -270,17 +261,7 @@ def primed_d3_closure() -> Report:
     the commutator subgroup table), so the normal closure of H'(3) stays
     inside the commutator subgroup and the quotient of Gamma(3) by it
     surjects onto Z/6 -- it is not the trivial group."""
-    cat = get_catalog(3)
-    report = Report("primed hybrid d=3", [
-        *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
-        *_primed_d3_words_die("section-3-closing", _commutator_table_holds())])
-    ab = abelianization(quotient_by_normal_gens(
-        cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS)))
-    report.add("section-3-closing", "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
-               "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] (corrected reading: the closing "
-               "claim of a trivial quotient is inconsistent with the containment in the "
-               "commutator subgroup)", ab == AbelianInvariants(0, (6,)))
-    return report
+    return _commutator_table_reports()[1]
 
 
 # word over (I0, Q, T) for the order-4 element R1 = iota_1(R) of H'(1),
@@ -353,16 +334,11 @@ def partial_hybrid_presentation(primed: bool = False) -> Presentation:
     return Presentation(3, relators, ("E1p" if primed else "E1", "U1", "U2"))
 
 
-@lru_cache(maxsize=None)
 def commutator_subgroup_table() -> CosetTable:
     """Coset table of [Gamma(3), Gamma(3)], enumerated by Todd-Coxeter
     (fpgroups.derived_subgroup_table); a word dies in Gamma(3)^ab iff it
-    fixes coset 0. _commutator_table_holds checks the table by itself
-    (coset_table_holds) and its index against the Smith normal form.
-
-    Enumerated once and shared, like get_catalog: callers only read the
-    table. A test that patches the engines behind it must call
-    commutator_subgroup_table.cache_clear()."""
+    fixes coset 0. _commutator_table_reports checks the table by itself
+    (coset_table_holds) and its index against the Smith normal form."""
     return derived_subgroup_table(get_catalog(3).presentation)
 
 
@@ -376,29 +352,51 @@ def hybrid_abelianization_bounds() -> Report:
     H'(3)^ab finite; the H'(3) generators die in Gamma(3)^ab; the
     commutator subgroup abelianizes to Z + Z; combined, H'(3) has infinite
     index in [Gamma(3), Gamma(3)] and hence in Gamma(3)."""
+    return _commutator_table_reports()[0]
+
+
+def _commutator_table_reports() -> tuple[Report, Report]:
+    """The two reports that read the commutator table, those of
+    hybrid_abelianization_bounds and primed_d3_closure. Gamma(3)^ab is
+    reduced once, and the table enumerated once and checked once by
+    itself: it is complete, its index is |Gamma(3)^ab| (two independent
+    engines), and it passes coset_table_holds with the commutator words
+    fixing its subgroup coset."""
     cat = get_catalog(3)
-    report = Report("abelianization bounds d=3")
+    ab_gamma, table = abelianization(cat.presentation), commutator_subgroup_table()
+    table_ok = (table.complete and table.index == ab_gamma.order
+                and coset_table_holds(table, cat.presentation,
+                                      [cat.picard_word(t) for t in COMMUTATOR_WORDS]))
+    abel = Report("abelianization bounds d=3")
 
     ab_plain = abelianization(partial_hybrid_presentation(primed=False))
-    report.add("corollary-3.7", f"partial H(3) presentation abelianizes to {ab_plain}",
-               ab_plain.is_finite)
+    abel.add("corollary-3.7", f"partial H(3) presentation abelianizes to {ab_plain}",
+             ab_plain.is_finite)
     ab_primed = abelianization(partial_hybrid_presentation(primed=True))
-    report.add("lemma-3.10", f"partial H'(3) presentation abelianizes to {ab_primed}",
-               ab_primed.is_finite)
+    abel.add("lemma-3.10", f"partial H'(3) presentation abelianizes to {ab_primed}",
+             ab_primed.is_finite)
 
-    ab_gamma = abelianization(cat.presentation)
-    report.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}", ab_gamma == AbelianInvariants(0, (6,)))
-    table_ok = _commutator_table_holds()
-    report.checks += _primed_d3_words_die("lemma-3.8", table_ok)
+    abel.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}", ab_gamma == AbelianInvariants(0, (6,)))
+    abel.checks += _primed_d3_words_die("lemma-3.8", table, table_ok)
 
-    sub_ab = abelianization(reidemeister_schreier(cat.presentation, commutator_subgroup_table()))
+    sub_ab = abelianization(reidemeister_schreier(cat.presentation, table))
     lemma39 = table_ok and sub_ab == AbelianInvariants(2, ())
-    report.add("lemma-3.9", f"[Gamma(3),Gamma(3)]^ab = {sub_ab}", lemma39)
+    abel.add("lemma-3.9", f"[Gamma(3),Gamma(3)]^ab = {sub_ab}", lemma39)
 
-    report.add("corollary-3.12", "finite H'(3)^ab inside a subgroup with infinite abelianization"
-               " forces infinite index (finite-index transfer of Lemma 3.11)",
-               ab_primed.is_finite and lemma39)
-    return report
+    abel.add("corollary-3.12", "finite H'(3)^ab inside a subgroup with infinite abelianization"
+             " forces infinite index (finite-index transfer of Lemma 3.11)",
+             ab_primed.is_finite and lemma39)
+
+    primed = Report("primed hybrid d=3", [
+        *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
+        *_primed_d3_words_die("section-3-closing", table, table_ok)])
+    ab = abelianization(quotient_by_normal_gens(
+        cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS)))
+    primed.add("section-3-closing", "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
+               "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] (corrected reading: the closing "
+               "claim of a trivial quotient is inconsistent with the containment in the "
+               "commutator subgroup)", ab == AbelianInvariants(0, (6,)))
+    return abel, primed
 
 
 # -- the claims of verify --------------------------------------------------
@@ -442,10 +440,10 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
               "geometrically infinite (F5 fails)", infinite)
     reports = [words, normal, r]
     if d == 3:
-        lemma36, abel = lemma36_relations(), hybrid_abelianization_bounds()
+        lemma36, (abel, primed) = lemma36_relations(), _commutator_table_reports()
         *rows, cor312 = abel.checks      # the last row, corollary 3.12
         abel.checks = [*rows, cor312._replace(passed=cor312.passed and lemma36.passed)]
-        reports += [lemma31, lemma36, abel, primed_d3_closure()]
+        reports += [lemma31, lemma36, abel, primed]
     if d == 1:
         reports.append(primed_d1_equality(idx.table))
     flags = get_catalog(d).flags

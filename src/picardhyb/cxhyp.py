@@ -462,23 +462,19 @@ def int_key(d: int, x: IntMat) -> IntMat:
             a8 * ua + b8 * q, a8 * ub + b8 * s)
 
 
+# the antidiagonal Siegel form H, whose unitary group is U(2,1)
+_SIEGEL: IntMat = (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+
+
 def int_is_unitary(d: int, x: IntMat) -> bool:
-    """Whether x preserves the antidiagonal Siegel form H: x* H x == H,
-    where entry (i, j) of x* H x is the sum over k of conj(x_ki) x_(2-k)j.
-    Both sides are Hermitian, so the entries with i <= j decide."""
-    c0, c1 = _TAU_SQ[d]
-    for i in range(3):
-        for j in range(i, 3):
-            sa = sb = 0
-            for k in range(3):
-                a, b = x[6 * k + 2 * i], x[6 * k + 2 * i + 1]
-                p, q = a + c1 * b, -b           # conj(a + b*tau)
-                ya, yb = x[12 - 6 * k + 2 * j], x[13 - 6 * k + 2 * j]
-                sa += p * ya + c0 * q * yb
-                sb += p * yb + q * ya + c1 * q * yb
-            if sa != (i + j == 2) or sb:
-                return False
-    return True
+    """Whether x preserves the Siegel form: x* H x == H, with x* the
+    conjugate transpose of x."""
+    c1 = _TAU_SQ[d][1]
+    # entry (i, j) of x* is conj(x_ji), whose a sits at index 2i + 6j of x;
+    # conj(a + b*tau) = (a + c1*b) - b*tau
+    star = tuple(v for i2 in range(0, 6, 2) for j6 in range(0, 18, 6)
+                 for v in (x[i2 + j6] + c1 * x[i2 + j6 + 1], -x[i2 + j6 + 1]))
+    return int_mul(d, star, int_mul(d, _SIEGEL, x)) == _SIEGEL
 
 
 def int_height(x: IntMat) -> int:

@@ -323,12 +323,17 @@ def smith_normal_form(a):
     b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
     t = 0
     while True:
-        # the pivot: the first entry of least absolute value in the trailing block
+        # the pivot: the first entry of least absolute value in the trailing
+        # block; no nonzero entry is less than 1, so the scan ends at a 1
         p = 0
         for i in range(t, m):
             for j, x in enumerate(b[i][t:n], t):
                 if x and (not p or abs(x) < abs(p)):
                     p, pi, pj = x, i, j
+                    if x in (1, -1):
+                        break
+            if p in (1, -1):
+                break
         if not p:
             break
         b[t], b[pi] = b[pi], b[t]

@@ -85,7 +85,7 @@ def test_verify_coset_cap_is_a_failed_row(d, capsys):
 REPORT_FUNCTIONS = (
     "verify_word_identities", "verify_normality", "index_report",
     "lemma31_index_bound", "lemma36_relations",
-    "hybrid_abelianization_bounds", "primed_d3_closure", "primed_d1_equality",
+    "_commutator_table_reports", "primed_d1_equality",
 )
 
 
@@ -102,6 +102,22 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     # it) or of H(7), and the commutator table, which two d=3 reports read
     for name in (*REPORT_FUNCTIONS, "todd_coxeter", "derived_subgroup_table"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
+    # the facts the d=3 commutator table rests on: its own check and
+    # Gamma(3)^ab, each derived once
+    facts = Counter()
+    gamma3, holds, abelianization = (catalog.get_catalog(3).presentation,
+                                     certify.coset_table_holds, certify.abelianization)
+
+    def counted_holds(*args):
+        facts["coset_table_holds"] += 1
+        return holds(*args)
+
+    def counted_abelianization(p):
+        facts["abelianization of Gamma(3)"] += p == gamma3
+        return abelianization(p)
+
+    monkeypatch.setattr(certify, "coset_table_holds", counted_holds)
+    monkeypatch.setattr(certify, "abelianization", counted_abelianization)
     # each word evaluated, keyed by its text and name tuple (seen) and by its
     # signed generator names (words), which one word has however it is
     # written and over whichever name tuple
@@ -120,10 +136,13 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     for d in ("1", "3", "7"):
         calls.clear()
         words.clear()
-        certify.commutator_subgroup_table.cache_clear()
+        facts.clear()
         assert run(["verify", "--d", d]) == 0
         assert calls and set(calls.values()) == {1}, (d, calls)
         assert ("derived_subgroup_table" in calls) == (d == "3")
+        if d == "3":
+            assert calls["derived_subgroup_table"] == 1
+            assert facts == {"coset_table_holds": 1, "abelianization of Gamma(3)": 1}, facts
         assert ("todd_coxeter" in calls) == (d != "3")
         called |= set(calls)
         # a generator may be read on its own by several rows; no longer word

@@ -10,7 +10,7 @@ from picardhyb.catalog import get_catalog
 from picardhyb.certify import coset_table_holds
 from picardhyb.fpgroups import (
     AbelianInvariants, Presentation, abelianization,
-    derived_subgroup_table, format_word, free_reduce, invert_word,
+    derived_subgroup_table, exponent_matrix, format_word, free_reduce, invert_word,
     parse_word, quotient_by_normal_gens, reidemeister_schreier,
     smith_normal_form, todd_coxeter,
 )
@@ -347,6 +347,60 @@ def test_snf_matches_sympy():
         ours = [abs(d[i][i]) for i in range(min(m, n)) if d[i][i]]
         theirs = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
         assert ours == [abs(int(x)) for x in theirs if x], a
+
+
+def _smith_normal_form_full_scan(a):
+    """smith_normal_form with a pivot scan that reads the whole trailing
+    block: the reference for the scan that ends at the first entry +-1."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    b = [list(row) + [int(i == k) for k in range(m)] for i, row in enumerate(a)]
+    b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
+    t = 0
+    while True:
+        p = 0
+        for i in range(t, m):
+            for j, x in enumerate(b[i][t:n], t):
+                if x and (not p or abs(x) < abs(p)):
+                    p, pi, pj = x, i, j
+        if not p:
+            break
+        b[t], b[pi] = b[pi], b[t]
+        for row in b:
+            row[t], row[pj] = row[pj], row[t]
+        for i in range(t + 1, m):
+            q = b[i][t] // p
+            if q:
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+        for j in range(t + 1, n):
+            q = b[t][j] // p
+            if q:
+                for row in b:
+                    row[j] -= q * row[t]
+        if any(b[i][t] for i in range(t + 1, m)) or any(b[t][t + 1:n]):
+            continue
+        i = next((i for i in range(t + 1, m) for x in b[i][t + 1:n] if x % p), None)
+        if i is not None:
+            b[t] = [x + y for x, y in zip(b[t], b[i])]
+        else:
+            if p < 0:
+                b[t] = [-x for x in b[t]]
+            t += 1
+    return [row[:n] for row in b[:m]], [row[n:] for row in b[:m]], [row[:n] for row in b[m:]]
+
+
+def test_snf_pivot_scan_matches_the_full_scan():
+    # the pivot is the first entry of least absolute value either way, so
+    # (D, L, R) is the same: on lemma 3.9's Reidemeister-Schreier matrix
+    # and on seeded random ones, empty ones included
+    p = get_catalog(3).presentation
+    matrices = [exponent_matrix(reidemeister_schreier(p, derived_subgroup_table(p)))]
+    rng = random.Random(20261021)
+    for _ in range(300):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        matrices.append([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+    for a in matrices:
+        assert smith_normal_form(a) == _smith_normal_form_full_scan(a), a
 
 
 # -- abelianization --------------------------------------------------------
