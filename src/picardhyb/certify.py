@@ -214,11 +214,12 @@ def coset_table_holds(table: CosetTable, p: Presentation, subgens) -> bool:
             and all(table.act_word(0, w) == 0 for w in subgens))
 
 
-# outcome: "finite" | "infinite" | "undecided" | "overflowed"; index: an int
-# or None; table: a CosetTable or None; certificate: an
+# outcome: "finite" | "infinite" | "undecided" | "overflowed"; table: a
+# CosetTable or None; holds: whether a complete table passes
+# coset_table_holds with the hybrid words; certificate: an
 # InfinitenessCertificate or None
-class IndexResult(namedtuple("IndexResult", "d outcome index table certificate",
-                             defaults=(None, None, None))):
+class IndexResult(namedtuple("IndexResult", "outcome table holds certificate",
+                             defaults=(None, False, None))):
     __slots__ = ()
 
 
@@ -229,30 +230,31 @@ D3_OVERFLOW_CAP = 20000
 def index_report(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> IndexResult:
     """For d = 1, 7 the coset table of H(d) itself in PU(2,1,O_d), enumerated
     from the hybrid_words of the catalog (not of the normal closure of H(d),
-    whose quotient has order [PU(2,1,O_d) : H(d)] only if H(d) is normal);
+    whose quotient has order [PU(2,1,O_d) : H(d)] only if H(d) is normal),
+    with its own check on the same words: every index row reads holds;
     for d = 3 the (2,3,6) certificate, "infinite" iff it validates."""
     if d == 3:
         cert = triangle_236_certificate()
-        return IndexResult(3, "infinite" if cert.validate() else "undecided",
-                           certificate=cert)
+        return IndexResult("infinite" if cert.validate() else "undecided", certificate=cert)
     cat = get_catalog(d)
-    table = todd_coxeter(cat.presentation, cat.hybrid_words(), max_cosets=max_cosets)
+    words = cat.hybrid_words()
+    table = todd_coxeter(cat.presentation, words, max_cosets=max_cosets)
     if not table.complete:
-        return IndexResult(d, "overflowed", table=table)
-    return IndexResult(d, "finite", index=table.index, table=table)
+        return IndexResult("overflowed", table)
+    return IndexResult("finite", table, coset_table_holds(table, cat.presentation, words))
 
 
 PRIMED_D3_WORDS = ("P^2 (R Q^2) P^-2", "Q^2", "R Q^2 R")
 
 
-def _primed_d3_words_die(claim: str, table: CosetTable, table_ok: bool) -> list[CheckResult]:
-    """One row per PRIMED_D3_WORDS word: it dies in Gamma(3)^ab iff it
-    fixes coset 0 of the commutator table, which rests on table_ok, the
-    table's own check."""
-    cat = get_catalog(3)
+def _primed_d3_words_die(claim: str, table: CosetTable, table_ok: bool,
+                         words: tuple[Word, ...]) -> list[CheckResult]:
+    """One row per PRIMED_D3_WORDS text, whose parsed word is the same entry
+    of words: it dies in Gamma(3)^ab iff it fixes coset 0 of the commutator
+    table, which rests on table_ok, the table's own check."""
     return [CheckResult(claim, f"H'(3) generator {text} dies in Gamma(3)^ab",
-                        table_ok and table.act_word(0, cat.picard_word(text)) == 0)
-            for text in PRIMED_D3_WORDS]
+                        table_ok and table.act_word(0, w) == 0)
+            for text, w in zip(PRIMED_D3_WORDS, words)]
 
 
 def primed_d3_closure() -> Report:
@@ -277,15 +279,15 @@ def verify_primed_d1_word() -> bool:
                          "R1")], cat.word_key)[0].passed
 
 
-def primed_d1_equality(table: CosetTable) -> Report:
+def primed_d1_equality(idx: IndexResult) -> Report:
     """Corrected reading of the d=1 primed hybrid: the order-4 elements
     R1 = iota_1(R), R2 = iota_2(R) satisfy exact scalar identities placing
     them inside H(1), and conversely E1, E2 are words in R1, R2, so
-    H'(1) = H(1). table is the coset table of H(1) that index_report
-    enumerated: if it is complete with 2 cosets and the word of R1 fixes
-    coset 0 as well, then H(1) <= <H(1), R1> <= Stab(0), so adjoining R1
-    leaves the index at 2 with no second enumeration; an overflowed table
-    fails that row."""
+    H'(1) = H(1). idx is index_report(1): if its table holds with 2
+    cosets and the word of R1 fixes coset 0 as well, then
+    H(1) <= <H(1), R1> <= Stab(0), so adjoining R1 leaves the index at 2
+    with no second enumeration or check; an overflowed table fails that
+    row."""
     cat = get_catalog(1)
     names = (*cat.hybrid, *cat.hybrid_primed)
     report = Report("primed hybrid d=1")
@@ -302,11 +304,10 @@ def primed_d1_equality(table: CosetTable) -> Report:
         cat.word_key)
     report.add("corollary-4.6", "the order-4 word over I0, Q, T is verified",
                verify_primed_d1_word())
-    subgens = (*cat.hybrid_words(), cat.picard_word(PRIMED_D1_WORD))
     report.add("corollary-4.6", "adjoining the order-4 element leaves a "
                "quotient of order 2, not 1: H'(1) = H(1) (corrected reading)",
-               table.complete and table.index == 2
-               and coset_table_holds(table, cat.presentation, subgens))
+               idx.holds and idx.table.index == 2
+               and idx.table.act_word(0, cat.picard_word(PRIMED_D1_WORD)) == 0)
     return report
 
 
@@ -377,7 +378,8 @@ def _commutator_table_reports() -> tuple[Report, Report]:
              ab_primed.is_finite)
 
     abel.add("lemma-3.8", f"Gamma(3)^ab = {ab_gamma}", ab_gamma == AbelianInvariants(0, (6,)))
-    abel.checks += _primed_d3_words_die("lemma-3.8", table, table_ok)
+    primed_words = tuple(map(cat.picard_word, PRIMED_D3_WORDS))
+    abel.checks += _primed_d3_words_die("lemma-3.8", table, table_ok, primed_words)
 
     sub_ab = abelianization(reidemeister_schreier(cat.presentation, table))
     lemma39 = table_ok and sub_ab == AbelianInvariants(2, ())
@@ -389,9 +391,8 @@ def _commutator_table_reports() -> tuple[Report, Report]:
 
     primed = Report("primed hybrid d=3", [
         *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
-        *_primed_d3_words_die("section-3-closing", table, table_ok)])
-    ab = abelianization(quotient_by_normal_gens(
-        cat.presentation, tuple(cat.picard_word(t) for t in PRIMED_D3_WORDS)))
+        *_primed_d3_words_die("section-3-closing", table, table_ok, primed_words)])
+    ab = abelianization(quotient_by_normal_gens(cat.presentation, primed_words))
     primed.add("section-3-closing", "Gamma(3)/<<H'(3)>> abelianizes to Z/6, hence is nontrivial "
                "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] (corrected reading: the closing "
                "claim of a trivial quotient is inconsistent with the containment in the "
@@ -407,9 +408,9 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
     and 5.5 on the word identities, normality and the coset table's own
     check (coset_table_holds), theorem 3.4 and
     propositions 6.2 and 6.3 on these and lemma 3.1, corollary 3.12 on
-    lemma 3.6. Each d runs one coset enumeration: index_report's table of
-    H(1) also decides corollary 4.6's adjoining row, and d=3's is the
-    commutator table."""
+    lemma 3.6. Each d runs one coset enumeration and checks it once:
+    index_report's table of H(1) and its check also decide corollary 4.6's
+    adjoining row, and d=3's is the commutator table."""
     words, normal = verify_word_identities(d), verify_normality(d)
     premises = words.passed and normal.passed
     if d == 3:
@@ -419,13 +420,12 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
     r = Report(f"index d={d}")
     theorem = f"theorem-{'4.5' if d == 1 else '5.5'}"
     if idx.outcome == "finite":
-        expected = {1: 2, 7: 1}[d]       # the order theorems 4.5 and 5.5 state
-        cat = get_catalog(d)
-        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {idx.index}"
-              + ("" if idx.index == expected else f", expected {expected}"),
-              idx.index == expected and premises
-              and coset_table_holds(idx.table, cat.presentation, cat.hybrid_words()),
-              witness=f"complete coset table, {idx.table.index} cosets")
+        # expected: the order theorems 4.5 and 5.5 state
+        expected, index = {1: 2, 7: 1}[d], idx.table.index
+        r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) has order {index}"
+              + ("" if index == expected else f", expected {expected}"),
+              idx.holds and index == expected and premises,
+              witness=f"complete coset table, {index} cosets")
     elif idx.outcome == "overflowed":
         r.add(theorem, f"quotient PU(2,1,O_{d})/H({d}) is undecided: coset "
               f"enumeration overflowed the cap of {max_cosets} cosets", False)
@@ -445,7 +445,7 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
         abel.checks = [*rows, cor312._replace(passed=cor312.passed and lemma36.passed)]
         reports += [lemma31, lemma36, abel, primed]
     if d == 1:
-        reports.append(primed_d1_equality(idx.table))
+        reports.append(primed_d1_equality(idx))
     flags = get_catalog(d).flags
     if flags:
         f = Report(f"corrected readings d={d}")

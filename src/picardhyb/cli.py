@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 from . import catalog as cat_mod
 from . import certify
-from .cxhyp import classify, key_rows, orbit_points
+from .cxhyp import classify, int_key, int_word, key_rows, orbit_points
 # not called here: bound as module attributes because the benchmark's
 # smoke check expects its tracer to patch them under these names
 from .cxhyp import boundary_action, canonical_rep  # noqa: F401
@@ -78,7 +78,8 @@ def cmd_search(args) -> int:
         print(f"unknown target {args.target!r}", file=sys.stderr)
         return 2
     names = list(cat.picard if args.gens == "picard" else cat.hybrid)
-    result = find_word(args.d, env[args.target], [env[n] for n in names],
+    gens = [env[n] for n in names]
+    result = find_word(args.d, env[args.target], gens,
                        max_depth=args.max_depth, max_coeff_bits=args.max_coeff_bits)
     payload = {
         "target": args.target,
@@ -89,7 +90,9 @@ def cmd_search(args) -> int:
     if result.found:
         payload["word"] = format_word(result.word, names)
         payload["length"] = len(result.word)
-        payload["verified"] = True
+        # the word re-evaluated over the generators, equal to the target in PU(2,1)
+        payload["verified"] = (int_key(args.d, int_word(args.d, result.word, gens))
+                               == int_key(args.d, env[args.target]))
     else:
         payload["exhausted_depth"] = result.depth_searched
     _write(args.out, json.dumps(payload, indent=2) + "\n")

@@ -71,9 +71,9 @@ def test_criterion_3_normality():
 def test_criterion_4_indices():
     t0 = time.monotonic()
     r1 = index_report(1)
-    assert r1.outcome == "finite" and r1.index == 2 and r1.table.complete
+    assert r1.outcome == "finite" and r1.table.index == 2 and r1.table.complete
     r7 = index_report(7)
-    assert r7.outcome == "finite" and r7.index == 1 and r7.table.complete
+    assert r7.outcome == "finite" and r7.table.index == 1 and r7.table.complete
     # relator closure of the d=1 table
     cat = get_catalog(1)
     pres = cat.quotient_presentation()

@@ -37,13 +37,13 @@ def test_normality_report(d):
 
 def test_index_d1_is_two():
     res = index_report(1)
-    assert res.outcome == "finite" and res.index == 2
+    assert res.outcome == "finite" and res.table.index == 2
     assert res.table.complete
 
 
 def test_index_d7_is_one():
     res = index_report(7)
-    assert res.outcome == "finite" and res.index == 1
+    assert res.outcome == "finite" and res.table.index == 1
 
 
 def test_index_enumerates_the_cosets_of_the_hybrid_itself(monkeypatch):
@@ -246,7 +246,7 @@ def test_partial_hybrid_presentations_are_the_lemma36_relations():
 
 
 def test_primed_d1_equality():
-    report = primed_d1_equality(index_report(1).table)
+    report = primed_d1_equality(index_report(1))
     assert report.passed
     assert verify_primed_d1_word()
     # the stored word uses an even number of I0/Q letters, i.e. it lies in
@@ -355,7 +355,7 @@ def test_corollary46_rows_fail_on_a_corrupted_catalog(monkeypatch):
     cat = catalog.get_catalog(1)
     _serve(monkeypatch, cat._replace(
         int_env={**cat.int_env, "R1": cat.int_env["R2"]}))
-    report = primed_d1_equality(index_report(1).table)
+    report = primed_d1_equality(index_report(1))
     assert len(report.checks) == 8
     assert _failed(report) == [
         "E1^2 E2 R1 is a unit scalar (so the order-4 element lies in the plain hybrid)",

@@ -102,8 +102,9 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     # it) or of H(7), and the commutator table, which two d=3 reports read
     for name in (*REPORT_FUNCTIONS, "todd_coxeter", "derived_subgroup_table"):
         monkeypatch.setattr(certify, name, counted(name, getattr(certify, name)))
-    # the facts the d=3 commutator table rests on: its own check and
-    # Gamma(3)^ab, each derived once
+    # each d's one coset table is checked once (coset_table_holds) from the
+    # hybrid words parsed once (hybrid_words); the d=3 commutator table also
+    # rests on Gamma(3)^ab, derived once
     facts = Counter()
     gamma3, holds, abelianization = (catalog.get_catalog(3).presentation,
                                      certify.coset_table_holds, certify.abelianization)
@@ -118,6 +119,13 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
 
     monkeypatch.setattr(certify, "coset_table_holds", counted_holds)
     monkeypatch.setattr(certify, "abelianization", counted_abelianization)
+    hybrid_words = catalog.Catalog.hybrid_words
+
+    def counted_hybrid_words(self):
+        facts["hybrid_words"] += 1
+        return hybrid_words(self)
+
+    monkeypatch.setattr(catalog.Catalog, "hybrid_words", counted_hybrid_words)
     # each word evaluated, keyed by its text and name tuple (seen) and by its
     # signed generator names (words), which one word has however it is
     # written and over whichever name tuple
@@ -140,9 +148,10 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
         assert run(["verify", "--d", d]) == 0
         assert calls and set(calls.values()) == {1}, (d, calls)
         assert ("derived_subgroup_table" in calls) == (d == "3")
+        assert facts == Counter({"coset_table_holds": 1, "hybrid_words": 1,
+                                 "abelianization of Gamma(3)": int(d == "3")}), (d, facts)
         if d == "3":
             assert calls["derived_subgroup_table"] == 1
-            assert facts == {"coset_table_holds": 1, "abelianization of Gamma(3)": 1}, facts
         assert ("todd_coxeter" in calls) == (d != "3")
         called |= set(calls)
         # a generator may be read on its own by several rows; no longer word
@@ -151,6 +160,19 @@ def test_verify_evaluates_each_word_once(monkeypatch, capsys):
     capsys.readouterr()
     assert called == {*REPORT_FUNCTIONS, "todd_coxeter", "derived_subgroup_table"}
     assert seen and len(seen) == len(set(seen))
+    # the two d=3 table reports parse each COMMUTATOR_WORDS and each
+    # PRIMED_D3_WORDS text once
+    parsed = Counter()
+    picard_word = catalog.Catalog.picard_word
+
+    def counted_picard_word(self, text):
+        parsed[text] += 1
+        return picard_word(self, text)
+
+    monkeypatch.setattr(catalog.Catalog, "picard_word", counted_picard_word)
+    certify._commutator_table_reports()
+    assert parsed == Counter(certify.COMMUTATOR_WORDS) + Counter(certify.PRIMED_D3_WORDS)
+    assert sum(parsed.values()) == 9
 
 
 def test_verify_failed_premise_fails_its_claims(monkeypatch, capsys):
@@ -282,13 +304,21 @@ def test_orbit_grows_with_depth(tmp_path):
     assert sizes[0] < sizes[1]
 
 
-def test_search_cmd(tmp_path):
+def test_search_cmd(tmp_path, monkeypatch):
     out = tmp_path / "search.json"
-    assert run(["search", "--d", "3", "--target", "U1", "--gens", "picard",
-                "--max-depth", "3", "--out", str(out)]) == 0
+    argv = ["search", "--d", "3", "--target", "U1", "--gens", "picard",
+            "--max-depth", "3", "--out", str(out)]
+    assert run(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["found"] and payload["word"] == "Q^2"
     assert payload["verified"] is True
+    # verified compares the key of the word, evaluated again over the
+    # generators, with the target's key: another matrix turns it false
+    u2 = catalog.get_catalog(3).int_env["U2"]
+    monkeypatch.setattr(cli, "int_word", lambda *args: u2)
+    assert run(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["word"] == "Q^2" and payload["verified"] is False
 
 
 def test_search_unknown_target(capsys):

@@ -37,8 +37,8 @@ RECORDS = {
     SearchResult: (("word", "depth_searched", "pruned_by_height"), {}),
     CheckResult: (("check_id", "description", "passed", "witness"), {"witness": ""}),
     InfinitenessCertificate: (("presentation", "images", "witness_word"), {}),
-    IndexResult: (("d", "outcome", "index", "table", "certificate"),
-                  {"index": None, "table": None, "certificate": None}),
+    IndexResult: (("outcome", "table", "holds", "certificate"),
+                  {"table": None, "holds": False, "certificate": None}),
     Catalog: (("d", "fuchsian", "picard", "presentation", "hybrid", "hybrid_primed",
                "int_env", "word_identities", "conjugation_identities", "flags"),
               {"flags": ()}),
@@ -68,7 +68,7 @@ def _instances():
         SearchResult((1, 2), 2, False),
         CheckResult("id", "description", True),
         InfinitenessCertificate(None, {}, ""),
-        IndexResult(1, "finite", 2),
+        IndexResult("finite", CosetTable(1, [[0, 0]], "complete"), True),
         Catalog(1, {}, {"I": Mat.identity(1)}, Presentation(1, ()), (), (), {}, (), ()),
     ]
 
@@ -91,7 +91,7 @@ def test_defaults_apply():
     assert hash(BoundaryPoint(1)) == hash((1, False, None, Fraction(0)))
     assert WordIdentity("l", "t", "w").note is None
     assert CheckResult("i", "d", True).witness == ""
-    assert IndexResult(1, "finite")[2:] == (None, None, None)
+    assert IndexResult("finite")[1:] == (None, False, None)
     assert Presentation(1, [(1, 1)]).gen_names is None
 
 
