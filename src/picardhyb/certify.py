@@ -18,7 +18,8 @@ words too. Every row that says an H'(3) generator dies in Gamma(3)^ab is
 decided by a second one, _primed_d3_words_die, on the commutator table,
 and rests on that table's own check. The two reports that read the table
 are built together (_commutator_table_reports), which enumerates the table
-and checks it once.
+and checks it once, with the report of lemma 3.6, on which their
+corollary 3.12 rests.
 
 Each function computes and returns its report; a failed check is a row
 that fails, never an exception.
@@ -263,7 +264,7 @@ def primed_d3_closure() -> Report:
     the commutator subgroup table), so the normal closure of H'(3) stays
     inside the commutator subgroup and the quotient of Gamma(3) by it
     surjects onto Z/6 -- it is not the trivial group."""
-    return _commutator_table_reports()[1]
+    return _commutator_table_reports()[2]
 
 
 # word over (I0, Q, T) for the order-4 element R1 = iota_1(R) of H'(1),
@@ -353,17 +354,20 @@ def hybrid_abelianization_bounds() -> Report:
     H'(3)^ab finite; the H'(3) generators die in Gamma(3)^ab; the
     commutator subgroup abelianizes to Z + Z; combined, H'(3) has infinite
     index in [Gamma(3), Gamma(3)] and hence in Gamma(3)."""
-    return _commutator_table_reports()[0]
+    return _commutator_table_reports()[1]
 
 
-def _commutator_table_reports() -> tuple[Report, Report]:
-    """The two reports that read the commutator table, those of
-    hybrid_abelianization_bounds and primed_d3_closure. Gamma(3)^ab is
-    reduced once, and the table enumerated once and checked once by
-    itself: it is complete, its index is |Gamma(3)^ab| (two independent
-    engines), and it passes coset_table_holds with the commutator words
-    fixing its subgroup coset."""
+def _commutator_table_reports() -> tuple[Report, Report, Report]:
+    """The reports of lemma36_relations, hybrid_abelianization_bounds and
+    primed_d3_closure: the last two read the commutator table, and
+    corollary 3.12 rests on lemma 3.6, so its row is decided here with
+    that premise. Gamma(3)^ab is reduced once, and the table enumerated
+    once and checked once by itself: it is complete, its index is
+    |Gamma(3)^ab| (two independent engines), and it passes
+    coset_table_holds with the commutator words fixing its subgroup
+    coset."""
     cat = get_catalog(3)
+    lemma36 = lemma36_relations()
     ab_gamma, table = abelianization(cat.presentation), commutator_subgroup_table()
     table_ok = (table.complete and table.index == ab_gamma.order
                 and coset_table_holds(table, cat.presentation,
@@ -387,7 +391,7 @@ def _commutator_table_reports() -> tuple[Report, Report]:
 
     abel.add("corollary-3.12", "finite H'(3)^ab inside a subgroup with infinite abelianization"
              " forces infinite index (finite-index transfer of Lemma 3.11)",
-             ab_primed.is_finite and lemma39)
+             ab_primed.is_finite and lemma39 and lemma36.passed)
 
     primed = Report("primed hybrid d=3", [
         *_equalities([("section-3-closing", "(E1')^2 = E1", "E1p E1p", "E1")], cat.word_key),
@@ -397,7 +401,7 @@ def _commutator_table_reports() -> tuple[Report, Report]:
                "and <<H'(3)>> lies inside [Gamma(3),Gamma(3)] (corrected reading: the closing "
                "claim of a trivial quotient is inconsistent with the containment in the "
                "commutator subgroup)", ab == AbelianInvariants(0, (6,)))
-    return abel, primed
+    return lemma36, abel, primed
 
 
 # -- the claims of verify --------------------------------------------------
@@ -440,10 +444,7 @@ def verify_reports(d: int, max_cosets: int = DEFAULT_MAX_COSETS) -> list[Report]
               "geometrically infinite (F5 fails)", infinite)
     reports = [words, normal, r]
     if d == 3:
-        lemma36, (abel, primed) = lemma36_relations(), _commutator_table_reports()
-        *rows, cor312 = abel.checks      # the last row, corollary 3.12
-        abel.checks = [*rows, cor312._replace(passed=cor312.passed and lemma36.passed)]
-        reports += [lemma31, lemma36, abel, primed]
+        reports += [lemma31, *_commutator_table_reports()]
     if d == 1:
         reports.append(primed_d1_equality(idx))
     flags = get_catalog(d).flags

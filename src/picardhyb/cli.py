@@ -96,7 +96,7 @@ def cmd_search(args) -> int:
     else:
         payload["exhausted_depth"] = result.depth_searched
     _write(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0 if result.found else 1
+    return 0 if result.found and payload["verified"] else 1
 
 
 def cmd_classify(args) -> int:

@@ -181,10 +181,6 @@ class CosetTable(namedtuple("CosetTable", "ngens table status")):
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def act(self, alpha: int, g: int) -> int:
-        _check_letters((g,), self.ngens, "a coset action")
-        return self.table[alpha][_col(g)]
-
     def act_word(self, alpha: int, w: Word) -> int:
         _check_letters(w, self.ngens, "a coset action")
         rows = self.table
@@ -399,7 +395,7 @@ def exponent_matrix(p: Presentation):
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Z^ngens modulo the row space of the exponent matrix, read off the
     diagonal of its Smith normal form."""
-    d, _l, _r = smith_normal_form(exponent_matrix(p) or [[0] * p.ngens])
+    d, _l, _r = smith_normal_form(exponent_matrix(p))
     diag = [d[i][i] for i in range(min(len(d), p.ngens))]
     return AbelianInvariants(p.ngens - sum(1 for x in diag if x),
                              tuple(x for x in diag if x >= 2))
@@ -428,45 +424,36 @@ def reidemeister_schreier(p: Presentation, table: CosetTable) -> Presentation:
     generators, with tree generators eliminated."""
     if not table.complete:
         raise ValueError("coset table is not complete")
-    index = table.index
-    # BFS Schreier tree; tree edges give trivial Schreier generators
-    seen = [False] * index
-    seen[0] = True
-    tree: set[tuple[int, int]] = set()   # (coset, positive generator)
-    queue = deque([0])
-    while queue:
-        alpha = queue.popleft()
-        for g in range(1, p.ngens + 1):
-            for signed in (g, -g):
-                beta = table.act(alpha, signed)
-                if not seen[beta]:
-                    seen[beta] = True
-                    tree.add((alpha, g) if signed > 0 else (beta, g))
-                    queue.append(beta)
-
+    if table.ngens != p.ngens:
+        raise ValueError("coset table and presentation differ in their generators")
+    rows = table.table
+    # breadth-first Schreier tree over the columns g1, g1^-1, g2, ...; the
+    # list grows while it is iterated. A tree edge (coset, positive
+    # generator) gives a trivial Schreier generator
+    order, seen, tree = [0], {0}, set()
+    for alpha in order:
+        for c, beta in enumerate(rows[alpha]):
+            if beta not in seen:
+                seen.add(beta)
+                order.append(beta)
+                tree.add((beta if c & 1 else alpha, c // 2 + 1))
     gen_index: dict[tuple[int, int], int] = {}
-    for alpha in range(index):
+    for alpha in range(len(rows)):
         for g in range(1, p.ngens + 1):
             if (alpha, g) not in tree:
                 gen_index[(alpha, g)] = len(gen_index) + 1
 
     def rewrite(alpha: int, w: Word) -> Word:
         out = []
-        c = alpha
         for g in w:
-            beta = table.act(c, g)
-            k = gen_index.get((c, g) if g > 0 else (beta, -g))
+            beta = rows[alpha][_col(g)]
+            k = gen_index.get((alpha, g) if g > 0 else (beta, -g))
             if k:
                 out.append(k if g > 0 else -k)
-            c = beta
+            alpha = beta
         return free_reduce(out)
 
-    relators = []
-    seen_rel = set()
-    for alpha in range(index):
-        for r in p.relators:
-            w = rewrite(alpha, r)
-            if w and w not in seen_rel:
-                seen_rel.add(w)
-                relators.append(w)
+    # the relators in order of first appearance, each once
+    relators = dict.fromkeys(w for alpha in range(len(rows)) for r in p.relators
+                             if (w := rewrite(alpha, r)))
     return Presentation(len(gen_index), tuple(relators))

@@ -372,6 +372,23 @@ def test_lemma36_rows_fail_on_a_corrupted_catalog(monkeypatch):
         f"{t} = 1" for t in certify.LEMMA36_RELATORS if t != "(U1 U2)^3"]
 
 
+def test_corollary312_rests_on_lemma36_outside_verify(monkeypatch):
+    # lemma 3.6's report gains a failing row: a standalone
+    # hybrid_abelianization_bounds(), with no verify around it, fails exactly
+    # its corollary-3.12 row
+    real = certify.lemma36_relations
+
+    def failing():
+        report = real()
+        report.add("lemma-3.6", "injected failure", False)
+        return report
+
+    monkeypatch.setattr(certify, "lemma36_relations", failing)
+    assert [c.check_id for c in hybrid_abelianization_bounds().checks
+            if not c.passed] == ["corollary-3.12"]
+    assert primed_d3_closure().passed
+
+
 @pytest.mark.parametrize("corrupt, rows", (
     (False, ["corollary-3.7"]),
     (True, ["lemma-3.10", "corollary-3.12"]),

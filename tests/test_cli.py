@@ -313,10 +313,11 @@ def test_search_cmd(tmp_path, monkeypatch):
     assert payload["found"] and payload["word"] == "Q^2"
     assert payload["verified"] is True
     # verified compares the key of the word, evaluated again over the
-    # generators, with the target's key: another matrix turns it false
+    # generators, with the target's key: another matrix turns it false, and
+    # an unverified word exits 1
     u2 = catalog.get_catalog(3).int_env["U2"]
     monkeypatch.setattr(cli, "int_word", lambda *args: u2)
-    assert run(argv) == 0
+    assert run(argv) == 1
     payload = json.loads(out.read_text())
     assert payload["word"] == "Q^2" and payload["verified"] is False
 

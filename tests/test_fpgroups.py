@@ -2,6 +2,7 @@
 postconditions, abelianization and Reidemeister-Schreier."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,8 +186,8 @@ def test_todd_coxeter_first_complete_cap_of_the_index_tables(d, cap, index):
     assert table.complete and table.index == index
 
 
-def _random_presentation(rng):
-    """1-3 generators, a power relator on each, up to two more random
+def _random_presentation(rng, more=2):
+    """1-3 generators, a power relator on each, up to ``more`` more random
     relators, and up to two random subgroup words."""
     n = rng.randint(1, 3)
     letters = [g for k in range(1, n + 1) for g in (k, -k)]
@@ -195,7 +196,7 @@ def _random_presentation(rng):
         return tuple(rng.choice(letters) for _ in range(rng.randint(1, longest)))
 
     relators = [(k,) * rng.randint(2, 5) for k in range(1, n + 1)]
-    relators += [r for r in (word(8) for _ in range(rng.randint(0, 2))) if free_reduce(r)]
+    relators += [r for r in (word(8) for _ in range(rng.randint(0, more))) if free_reduce(r)]
     return Presentation(n, relators), [word(6) for _ in range(rng.randint(0, 2))]
 
 
@@ -206,7 +207,7 @@ def _loop_at_coset_0(table, rng):
     path = {0: ()}
     for alpha in range(table.index):
         for g in letters:
-            path.setdefault(table.act(alpha, g), path[alpha] + (g,))
+            path.setdefault(table.act_word(alpha, (g,)), path[alpha] + (g,))
     w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
     return w + invert_word(path[table.act_word(0, w)])
 
@@ -250,7 +251,7 @@ def test_coset_action_rejects_a_letter_out_of_range(letter):
     with pytest.raises(ValueError, match=f"^a coset action uses the letter {letter}, "):
         table.act_word(0, (1, letter))
     with pytest.raises(ValueError, match=f"^a coset action uses the letter {letter}, "):
-        table.act(1, letter)
+        table.act_word(1, (letter,))
 
 
 @pytest.mark.parametrize("letter", [0, 3, -3])
@@ -480,6 +481,83 @@ def test_reidemeister_schreier_rejects_incomplete():
     t = todd_coxeter(p, max_cosets=30)
     with pytest.raises(ValueError):
         reidemeister_schreier(p, t)
+
+
+def test_reidemeister_schreier_rejects_a_table_over_other_generators():
+    # the table of V4 on a and b read as a table of <a | a^2>: its b edges
+    # would enter the Schreier tree
+    v4 = pres(("a", "b"), ("a^2", "b^2", "(a b)^2"))
+    c2 = pres(("a",), ("a^2",))
+    with pytest.raises(ValueError, match="differ in their generators"):
+        reidemeister_schreier(c2, todd_coxeter(v4))
+    with pytest.raises(ValueError, match="differ in their generators"):
+        reidemeister_schreier(v4, todd_coxeter(c2))
+
+
+def _reidemeister_schreier_bfs(p, table):
+    """reidemeister_schreier with its own queue for the Schreier tree and a
+    checked action per letter: the reference for the one that reads the
+    table's rows."""
+    if not table.complete:
+        raise ValueError("coset table is not complete")
+    seen = [False] * table.index
+    seen[0] = True
+    tree = set()   # (coset, positive generator)
+    queue = deque([0])
+    while queue:
+        alpha = queue.popleft()
+        for g in range(1, p.ngens + 1):
+            for signed in (g, -g):
+                beta = table.act_word(alpha, (signed,))
+                if not seen[beta]:
+                    seen[beta] = True
+                    tree.add((alpha, g) if signed > 0 else (beta, g))
+                    queue.append(beta)
+    gen_index = {}
+    for alpha in range(table.index):
+        for g in range(1, p.ngens + 1):
+            if (alpha, g) not in tree:
+                gen_index[(alpha, g)] = len(gen_index) + 1
+
+    def rewrite(alpha, w):
+        out = []
+        c = alpha
+        for g in w:
+            beta = table.act_word(c, (g,))
+            k = gen_index.get((c, g) if g > 0 else (beta, -g))
+            if k:
+                out.append(k if g > 0 else -k)
+            c = beta
+        return free_reduce(out)
+
+    relators = []
+    seen_rel = set()
+    for alpha in range(table.index):
+        for r in p.relators:
+            w = rewrite(alpha, r)
+            if w and w not in seen_rel:
+                seen_rel.add(w)
+                relators.append(w)
+    return Presentation(len(gen_index), tuple(relators))
+
+
+def test_reidemeister_schreier_matches_the_bfs_reference():
+    # the same Schreier tree, generator numbers and relators in the same
+    # order: on the d=3 commutator table, the d=1 and d=7 index tables and
+    # the complete tables of seeded random presentations
+    gamma3 = get_catalog(3).presentation
+    cases = [(gamma3, derived_subgroup_table(gamma3))]
+    for d in (1, 7):
+        cat = get_catalog(d)
+        cases.append((cat.presentation, todd_coxeter(cat.presentation, cat.hybrid_words())))
+    rng = random.Random(20261022)
+    for _ in range(450):
+        p, subgens = _random_presentation(rng, more=3)
+        cases.append((p, todd_coxeter(p, subgens, 300)))
+    cases = [(p, table) for p, table in cases if table.complete]
+    assert len(cases) >= 303  # 3 + 358 of the 450 random ones at this seed
+    for p, table in cases:
+        assert reidemeister_schreier(p, table) == _reidemeister_schreier_bfs(p, table), p
 
 
 def test_presentation_validation():
