@@ -4,7 +4,7 @@ classification, and the Heisenberg boundary action.
 ``Mat`` is the reference type: a small (2x2 or 3x3) matrix with QuadRat
 entries. All catalog matrices are in fact integral with a unit
 determinant, and so is every word in them. The hot loops (the orbit
-``ball``, the word search, and the word checks of the catalog and of
+ball, the word search, and the word checks of the catalog and of
 certify) therefore run on an integer kernel instead: a 3x3 matrix over O_d
 as a flat tuple of 18 Python ints (an ``IntMat``), with its product,
 inverse, word evaluation, canonical projective key, coefficient height and
@@ -14,20 +14,23 @@ kernel function takes the ring d and ``IntMat``s, ``classify`` and
 ``projective_order`` included; ``int_mat`` converts a ``Mat`` once, and
 the catalog's ``int_env`` is where the command-line verbs get theirs.
 
-``ball`` skips two kinds of product, and neither can change its output.
-It keeps one move per projective class, because a move projectively equal
-to an earlier one (the inverse of a projective involution such as I1 and
-I2 for d=3, or B1 and B2 for d=7) gives the class the earlier move gave
-the same element. And it skips the move that undoes an element's last
-move, because that product is the element's parent. Either product is
-already in the set of seen keys, so the elements and their order stay
-those of the plain breadth-first search over all moves. The word search
+The ball of radius L holds the projectively distinct elements of word
+length at most L over the generators and their inverses; ``_spheres``
+walks it one sphere at a time from the identity. It skips two kinds of
+product, and neither can change its elements. It keeps one move per
+projective class, because a move projectively equal to an earlier one
+(the inverse of a projective involution such as I1 and I2 for d=3, or B1
+and B2 for d=7) gives the class the earlier move gave the same element.
+And it skips the move that undoes an element's last move, because that
+product is the element's parent. Either product is already in the set of
+seen keys, so the elements and their order stay those of the plain
+breadth-first search over all moves. The word search
 takes both its moves and its step (``_step``) from the ball.
 
 The ball keeps each element m as its key u*m, u a unit. The key times a
 move g is u*(m*g), which has the key, the zero entries and the origin
-image (z = q/r and p/r) of m*g. So ``ball`` returns keys, and it and
-``orbit_points`` form the keys and points of the elements themselves.
+image (z = q/r and p/r) of m*g. So ``_spheres`` yields keys, and
+``orbit_points`` forms the keys and points of the elements themselves.
 
 ``orbit_points`` runs the same breadth-first loop to radius L-1 only. The
 image of the Heisenberg origin under m depends only on the third column of
@@ -134,6 +137,11 @@ class Mat(namedtuple("Mat", "d rows")):
 
     def __rmul__(self, other):
         return NotImplemented
+
+    # (1,) + m would concatenate too; returning NotImplemented would fall
+    # back to it, so this raises
+    def __radd__(self, other):
+        raise TypeError(f"cannot add Mat to {type(other).__name__}")
 
     def scale(self, c) -> "Mat":
         c = QuadRat.of(c) if not isinstance(c, int) else QuadRat.of_fraction(self.d, c)
@@ -584,22 +592,12 @@ def _spheres(d: int, moves: list[IntMat], undo: list[int], seen: dict, radius: i
         yield frontier
 
 
-def ball(d: int, gens: list[IntMat], radius: int) -> list[IntMat]:
-    """The int_keys of the projectively distinct elements of word length
-    <= radius over gens and their inverses, in breadth-first order from the
-    identity; ValueError for a negative radius. Repeats are skipped (see the module docstring)."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    moves, undo, _letters = _move_table(d, gens)
-    return [m for sphere in _spheres(d, moves, undo, {}, radius) for m, _k in sphere]
-
-
 def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int, ...]], int]:
-    """The int_origin_key of every element of ball(d, gens, radius) that
-    keeps the Heisenberg origin finite, and the number of elements that
-    send it to Infinity; ValueError for a negative radius. The last sphere
-    is formed as columns only, and products by moves that fix the origin
-    form no key (see the module docstring)."""
+    """The int_origin_key of every element of the ball of that radius over
+    gens that keeps the Heisenberg origin finite, and the number of
+    elements that send it to Infinity; ValueError for a negative radius.
+    The last sphere is formed as columns only, and products by moves that
+    fix the origin form no key (see the module docstring)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
     moves, undo, _letters = _move_table(d, gens)

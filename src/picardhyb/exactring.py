@@ -106,7 +106,12 @@ class QuadInt(namedtuple("QuadInt", "d a b")):
             return NotImplemented
         return QuadInt(self.d, self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
+    # a plain tuple on the left would concatenate once this returned
+    # NotImplemented, so a tuple raises; 1 + x and sum() still add
+    def __radd__(self, other) -> "QuadInt":
+        if isinstance(other, tuple):
+            raise TypeError(f"cannot add QuadInt to {type(other).__name__}")
+        return self + other
 
     def __sub__(self, other) -> "QuadInt":
         other = self._coerce(other)
@@ -161,9 +166,6 @@ class QuadInt(namedtuple("QuadInt", "d a b")):
         return Fraction(self.b * cn, cd)
 
     # -- rendering ---------------------------------------------------------
-
-    def __str__(self) -> str:
-        return render(self)
 
     def approx(self) -> complex:
         # int true division rounds correctly, as float(Fraction) does
@@ -256,6 +258,11 @@ class QuadRat(namedtuple("QuadRat", "num den")):
     # tuple's repetition would turn 2 * x into a plain 4-tuple
     def __rmul__(self, other):
         return NotImplemented
+
+    # tuple's concatenation would turn (1,) + x into a plain 3-tuple;
+    # returning NotImplemented would fall back to it, so this raises
+    def __radd__(self, other):
+        raise TypeError(f"cannot add QuadRat to {type(other).__name__}")
 
     def __truediv__(self, other) -> "QuadRat":
         other = self._coerce(other)

@@ -1,7 +1,9 @@
 """Import hygiene of the package modules, checked with the standard
-library's ast (no linter is assumed): every imported name is used, and
-every import marked ``# noqa: F401`` is one that the benchmark's tracer
-expects to find bound (``benchmarks/smoke.py::ALIASES``)."""
+library's ast (no linter is assumed): every imported name is used, every
+import marked ``# noqa: F401`` is one that the benchmark's tracer expects
+to find bound (``benchmarks/smoke.py::ALIASES``), and the package root
+imports nothing and binds only ``__version__``, so callers import the
+modules by name."""
 
 import ast
 from pathlib import Path
@@ -54,3 +56,9 @@ def test_every_noqa_import_is_a_benchmark_alias():
         marked |= {(f"picardhyb.{path.stem}", name) for name, line in _imports(path)
                    if NOQA in lines[line - 1]}
     assert marked and marked <= aliases, marked - aliases
+
+
+def test_package_root_binds_only_the_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    statements = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    assert [ast.unparse(n) for n in statements] == [f"__version__ = {picardhyb.__version__!r}"]

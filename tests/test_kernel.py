@@ -9,13 +9,14 @@ unit multiple of any nonzero tuple. The kernel's Siegel-form
 check must agree with x* H x computed from the rows of the matrix.
 The move table must invert each generator once, and a non-unit
 determinant must raise on every call of the memoized inverse.
-``ball`` must list exactly the elements of a plain breadth-first search
-that forms every product, as their keys, while forming fewer products
-itself, and every state of its spheres must be a key.
-``orbit_points`` must give the origin images of ``ball`` while forming full
+The ball that ``_spheres`` walks over the move table (``ball`` here) must
+list exactly the elements of a plain breadth-first search that forms every
+product, as their keys, while forming fewer products itself, and every
+state of its spheres must be a key.
+``orbit_points`` must give the origin images of that ball while forming full
 products in its last sphere only for images at Infinity, and skipping the
-columns and keys of products by moves that fix the origin. Both reject a
-negative radius. ``key_rows``
+columns and keys of products by moves that fix the origin; it rejects a
+negative radius and an empty generator list. ``key_rows``
 must render the floats of ``BoundaryPoint.approx`` bit for bit, in any
 order of the keys."""
 
@@ -28,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 from picardhyb import cxhyp
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
-    E3, INT_ID, BoundaryPoint, Mat, ball, boundary_action, canonical_rep, int_height,
+    E3, INT_ID, BoundaryPoint, Mat, boundary_action, canonical_rep, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul,
     _move_table, _qmul, int_origin_key, key_rows, orbit_points,
 )
@@ -298,6 +299,12 @@ def test_conversion_rejects_non_integral():
         int_mat(Mat.identity(3, 2))
 
 
+def ball(d: int, gens: list[tuple], radius: int) -> list[tuple]:
+    """The keys of the ball of that radius over gens, in the order _spheres walks it."""
+    moves, undo, _letters = _move_table(d, gens)
+    return [m for sphere in cxhyp._spheres(d, moves, undo, {}, radius) for m, _k in sphere]
+
+
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_ball_matches_mat_reference(d):
     cat = get_catalog(d)
@@ -422,10 +429,10 @@ def test_ball_states_are_keys(d, gens):
 
 def test_ball_rejects_no_generators():
     with pytest.raises(ValueError, match="generator list is empty"):
-        ball(1, [], 2)
+        orbit_points(1, [], 2)
 
 
-@pytest.mark.parametrize("f", [ball, orbit_points])
+@pytest.mark.parametrize("f", [orbit_points])
 def test_ball_and_orbit_reject_a_negative_radius(f):
     cat = get_catalog(3)
     with pytest.raises(ValueError, match="^radius must be non-negative$"):

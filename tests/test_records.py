@@ -1,7 +1,8 @@
 """The record types of the package keep their tuple API: field names, field
 order and defaults, no instance ``__dict__``, field checks that also run on
-``_make`` and ``_replace``, ``_make`` round trips, and a ``Mat`` that
-refuses tuple ``+`` and ``*``.
+``_make`` and ``_replace``, ``_make`` round trips, a ``Mat`` that
+refuses tuple ``+`` and ``*``, and arithmetic records that refuse a plain
+tuple on the left of ``+``.
 
 A record that checks its fields in ``__new__`` overrides ``_make`` to call
 it; namedtuple's ``_replace`` builds its copy with ``_make``, so it runs the
@@ -152,3 +153,18 @@ def test_mat_refuses_tuple_concatenation_and_repetition():
     with pytest.raises(TypeError):
         2 * m
     assert m * m == m
+
+
+@pytest.mark.parametrize("x", [QuadInt.tau(3), QuadRat.one(3), Mat.identity(1)],
+                         ids=lambda x: type(x).__name__)
+def test_arithmetic_records_refuse_a_tuple_on_the_left_of_plus(x):
+    # Python tries the subclass's __radd__ first; had it returned
+    # NotImplemented, tuple's concatenation would give a plain tuple
+    with pytest.raises(TypeError):
+        (1,) + x
+
+
+def test_quadint_still_adds_an_int_on_the_left():
+    x = QuadInt.tau(3)
+    assert 1 + x == QuadInt(3, 1, 1)
+    assert sum([x, x]) == QuadInt(3, 0, 2)
