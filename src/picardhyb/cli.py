@@ -104,8 +104,7 @@ def cmd_classify(args) -> int:
     if args.element not in env:
         print(f"unknown element {args.element!r}", file=sys.stderr)
         return 2
-    kind = classify(args.d, env[args.element])
-    _write(args.out, f"{args.element}: {kind.value}\n")
+    _write(args.out, f"{args.element}: {classify(args.d, env[args.element])}\n")
     return 0
 
 

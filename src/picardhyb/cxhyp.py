@@ -10,9 +10,11 @@ as a flat tuple of 18 Python ints (an ``IntMat``), with its product,
 inverse, word evaluation, canonical projective key, coefficient height and
 the key of the image of the Heisenberg origin (``int_origin_key(d, x,
 column)``, the point of x times a column), all in integers. Every
-kernel function takes the ring d and ``IntMat``s, ``classify`` and
-``projective_order`` included; ``int_mat`` converts a ``Mat`` once, and
-the catalog's ``int_env`` is where the command-line verbs get theirs.
+kernel function takes the ring d and ``IntMat``s, ``projective_order``
+and ``classify`` included, which names the isometry class from Goldman's
+discriminant and the characteristic polynomial; ``int_mat`` converts a
+``Mat`` once, and the catalog's ``int_env`` is where the command-line verbs
+get theirs.
 
 The ball of radius L holds the projectively distinct elements of word
 length at most L over the generators and their inverses; ``_spheres``
@@ -67,7 +69,6 @@ Everything here is exact: no floating point enters any decision.
 
 from __future__ import annotations
 
-import enum
 import operator
 from collections import namedtuple
 from functools import lru_cache, partial
@@ -637,14 +638,6 @@ def orbit_points(d: int, gens: list[IntMat], radius: int) -> tuple[set[tuple[int
 
 # -- isometry classification ----------------------------------------------
 
-class IsometryClass(enum.Enum):
-    REGULAR_ELLIPTIC = "regular-elliptic"
-    LOXODROMIC = "loxodromic"
-    UNIPOTENT_2_STEP = "unipotent-2-step"
-    UNIPOTENT_3_STEP = "unipotent-3-step"
-    OTHER_BOUNDARY = "other-boundary"
-
-
 def goldman_f(d: int, tr: tuple[int, int], det: tuple[int, int]) -> int:
     """Goldman's discriminant |t|^4 - 8 Re(t^3) + 18 |t|^2 - 27 of the
     trace t of m/c, where c^3 = det m, from tr = tr m and the unit
@@ -658,34 +651,47 @@ def goldman_f(d: int, tr: tuple[int, int], det: tuple[int, int]) -> int:
     return n * n - (8 * a + 4 * c1 * b) + 18 * n - 27
 
 
-def classify(d: int, x: IntMat) -> IsometryClass:
-    """Trace-discriminant classification of x in PU(2,1) (Goldman,
-    Complex Hyperbolic Geometry, 1999, 6.2); ValueError unless det x is a
-    unit.
+def classify(d: int, x: IntMat) -> str:
+    """The class of x in PU(2,1) (Goldman, Complex Hyperbolic Geometry,
+    1999, 6.2): regular-elliptic if f < 0, loxodromic if f > 0, where f is
+    goldman_f; ValueError unless det x is a unit.
 
-    On the zero locus of f, x is unipotent up to scale iff x - u*Id is
-    nilpotent for some u with u^3 = det x. Such a u is a root of
-    t^3 - det x equal to tr(x)/3, so it lies in O_d and is a unit; when
-    det x has no unit cube root (det P = w for d=3), x is other-boundary."""
-    c0, c1 = _TAU_SQ[d]
-    det = _cofactors(d, x)[1]
-    f = goldman_f(d, (x[0] + x[8] + x[16], x[1] + x[9] + x[17]), det)
-    if f < 0:
-        return IsometryClass.REGULAR_ELLIPTIC
-    if f > 0:
-        return IsometryClass.LOXODROMIC
-    for u in UNITS[d]:
-        if _qmul(c0, c1, _qmul(c0, c1, u, u), u) != det:
-            continue
-        nil = tuple(map(operator.sub, x, (*u, 0, 0, 0, 0, 0, 0) * 2 + u))   # x - u*Id
+    On f = 0 the characteristic polynomial t^3 - e1 t^2 + e2 t - e3 of x
+    (e1 = tr x, e2 the sum of the diagonal cofactors, e3 = det x) has a
+    repeated root l and a third root m, and
+    e1^2 - 3 e2 = (l - m)^2,  e1 e2 - 9 e3 = 2 l (l - m)^2.
+    If e1^2 = 3 e2, then l = m = e1/3 and N = 3x - e1 Id is nilpotent: x
+    is the identity if N = 0, unipotent-2-step if N^2 = 0 and
+    unipotent-3-step otherwise. Else g = 2(e1^2 - 3 e2) != 0 and
+    n = e1 e2 - 9 e3 = l g, so g m = e1 g - 2n, and x is a
+    complex-reflection iff (x - l)(x - m) = 0, that is
+    (g x - n Id)(g x - (e1 g - 2n) Id) = 0; otherwise it is
+    ellipto-parabolic. Each test is scaled by 3 or g, so all of it stays
+    in O_d: no division and no cube root of det x."""
+    mul = partial(_qmul, *_TAU_SQ[d])
+    cof, e3 = _cofactors(d, x)
+    e1 = (x[0] + x[8] + x[16], x[1] + x[9] + x[17])
+    f = goldman_f(d, e1, e3)
+    if f:
+        return "regular-elliptic" if f < 0 else "loxodromic"
+
+    def shift(a: tuple[int, int], b: tuple[int, int]) -> IntMat:   # a*x - b*Id
+        ax = [c for k in range(0, 18, 2) for c in mul(a, x[k:k + 2])]
+        return tuple(map(operator.sub, ax, (*b, 0, 0, 0, 0, 0, 0) * 2 + b))
+
+    e2 = tuple(map(sum, zip(cof[0], cof[4], cof[8])))
+    s = mul(e1, e1)
+    g = (2 * s[0] - 6 * e2[0], 2 * s[1] - 6 * e2[1])
+    if not any(g):
+        nil = shift((3, 0), e1)
         if not any(nil):
-            return IsometryClass.OTHER_BOUNDARY
-        nil2 = int_mul(d, nil, nil)
-        if not any(nil2):
-            return IsometryClass.UNIPOTENT_2_STEP
-        if not any(int_mul(d, nil2, nil)):
-            return IsometryClass.UNIPOTENT_3_STEP
-    return IsometryClass.OTHER_BOUNDARY
+            return "identity"
+        return "unipotent-3-step" if any(int_mul(d, nil, nil)) else "unipotent-2-step"
+    gl = tuple(p - 9 * q for p, q in zip(mul(e1, e2), e3))     # n = e1 e2 - 9 e3 = g*l
+    gm = tuple(p - 2 * q for p, q in zip(mul(e1, g), gl))      # e1 g - 2n = g*m
+    if any(int_mul(d, shift(g, gl), shift(g, gm))):
+        return "ellipto-parabolic"
+    return "complex-reflection"
 
 
 def projective_order(d: int, x: IntMat, limit: int = 24) -> int | None:

@@ -6,7 +6,7 @@ import time
 
 from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
-    IsometryClass, Mat, canonical_rep, classify, int_is_unitary, proj_eq, projective_order,
+    Mat, canonical_rep, classify, int_is_unitary, proj_eq, projective_order,
 )
 from picardhyb.certify import (
     commutator_subgroup_table, hybrid_abelianization_bounds, index_report,
@@ -115,14 +115,14 @@ def test_criterion_7_classification():
     t0 = time.monotonic()
     for d in (1, 3, 7):
         env = get_catalog(d).int_env
-        assert classify(d, env["U1"]) is IsometryClass.UNIPOTENT_2_STEP
-        assert classify(d, env["U2"]) is IsometryClass.UNIPOTENT_2_STEP
+        assert classify(d, env["U1"]) == "unipotent-2-step"
+        assert classify(d, env["U2"]) == "unipotent-2-step"
     env3 = get_catalog(3).int_env
-    assert classify(3, env3["E1"]) is IsometryClass.REGULAR_ELLIPTIC
+    assert classify(3, env3["E1"]) == "regular-elliptic"
     assert projective_order(3, env3["E1"], 6) == 3
     env7 = get_catalog(7).int_env
-    assert classify(7, env7["A1"]) is IsometryClass.LOXODROMIC
-    assert classify(7, env7["B1"]) is IsometryClass.OTHER_BOUNDARY
+    assert classify(7, env7["A1"]) == "loxodromic"
+    assert classify(7, env7["B1"]) == "complex-reflection"
     assert projective_order(7, env7["B1"], 4) == 2
     _report(7, "isometry inventory matches (2-step, elliptic, loxodromic)",
             time.monotonic() - t0, 5)

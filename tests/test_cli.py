@@ -333,9 +333,9 @@ def test_classify_cmd(tmp_path):
 
 
 def test_classify_cmd_determinant_w(capsys):
-    # det P = w has no unit cube root in O_3; P still classifies
+    # det P = w has no unit cube root in O_3; classify needs none
     assert run(["classify", "--d", "3", "--element", "P"]) == 0
-    assert capsys.readouterr().out == "P: other-boundary\n"
+    assert capsys.readouterr().out == "P: ellipto-parabolic\n"
 
 
 # a verify of every ring, both orbit variants, both search generator sets

@@ -8,7 +8,7 @@ import pytest
 
 from picardhyb.catalog import cayley, embed, get_catalog
 from picardhyb.cxhyp import (
-    BoundaryPoint, IsometryClass, Mat, boundary_action, canonical_rep,
+    INT_ID, BoundaryPoint, Mat, boundary_action, canonical_rep,
     classify, goldman_f, int_is_unitary, int_mat, proj_eq,
     projective_order,
 )
@@ -95,28 +95,35 @@ def test_classify_rejects_non_integral_or_non_unit_det():
 
 
 # the class of every catalog element; P (d=3, det w) has eigenvalues
-# 1, w, 1, so f = 0 and it is not unipotent up to scale
+# 1, w, 1, so f = 0, and (P - 1)(P - w) != 0, so it is ellipto-parabolic
 CATALOG_CLASSES = {
-    1: {"I0": "other-boundary", "Q": "other-boundary", "T": "unipotent-2-step",
+    1: {"I0": "complex-reflection", "Q": "complex-reflection", "T": "unipotent-2-step",
         "E1": "regular-elliptic", "U1": "unipotent-2-step",
         "E2": "regular-elliptic", "U2": "unipotent-2-step",
-        "R1": "other-boundary", "R2": "other-boundary"},
-    3: {"P": "other-boundary", "Q": "other-boundary", "R": "other-boundary",
+        "R1": "complex-reflection", "R2": "complex-reflection"},
+    3: {"P": "ellipto-parabolic", "Q": "ellipto-parabolic", "R": "complex-reflection",
         "E1": "regular-elliptic", "U1": "unipotent-2-step",
         "E2": "regular-elliptic", "U2": "unipotent-2-step",
-        "I1": "other-boundary", "I2": "other-boundary",
+        "I1": "complex-reflection", "I2": "complex-reflection",
         "E1p": "regular-elliptic"},
-    7: {"T1": "unipotent-3-step", "R": "other-boundary", "I": "other-boundary",
+    7: {"T1": "unipotent-3-step", "R": "complex-reflection", "I": "complex-reflection",
         "U1": "unipotent-2-step", "U2": "unipotent-2-step",
         "A1": "loxodromic", "A2": "loxodromic",
-        "B1": "other-boundary", "B2": "other-boundary"},
+        "B1": "complex-reflection", "B2": "complex-reflection"},
 }
 
 
 def test_classification_of_every_catalog_element():
     for d, want in CATALOG_CLASSES.items():
         env = get_catalog(d).int_env
-        assert {n: classify(d, x).value for n, x in env.items()} == want
+        assert {n: classify(d, x) for n, x in env.items()} == want
+
+
+def test_classify_identity_and_its_unit_multiples():
+    for d in (1, 3, 7):
+        assert classify(d, INT_ID) == "identity"
+        for u in units(d):
+            assert classify(d, int_mat(Mat.identity(d, 3).scale(QuadRat.of(u)))) == "identity"
 
 
 def test_classify_conjugation_invariant():
@@ -129,9 +136,9 @@ def test_classify_conjugation_invariant():
         for m in list(get_catalog(d).env().values()) + words:
             kind = classify(d, int_mat(m))
             for u in units(d):
-                assert classify(d, int_mat(m.scale(QuadRat.of(u)))) is kind
+                assert classify(d, int_mat(m.scale(QuadRat.of(u)))) == kind
             for g in words:
-                assert classify(d, int_mat(g * m * g.inverse())) is kind
+                assert classify(d, int_mat(g * m * g.inverse())) == kind
 
 
 def test_heis_translation_classification():
@@ -146,9 +153,9 @@ def test_heis_translation_classification():
     }
     for d in (1, 3, 7):
         vertical = get_catalog(d).int_env["U1"]
-        assert classify(d, vertical) is IsometryClass.UNIPOTENT_2_STEP
+        assert classify(d, vertical) == "unipotent-2-step"
         m = Mat.from_entries(d, horizontal[d])
-        assert classify(d, int_mat(m)) is IsometryClass.UNIPOTENT_3_STEP
+        assert classify(d, int_mat(m)) == "unipotent-3-step"
     assert Mat.from_entries(7, horizontal[7]) == get_catalog(7).picard["T1"]
 
 

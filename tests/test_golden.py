@@ -85,6 +85,11 @@ GOLDEN = [
      "f10957a25f81b3a682c347029d667a0599a6c74dce049efcfe0b2cfb76f05b7f"),
     ("classify --d 7 --element A1", 0,
      "d1e42f791b16244904794bbfa5f502e75bf1a9f15dbd01fa34420726b5d8244c"),
+    # det P = w: decided from the characteristic polynomial, with no cube root
+    ("classify --d 3 --element P", 0,
+     "1a2171e82adb0f178c105fc886e02c02096e089796407be3de4b2f3e1f8ef709"),
+    ("classify --d 7 --element B1", 0,
+     "363a27468751be8b88470b202942a51a7ac4b994a7ef88e3011f293722765aa7"),
     # picard-1 is the one ring with two invariant factors
     ("abelianize --presentation picard-1", 0,
      "6750d0361a2e16cb775a00bf474fe71fcf5e5d7bca676d7c86f48d950afbbd5f"),
@@ -108,6 +113,8 @@ GOLDEN_FILES = {
     "dump --d 3": "dump-d3.txt",
     "dump --d 7": "dump-d7.txt",
     "classify --d 7 --element A1": "classify-d7-A1.txt",
+    "classify --d 3 --element P": "classify-d3-P.txt",
+    "classify --d 7 --element B1": "classify-d7-B1.txt",
     "abelianize --presentation picard-1": "abelianize-picard-1.txt",
     "abelianize --presentation picard-3": "abelianize-picard-3.txt",
     "abelianize --presentation picard-7": "abelianize-picard-7.txt",

@@ -12,7 +12,9 @@ determinant must raise on every call of the memoized inverse.
 The ball that ``_spheres`` walks over the move table (``ball`` here) must
 list exactly the elements of a plain breadth-first search that forms every
 product, as their keys, while forming fewer products itself, and every
-state of its spheres must be a key.
+state of its spheres must be a key. Over the radius-3 balls, ``classify``
+must put every element of finite projective order in a finite-order class,
+and give every ellipto-parabolic element a unipotent power.
 ``orbit_points`` must give the origin images of that ball while forming full
 products in its last sphere only for images at Infinity, and skipping the
 columns and keys of products by moves that fix the origin; it rejects a
@@ -29,9 +31,9 @@ from hypothesis import example, given, settings, strategies as st
 from picardhyb import cxhyp
 from picardhyb.catalog import get_catalog
 from picardhyb.cxhyp import (
-    E3, INT_ID, BoundaryPoint, Mat, boundary_action, canonical_rep, int_height,
+    E3, INT_ID, BoundaryPoint, Mat, boundary_action, canonical_rep, classify, int_height,
     int_inv, int_is_unitary, int_key, int_mat, int_mul,
-    _move_table, _qmul, int_origin_key, key_rows, orbit_points,
+    _move_table, _qmul, int_origin_key, key_rows, orbit_points, projective_order,
 )
 from picardhyb.fpgroups import eval_word
 from picardhyb.exactring import _TAU_SQ, UNITS, QuadInt, QuadRat, units
@@ -425,6 +427,33 @@ def test_ball_states_are_keys(d, gens):
     moves, undo, _letters = _move_table(d, gens)
     for sphere in cxhyp._spheres(d, moves, undo, {}, 3):
         assert all(int_key(d, m) == m for m, _k in sphere)
+
+
+# the classes of classify; those of the first three hold the elements of
+# finite projective order
+CLASSES = ("regular-elliptic", "complex-reflection", "identity", "loxodromic",
+           "unipotent-2-step", "unipotent-3-step", "ellipto-parabolic")
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_classify_over_the_ball(d):
+    # the radius-3 balls of the Picard and of the hybrid generators. The
+    # classes partition the elements, so a finite order up to 24 puts an
+    # element in the first three, and none of the last four has one
+    cat = get_catalog(d)
+    kinds = set()
+    for names in (cat.picard, cat.hybrid):
+        for x in ball(d, [cat.int_env[n] for n in names], 3):
+            kind = classify(d, x)
+            assert CLASSES.index(kind) < 3 or projective_order(d, x, 24) is None
+            kinds.add(kind)
+            if kind == "ellipto-parabolic":     # its parabolic part is a unipotent power
+                powers = [x]
+                while len(powers) < 6:
+                    powers.append(int_mul(d, powers[-1], x))
+                assert any(classify(d, y).startswith("unipotent-") for y in powers[1:])
+    # every class but unipotent-3-step occurs for each d, so no invariant is vacuous
+    assert kinds | {"unipotent-3-step"} == set(CLASSES)
 
 
 def test_ball_rejects_no_generators():
